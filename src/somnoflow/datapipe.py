@@ -281,10 +281,18 @@ def fit_normalizer(windows):
     return NormStats(mean=mean, std=std)
 
 
+def zscore(values, stats):
+    """Z-score a 5 x T feature matrix in float64, then cast to float32.
+
+    The one normalization formula: windows, whole series and the stream all
+    go through it, so they round identically.
+    """
+    return ((values - stats.mean[:, None]) / stats.std[:, None]).astype(np.float32)
+
+
 def apply_normalizer(window, stats):
     """Z-score a window; the result is float32 and flagged normalized."""
-    vals = ((window.values - stats.mean[:, None]) / stats.std[:, None]).astype(np.float32)
-    return replace(window, values=vals, normalized=True)
+    return replace(window, values=zscore(window.values, stats), normalized=True)
 
 
 @dataclass

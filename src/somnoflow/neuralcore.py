@@ -8,7 +8,9 @@ matching backward call needs. Everything is numpy; no autograd.
 All contractions go through np.einsum with the default (non-optimized) path so
 that a given output element is accumulated in the same order regardless of
 batch size. That makes single-sample inference bit-identical to batched
-inference, which the streaming path relies on.
+inference: `sleepnet.infer_hypnogram` scores a night in batches and the
+streaming path one window at a time, and the two must agree bit for bit.
+`tests/test_sleepnet.py::TestBatchInvariance` checks this contract.
 """
 
 from __future__ import annotations

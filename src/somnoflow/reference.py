@@ -76,32 +76,6 @@ def ref_detect_wake_time(states, sleep_onset, wake_confirm, reentry_run):
     return None
 
 
-def ref_detect_wake_time_literal_paper(states, sleep_onset, wake_confirm):
-    """The rule text as literally written: at least `wake_confirm` contiguous
-    awake minutes somewhere before the candidate and zero awake minutes after
-    it. Kept only for comparison; not used by the pipeline."""
-    states = np.asarray(states).tolist()
-    n = len(states)
-    for c in range(sleep_onset + 1, n):
-        if states[c] != 0 or states[c - 1] != 1:
-            continue
-        run = 0
-        seen_before = False
-        for j in range(c):
-            if states[j] == 0:
-                run += 1
-                if run >= wake_confirm:
-                    seen_before = True
-                    break
-            else:
-                run = 0
-        if not seen_before:
-            continue
-        if all(states[j] != 0 for j in range(c + 1, n)):
-            return c
-    return None
-
-
 def ref_suppress_short_runs(states, min_run):
     """Flip the leftmost interior run shorter than min_run; repeat to fixpoint."""
     states = np.asarray(states).tolist()

@@ -20,14 +20,20 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .datapipe import NormStats, make_windows, apply_normalizer
+from .datapipe import NormStats, make_windows, zscore
+from .datapipe import apply_normalizer  # noqa: F401  perfbench/layers.py traces it by this name
 from .events import Hypnogram
 from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
                          MaxPool1d, ReLU, ShapeError, bce_loss, sigmoid)
 
 MODEL_MAGIC = b"SLPN"
 MODEL_FORMAT_VERSION = 1
+# windows per forward call in infer_hypnogram: layers keep their forward
+# caches (batchnorm xhat, pool argmax, relu masks), so a whole night as one
+# batch would hold several MB more at peak
+INFER_CHUNK = 64
 
 
 class ModelFormatError(ValueError):
@@ -492,20 +498,26 @@ def infer_hypnogram(model, series, window_epochs=None, stride_epochs=2):
 
     The first prediction lands on the final minute of the first full window,
     i.e. 14 minutes after the series start.
+
+    The series is z-scored once and its windows go through the model
+    INFER_CHUNK at a time. The streaming path scores one window per call and
+    must match these probabilities bit for bit, so this relies on the model
+    being batch-invariant: `tests/test_sleepnet.py::TestBatchInvariance`
+    checks that a window's output does not depend on the batch around it.
     """
     if model.norm_stats is None:
         raise ValueError("model has no normalization statistics; train or load first")
     if window_epochs is None:
         window_epochs = model.config.window_epochs
-    windows = make_windows(series, window_epochs, stride_epochs)
-    if not windows:
+    if len(series) < window_epochs:
+        make_windows(series, window_epochs, stride_epochs)  # warns, returns []
         return Hypnogram(start=int(series.timestamps[0]), probs=np.empty(0))
-    # one window per forward call: numpy's SIMD transcendentals can round
-    # differently across batch sizes, and the streaming path must reproduce
-    # these probabilities bit-exactly
-    probs = np.empty(len(windows), dtype=np.float64)
-    for i, w in enumerate(windows):
-        normed = apply_normalizer(w, model.norm_stats)
-        p_final, _ = model.forward_batch(normed.values[None], train=False)
-        probs[i] = float(p_final[0])
-    return Hypnogram(start=windows[0].label_timestamp, probs=probs)
+    z = zscore(series.feature_matrix(), model.norm_stats)
+    view = sliding_window_view(z, window_epochs, axis=1)[:, ::stride_epochs]  # (5, N, W)
+    probs = np.empty(view.shape[1], dtype=np.float64)
+    for s in range(0, len(probs), INFER_CHUNK):
+        # C-contiguous like the stream's windows: einsum's accumulation order
+        # (and hence float32 rounding) depends on the memory layout
+        x = np.ascontiguousarray(view[:, s:s + INFER_CHUNK].transpose(1, 0, 2))
+        probs[s:s + len(x)] = model.forward_batch(x, train=False)[0]
+    return Hypnogram(start=int(series.timestamps[window_epochs - 2]), probs=probs)

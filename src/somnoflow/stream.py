@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datapipe import EPOCH_SECONDS
+from .datapipe import EPOCH_SECONDS, zscore
 from .events import EventRuleConfig, Hypnogram, SleepEvents, predict_events
 
 
@@ -60,8 +60,6 @@ class SleepStream:
         self.window_epochs = model.config.window_epochs
         self.stride_epochs = stride_epochs
         self._ring = deque(maxlen=self.window_epochs)
-        self._mean = model.norm_stats.mean[:, None]
-        self._std = model.norm_stats.std[:, None]
         self._last_ts = None
         self._last_hr = None
         self._n_epochs = 0
@@ -105,7 +103,7 @@ class SleepStream:
             # C-contiguous like the batch path: einsum's accumulation order
             # (and hence float32 rounding) depends on the memory layout
             window = np.ascontiguousarray(np.array(self._ring, dtype=np.float64).T)  # (5, 30)
-            x = np.ascontiguousarray(((window - self._mean) / self._std).astype(np.float32))
+            x = np.ascontiguousarray(zscore(window, self.model.norm_stats))
             p_final, _ = self.model.forward_batch(x[None], train=False)
             p = float(p_final[0])
             minute_ts = timestamp - EPOCH_SECONDS  # start of the window's final minute

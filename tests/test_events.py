@@ -42,6 +42,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             EventRuleConfig(min_run=0)
 
+    @pytest.mark.parametrize("states", [[0.0, 0.7, 1.0], [0, 1, 0, 2, 1, 1, 1, 1]])
+    def test_binary_states_other_than_0_1_rejected(self, states):
+        # cast to int8, 0.7 would read as awake; a 2 is neither state, and on
+        # it the engine and the reference oracle disagree
+        with pytest.raises(ValueError, match="0 .awake. or 1 .sleep."):
+            BinaryHypnogram(start=0, states=np.array(states))
+
+    def test_binary_states_bool_accepted(self):
+        np.testing.assert_array_equal(
+            BinaryHypnogram(start=0, states=np.array([True, False])).states, [1, 0])
+
 
 class TestSmooth:
     def test_constant_unchanged(self):
@@ -72,6 +83,22 @@ class TestSmooth:
     def test_width_exceeding_length_error(self):
         with pytest.raises(ValueError):
             smooth_probs(hyp([0.5] * 3), 5)
+
+    @pytest.mark.parametrize("n", [*range(1, 40), 466, 1426])
+    def test_matches_per_minute_definition_bit_for_bit(self, n):
+        # the definition: minute i is the median of the 2k+1 minutes around
+        # it, k = min(width // 2, i, n - 1 - i)
+        rng = np.random.default_rng(n)
+        inputs = [rng.random(n), np.round(rng.random(n), 1)]  # the second has ties
+        with_nan = rng.random(n)
+        with_nan[rng.random(n) < 0.1] = np.nan
+        inputs.append(with_nan)
+        for p in inputs:
+            for width in range(1, min(n, 11) + 1, 2):
+                k = [min(width // 2, i, n - 1 - i) for i in range(n)]
+                want = np.array([np.median(p[i - k[i]:i + k[i] + 1]) for i in range(n)])
+                got = smooth_probs(hyp(p), width).probs
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=40),
            st.sampled_from([1, 3, 5]))

@@ -27,6 +27,11 @@ def random_window(seed=0):
                          normalized=True)
 
 
+def first_epochs(series, n):
+    return sf.EpochSeries(*(getattr(series, f)[:n] for f in (
+        "timestamps", "hr", "br", "hr_conf", "movement", "hr_diff", "labels")))
+
+
 class TestBuild:
     def test_default_head_kernels(self):
         model = build_model()
@@ -299,8 +304,58 @@ class TestInferHypnogram:
         with pytest.raises(ValueError, match="normalization"):
             infer_hypnogram(model, series)
 
+    def test_short_series_warns_and_is_empty(self, small_trained):
+        model, _, _ = small_trained
+        night = synth_generate(SynthConfig(seed=45, hours=2))
+        series = first_epochs(night, 29)
+        with pytest.warns(UserWarning, match="shorter than one 30-epoch window"):
+            hyp = infer_hypnogram(model, series)
+        assert len(hyp) == 0
+        assert hyp.start == int(night.timestamps[0])
+
     def test_probabilities_valid(self, small_trained):
         model, _, _ = small_trained
         series = synth_generate(SynthConfig(seed=42, hours=2))
         hyp = infer_hypnogram(model, series)
         assert np.all((hyp.probs >= 0) & (hyp.probs <= 1))
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
+
+
+class TestBatchInvariance:
+    """A window's output must not depend on the batch it is scored in:
+    infer_hypnogram scores a night in batches, the stream one window at a
+    time, and the two must agree bit for bit."""
+
+    @pytest.mark.parametrize("n_epochs", [30, 156, 158, 960])  # 1, 64, 65, 466 windows
+    def test_infer_hypnogram_equals_per_window_forward(self, small_trained, n_epochs):
+        model, _, _ = small_trained
+        night = synth_generate(SynthConfig(seed=43, hours=8))
+        series = first_epochs(night, n_epochs)
+        windows = sf.make_windows(series)
+        want = np.array([model.forward_batch(
+            sf.apply_normalizer(w, model.norm_stats).values[None])[0][0]
+            for w in windows], dtype=np.float64)
+        hyp = infer_hypnogram(model, series)
+        assert len(want) == (n_epochs - 30) // 2 + 1
+        assert hyp.start == windows[0].label_timestamp
+        np.testing.assert_array_equal(_bits(hyp.probs), _bits(want))
+
+    def test_forward_batch_sizes_equal_batch_one(self, small_trained):
+        model, _, _ = small_trained
+        night = synth_generate(SynthConfig(seed=44, hours=8))
+        x = np.stack([sf.apply_normalizer(w, model.norm_stats).values
+                      for w in sf.make_windows(night)])
+        assert len(x) == 466
+        one = [model.forward_batch(x[i:i + 1]) for i in range(len(x))]
+        want_final = np.concatenate([p for p, _ in one])
+        want_heads = np.concatenate([h for _, h in one])
+        for size in (2, 3, 7, 64, 466):
+            got = [model.forward_batch(x[s:s + size]) for s in range(0, len(x), size)]
+            np.testing.assert_array_equal(
+                _bits(np.concatenate([p for p, _ in got])), _bits(want_final))
+            np.testing.assert_array_equal(
+                _bits(np.concatenate([h for _, h in got])), _bits(want_heads))
