@@ -13,8 +13,8 @@ for real recordings in training, evaluation, and the acceptance suite.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -99,21 +99,49 @@ def compute_hr_diff(hr):
     return out
 
 
+def open_text(target, mode="r"):
+    """Context manager: `target` itself if it is a file handle, else the file
+    at that path opened in text mode with `mode` (and closed on exit)."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        return open(target, mode, newline="")
+    return contextlib.nullcontext(target)
+
+
+def parse_record(fields):
+    """(timestamp, hr, br, hr_conf, movement) from the text fields of one epoch
+    record, ignoring any later field. Raises ValueError on a missing field, a
+    field that is not a number, or a non-finite timestamp."""
+    if len(fields) < 5:
+        raise ValueError(f"expected 5 fields, got {len(fields)}")
+    try:
+        return (int(float(fields[0])), float(fields[1]), float(fields[2]),
+                float(fields[3]), float(fields[4]))
+    except OverflowError as exc:  # int(inf)
+        raise ValueError(str(exc)) from exc
+
+
+def vitals_error(hr, br, hr_conf, movement):
+    """Why one epoch's vitals are invalid, or None when they are valid."""
+    if not (math.isfinite(hr) and math.isfinite(br) and math.isfinite(hr_conf)
+            and math.isfinite(movement)):
+        return "hr, br, hr_conf and movement must be finite"
+    if hr < 0 or br < 0:
+        return "hr and br must be non-negative"
+    if not 0.0 <= hr_conf <= 1.0:
+        return f"hr_conf {hr_conf} outside [0,1]"
+    if movement < 0:
+        return "movement must be non-negative"
+    return None
+
+
 def _parse_row(row, row_no, has_label):
     try:
-        ts = int(float(row[0]))
-        hr = float(row[1])
-        br = float(row[2])
-        hr_conf = float(row[3])
-        movement = float(row[4])
-    except (ValueError, IndexError) as exc:
+        ts, hr, br, hr_conf, movement = parse_record(row)
+    except ValueError as exc:
         raise IngestError(f"row {row_no}: unparseable values: {row!r}") from exc
-    if hr < 0 or br < 0:
-        raise IngestError(f"row {row_no}: hr and br must be non-negative")
-    if not 0.0 <= hr_conf <= 1.0:
-        raise IngestError(f"row {row_no}: hr_conf {hr_conf} outside [0,1]")
-    if movement < 0:
-        raise IngestError(f"row {row_no}: movement must be non-negative")
+    error = vitals_error(hr, br, hr_conf, movement)
+    if error is not None:
+        raise IngestError(f"row {row_no}: {error}")
     label = -1
     if has_label and len(row) > 5 and row[5] != "":
         label = int(row[5])
@@ -129,52 +157,49 @@ def ingest_epochs(source, subject_id="", fill_gaps=False, max_fill_epochs=2):
     advance in strict 30 s steps; a gap is an error unless fill_gaps carries
     the last observation forward (at most max_fill_epochs missing epochs).
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="") as fh:
-            return ingest_epochs(fh, subject_id=subject_id, fill_gaps=fill_gaps,
-                                 max_fill_epochs=max_fill_epochs)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("empty file: missing header")
-    header = [h.strip() for h in header]
-    if tuple(header[:5]) != CSV_COLUMNS:
-        raise IngestError(f"bad header {header!r}; expected {','.join(CSV_COLUMNS)}[,label]")
-    has_label = len(header) > 5 and header[5] == "label"
-    if len(header) > 5 and not has_label:
-        raise IngestError(f"bad header {header!r}; sixth column must be 'label'")
+    with open_text(source) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError("empty file: missing header")
+        header = [h.strip() for h in header]
+        if tuple(header[:5]) != CSV_COLUMNS:
+            raise IngestError(f"bad header {header!r}; expected {','.join(CSV_COLUMNS)}[,label]")
+        has_label = len(header) > 5 and header[5] == "label"
+        if len(header) > 5 and not has_label:
+            raise IngestError(f"bad header {header!r}; sixth column must be 'label'")
 
-    cols = {name: [] for name in ("timestamp", "hr", "br", "hr_conf", "movement", "label")}
-    prev_ts = None
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        ts, hr, br, hr_conf, movement, label = _parse_row(row, row_no, has_label)
-        if prev_ts is not None:
-            step = ts - prev_ts
-            if step <= 0:
-                raise IngestError(f"row {row_no}: non-monotonic timestamp {ts} after {prev_ts}")
-            if step != EPOCH_SECONDS:
-                missing = step // EPOCH_SECONDS - 1
-                if step % EPOCH_SECONDS != 0 or missing < 1:
-                    raise IngestError(f"row {row_no}: timestamp {ts} not on the 30 s grid")
-                if not fill_gaps:
-                    raise IngestError(f"row {row_no}: gap of {missing} epochs before timestamp {ts}")
-                if missing > max_fill_epochs:
-                    raise IngestError(
-                        f"row {row_no}: gap of {missing} epochs exceeds fill limit {max_fill_epochs}")
-                for i in range(1, missing + 1):
-                    cols["timestamp"].append(prev_ts + i * EPOCH_SECONDS)
-                    for name in ("hr", "br", "hr_conf", "movement", "label"):
-                        cols[name].append(cols[name][-1])
-        cols["timestamp"].append(ts)
-        cols["hr"].append(hr)
-        cols["br"].append(br)
-        cols["hr_conf"].append(hr_conf)
-        cols["movement"].append(movement)
-        cols["label"].append(label)
-        prev_ts = ts
+        cols = {name: [] for name in ("timestamp", "hr", "br", "hr_conf", "movement", "label")}
+        prev_ts = None
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            ts, hr, br, hr_conf, movement, label = _parse_row(row, row_no, has_label)
+            if prev_ts is not None:
+                step = ts - prev_ts
+                if step <= 0:
+                    raise IngestError(f"row {row_no}: non-monotonic timestamp {ts} after {prev_ts}")
+                if step != EPOCH_SECONDS:
+                    missing = step // EPOCH_SECONDS - 1
+                    if step % EPOCH_SECONDS != 0 or missing < 1:
+                        raise IngestError(f"row {row_no}: timestamp {ts} not on the 30 s grid")
+                    if not fill_gaps:
+                        raise IngestError(f"row {row_no}: gap of {missing} epochs before timestamp {ts}")
+                    if missing > max_fill_epochs:
+                        raise IngestError(
+                            f"row {row_no}: gap of {missing} epochs exceeds fill limit {max_fill_epochs}")
+                    for i in range(1, missing + 1):
+                        cols["timestamp"].append(prev_ts + i * EPOCH_SECONDS)
+                        for name in ("hr", "br", "hr_conf", "movement", "label"):
+                            cols[name].append(cols[name][-1])
+            cols["timestamp"].append(ts)
+            cols["hr"].append(hr)
+            cols["br"].append(br)
+            cols["hr_conf"].append(hr_conf)
+            cols["movement"].append(movement)
+            cols["label"].append(label)
+            prev_ts = ts
     if not cols["timestamp"]:
         raise IngestError("no data rows")
     hr = np.asarray(cols["hr"], dtype=np.float64)
@@ -194,44 +219,36 @@ def ingest_epochs(source, subject_id="", fill_gaps=False, max_fill_epochs=2):
 def write_epochs(series, dest):
     """Write a series back to the epoch CSV schema (label column included
     whenever any epoch is labeled)."""
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", newline="") as fh:
-            write_epochs(series, fh)
-            return
-    labeled = bool(np.any(series.labels >= 0))
-    w = csv.writer(dest, lineterminator="\n")
-    header = list(CSV_COLUMNS) + (["label"] if labeled else [])
-    w.writerow(header)
-    for i in range(len(series)):
-        row = [int(series.timestamps[i]),
-               f"{series.hr[i]:.6f}", f"{series.br[i]:.6f}",
-               f"{series.hr_conf[i]:.6f}", f"{series.movement[i]:.6f}"]
-        if labeled:
-            row.append(int(series.labels[i]) if series.labels[i] >= 0 else "")
-        w.writerow(row)
+    with open_text(dest, "w") as fh:
+        labeled = bool(np.any(series.labels >= 0))
+        w = csv.writer(fh, lineterminator="\n")
+        header = list(CSV_COLUMNS) + (["label"] if labeled else [])
+        w.writerow(header)
+        for i in range(len(series)):
+            row = [int(series.timestamps[i]),
+                   f"{series.hr[i]:.6f}", f"{series.br[i]:.6f}",
+                   f"{series.hr_conf[i]:.6f}", f"{series.movement[i]:.6f}"]
+            if labeled:
+                row.append(int(series.labels[i]) if series.labels[i] >= 0 else "")
+            w.writerow(row)
 
 
 def write_transitions(transitions, dest):
     """Truth sidecar: one `kind,timestamp` row per ground-truth event."""
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", newline="") as fh:
-            write_transitions(transitions, fh)
-            return
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(["kind", "timestamp"])
-    for kind, ts in transitions:
-        w.writerow([kind, int(ts)])
+    with open_text(dest, "w") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["kind", "timestamp"])
+        for kind, ts in transitions:
+            w.writerow([kind, int(ts)])
 
 
 def read_transitions(source):
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, newline="") as fh:
-            return read_transitions(fh)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:2]] != ["kind", "timestamp"]:
-        raise IngestError(f"bad sidecar header {header!r}; expected kind,timestamp")
-    return [(row[0], int(float(row[1]))) for row in reader if row]
+    with open_text(source) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:2]] != ["kind", "timestamp"]:
+            raise IngestError(f"bad sidecar header {header!r}; expected kind,timestamp")
+        return [(row[0], int(float(row[1]))) for row in reader if row]
 
 
 def make_windows(series, window_epochs=30, stride_epochs=2):
@@ -282,10 +299,10 @@ def fit_normalizer(windows):
 
 
 def zscore(values, stats):
-    """Z-score a 5 x T feature matrix in float64, then cast to float32.
+    """Z-score (..., 5, T) feature values in float64, then cast to float32.
 
-    The one normalization formula: windows, whole series and the stream all
-    go through it, so they round identically.
+    The one normalization formula: training windows and `score_windows`, the
+    scorer of batch and stream, both go through it, so they round identically.
     """
     return ((values - stats.mean[:, None]) / stats.std[:, None]).astype(np.float32)
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datapipe import open_text
+
 DEFAULT_TOLERANCE_MIN = 15
 EVENT_KINDS = ("sleep_onset", "wake_time")
 
@@ -115,15 +117,6 @@ class EventMatchResult:
         return out
 
 
-def _events_to_pairs(events):
-    pairs = []
-    if events.sleep_onset is not None:
-        pairs.append(("sleep_onset", events.sleep_onset))
-    if events.wake_time is not None:
-        pairs.append(("wake_time", events.wake_time))
-    return pairs
-
-
 def match_events(pred, truth, tolerance_min=DEFAULT_TOLERANCE_MIN):
     """Greedy nearest-first matching of predicted events to truth, per kind.
 
@@ -132,12 +125,9 @@ def match_events(pred, truth, tolerance_min=DEFAULT_TOLERANCE_MIN):
     unmatched predictions are FPs, unmatched truths FNs.
     """
     if hasattr(pred, "sleep_onset"):
-        pred = _events_to_pairs(pred)
+        pred = pred.pairs()
     elif pred and hasattr(pred[0], "sleep_onset"):
-        flat = []
-        for ev in pred:
-            flat.extend(_events_to_pairs(ev))
-        pred = flat
+        pred = [pair for ev in pred for pair in ev.pairs()]
     result = EventMatchResult(tolerance_min=tolerance_min)
     tol_s = tolerance_min * 60.0
     for kind in EVENT_KINDS:
@@ -203,20 +193,17 @@ def emit_plotdata(hypnogram, events, truth, dest, threshold=0.5):
     truth is an aligned BinaryHypnogram or None; event column carries the
     event kind on the minute it fires, empty elsewhere.
     """
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", newline="") as fh:
-            emit_plotdata(hypnogram, events, truth, fh, threshold)
-            return
     marker = {}
     if events is not None:
-        for kind, ts in _events_to_pairs(events):
+        for kind, ts in events.pairs():
             minute = (ts - hypnogram.start) // 60
             marker[minute] = kind
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(["minute", "timestamp", "probability", "binarized", "truth", "event"])
-    for i, p in enumerate(hypnogram.probs):
-        truth_val = ""
-        if truth is not None and i < len(truth.states):
-            truth_val = int(truth.states[i])
-        w.writerow([i, hypnogram.start + i * 60, f"{p:.6f}",
-                    int(p >= threshold), truth_val, marker.get(i, "")])
+    with open_text(dest, "w") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["minute", "timestamp", "probability", "binarized", "truth", "event"])
+        for i, p in enumerate(hypnogram.probs):
+            truth_val = ""
+            if truth is not None and i < len(truth.states):
+                truth_val = int(truth.states[i])
+            w.writerow([i, hypnogram.start + i * 60, f"{p:.6f}",
+                        int(p >= threshold), truth_val, marker.get(i, "")])

@@ -12,10 +12,13 @@ exhaustively against the literal reference in `reference.py`.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .datapipe import open_text
 
 MINUTE_SECONDS = 60
 
@@ -88,6 +91,12 @@ class SleepEvents:
     wake_time: int | None = None
     trace: list = field(default_factory=list)
 
+    def pairs(self):
+        """(kind, timestamp) of each detected event, sleep onset first."""
+        return [(kind, ts) for kind, ts in (("sleep_onset", self.sleep_onset),
+                                            ("wake_time", self.wake_time))
+                if ts is not None]
+
 
 def smooth_probs(h, median_width):
     """Moving median; near the edges the window shrinks symmetrically so the
@@ -123,33 +132,26 @@ def _run_table(states):
     return a[starts], starts, edges[1:] - starts
 
 
-def _runs(states):
-    """Run-length encoding: list of [state, start, length]."""
-    return np.stack(_run_table(states), axis=1).tolist()
-
-
 def suppress_short_runs(b, min_run):
-    """Flip interior runs shorter than min_run (leftmost first, to fixpoint).
+    """Flip interior runs shorter than min_run, leftmost first, to fixpoint.
 
     First and last runs are exempt. Flipping a run merges it with both
-    neighbors, which necessarily share the opposite state.
+    neighbors, which necessarily share the opposite state. The merged run is
+    at least as long as its left part, which is either the exempt first run or
+    a run already found long enough, so one left-to-right pass reaches the
+    fixpoint: after a flip the scan resumes past the absorbed right neighbor.
     """
     if min_run < 1:
         raise ValueError(f"min_run must be >= 1, got {min_run}")
-    runs = _runs(b.states)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(runs) - 1):
-            if runs[i][2] < min_run:
-                prev, cur, nxt = runs[i - 1], runs[i], runs[i + 1]
-                merged = [prev[0], prev[1], prev[2] + cur[2] + nxt[2]]
-                runs[i - 1:i + 2] = [merged]
-                changed = True
-                break
-    out = np.empty(len(b.states), dtype=np.int8)
-    for state, start, length in runs:
-        out[start:start + length] = state
+    state, start, length = (a.tolist() for a in _run_table(b.states))
+    out = np.array(b.states, dtype=np.int8)
+    i = 1
+    while i < len(state) - 1:
+        if length[i] < min_run:
+            out[start[i]:start[i] + length[i]] = 1 - state[i]
+            i += 2
+        else:
+            i += 1
     return BinaryHypnogram(start=b.start, states=out)
 
 
@@ -244,17 +246,11 @@ def predict_events(h, cfg=None):
 
 def write_events(events, dest, trace_ref=""):
     """Event output rows: kind,timestamp,confidence_trace_ref."""
-    import csv
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, "w", newline="") as fh:
-            write_events(events, fh, trace_ref)
-            return
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(["kind", "timestamp", "confidence_trace_ref"])
-    if events.sleep_onset is not None:
-        w.writerow(["sleep_onset", events.sleep_onset, trace_ref])
-    if events.wake_time is not None:
-        w.writerow(["wake_time", events.wake_time, trace_ref])
+    with open_text(dest, "w") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["kind", "timestamp", "confidence_trace_ref"])
+        for kind, ts in events.pairs():
+            w.writerow([kind, ts, trace_ref])
 
 
 def format_trace(trace):

@@ -8,8 +8,8 @@ matching backward call needs. Everything is numpy; no autograd.
 All contractions go through np.einsum with the default (non-optimized) path so
 that a given output element is accumulated in the same order regardless of
 batch size. That makes single-sample inference bit-identical to batched
-inference: `sleepnet.infer_hypnogram` scores a night in batches and the
-streaming path one window at a time, and the two must agree bit for bit.
+inference: `sleepnet.score_windows` scores a night in batches and the
+stream's windows one at a time, and the two must agree bit for bit.
 `tests/test_sleepnet.py::TestBatchInvariance` checks this contract.
 """
 
@@ -206,7 +206,7 @@ class MaxPool1d(Layer):
             raise ConfigError(f"{name}: pool_width must be >= 1, got {pool_width}")
         self.pool_width = pool_width
         self.stride = pool_width if stride is None else stride
-        self._cache = None
+        self.argmax = self._in_shape = None
 
     def forward(self, x, train=False):
         n, c, length = x.shape
@@ -216,16 +216,14 @@ class MaxPool1d(Layer):
         view = sliding_window_view(x, p, axis=2)[:, :, ::s]  # (n, c, Lout, p)
         arg = view.argmax(axis=3)
         out = np.take_along_axis(view, arg[..., None], axis=3)[..., 0]
-        self._cache = (arg, x.shape)
-        self.argmax = arg
+        self.argmax, self._in_shape = arg, x.shape
         return out
 
     def backward(self, dy):
-        arg, in_shape = self._cache
         n, c, lout = dy.shape
-        dx = np.zeros(in_shape, dtype=dy.dtype)
+        dx = np.zeros(self._in_shape, dtype=dy.dtype)
         # source position of each pooled maximum
-        src = arg + np.arange(lout)[None, None, :] * self.stride
+        src = self.argmax + np.arange(lout)[None, None, :] * self.stride
         ni = np.arange(n)[:, None, None]
         ci = np.arange(c)[None, :, None]
         np.add.at(dx, (ni, ci, src), dy)

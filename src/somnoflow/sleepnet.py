@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .datapipe import NormStats, make_windows, zscore
+from .datapipe import EPOCHS_PER_MINUTE, NormStats, make_windows, zscore
 from .datapipe import apply_normalizer  # noqa: F401  perfbench/layers.py traces it by this name
 from .events import Hypnogram
 from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
@@ -30,10 +30,11 @@ from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
 
 MODEL_MAGIC = b"SLPN"
 MODEL_FORMAT_VERSION = 1
-# windows per forward call in infer_hypnogram: layers keep their forward
+# windows per forward call in score_windows: layers keep their forward
 # caches (batchnorm xhat, pool argmax, relu masks), so a whole night as one
 # batch would hold several MB more at peak
 INFER_CHUNK = 64
+HEADER_KEYS = ("format_version", "config", "frozen", "norm_stats", "manifest", "digest")
 
 
 class ModelFormatError(ValueError):
@@ -142,10 +143,6 @@ class _Head:
         self.fc2 = Dense(f"{name}.fc2", cfg.fc_width, 1, rng=rng, dtype=dtype)
         self._pre_flat_shape = None
 
-    def layers(self):
-        return [self.conv, self.bn, self.relu1, self.pool, self.dropout,
-                self.fc1, self.relu2, self.fc2]
-
     def param_layers(self):
         return [self.conv, self.bn, self.fc1, self.fc2]
 
@@ -195,13 +192,6 @@ class SleepNetModel:
         self._cache = None
 
     # --- structure ----------------------------------------------------------
-
-    def layers(self):
-        out = []
-        for h in self.heads:
-            out.extend(h.layers())
-        out.extend(self.trunk)
-        return out
 
     def param_layers(self):
         out = []
@@ -466,7 +456,15 @@ def load_model(path):
     header_len = struct.unpack("<Q", blob[5:13])[0]
     if len(blob) < 13 + header_len:
         raise TruncatedFileError("file ends inside the header")
-    header = json.loads(blob[13:13 + header_len].decode())
+    try:
+        header = json.loads(blob[13:13 + header_len].decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ModelFormatError(f"model header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ModelFormatError("model header is not a JSON object")
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise ModelFormatError(f"model header lacks {', '.join(missing)}")
     payload = blob[13 + header_len:]
     expected = max((m["offset"] + 4 * int(np.prod(m["shape"] or [1])))
                    for m in header["manifest"]) if header["manifest"] else 0
@@ -482,6 +480,8 @@ def load_model(path):
     model = SleepNetModel(ModelConfig.from_dict(header["config"]))
     by_name = {m["name"]: m for m in header["manifest"]}
     for name, arr in model.named_tensors():
+        if name not in by_name:
+            raise ModelFormatError(f"model header manifest lacks tensor {name}")
         m = by_name[name]
         count = int(np.prod(m["shape"])) if m["shape"] else 1
         raw = np.frombuffer(payload, dtype="<f4", count=count, offset=m["offset"])
@@ -493,31 +493,34 @@ def load_model(path):
     return model
 
 
-def infer_hypnogram(model, series, window_epochs=None, stride_epochs=2):
+def score_windows(model, windows):
+    """Final sleep probability of each raw (N, 5, W) feature window: the one
+    inference path. `infer_hypnogram` passes a night's windows and the stream
+    one window per call; they agree bit for bit because a window's output does
+    not depend on its batch (`tests/test_sleepnet.py::TestBatchInvariance`)."""
+    probs = np.empty(len(windows), dtype=np.float64)
+    for s in range(0, len(probs), INFER_CHUNK):
+        # C-contiguous whatever the input layout: einsum's accumulation order
+        # (and hence float32 rounding) depends on the memory layout
+        x = np.ascontiguousarray(zscore(windows[s:s + INFER_CHUNK], model.norm_stats))
+        probs[s:s + len(x)] = model.forward_batch(x, train=False)[0]
+    return probs
+
+
+def infer_hypnogram(model, series):
     """Run the model over a series and return the per-minute Hypnogram.
 
-    The first prediction lands on the final minute of the first full window,
-    i.e. 14 minutes after the series start.
-
-    The series is z-scored once and its windows go through the model
-    INFER_CHUNK at a time. The streaming path scores one window per call and
-    must match these probabilities bit for bit, so this relies on the model
-    being batch-invariant: `tests/test_sleepnet.py::TestBatchInvariance`
-    checks that a window's output does not depend on the batch around it.
+    Windows of the model's width are cut on a 1-minute stride. The first
+    prediction lands on the final minute of the first full window, i.e. 14
+    minutes after the series start.
     """
     if model.norm_stats is None:
         raise ValueError("model has no normalization statistics; train or load first")
-    if window_epochs is None:
-        window_epochs = model.config.window_epochs
+    window_epochs = model.config.window_epochs
     if len(series) < window_epochs:
-        make_windows(series, window_epochs, stride_epochs)  # warns, returns []
+        make_windows(series, window_epochs)  # warns, returns []
         return Hypnogram(start=int(series.timestamps[0]), probs=np.empty(0))
-    z = zscore(series.feature_matrix(), model.norm_stats)
-    view = sliding_window_view(z, window_epochs, axis=1)[:, ::stride_epochs]  # (5, N, W)
-    probs = np.empty(view.shape[1], dtype=np.float64)
-    for s in range(0, len(probs), INFER_CHUNK):
-        # C-contiguous like the stream's windows: einsum's accumulation order
-        # (and hence float32 rounding) depends on the memory layout
-        x = np.ascontiguousarray(view[:, s:s + INFER_CHUNK].transpose(1, 0, 2))
-        probs[s:s + len(x)] = model.forward_batch(x, train=False)[0]
-    return Hypnogram(start=int(series.timestamps[window_epochs - 2]), probs=probs)
+    view = sliding_window_view(series.feature_matrix(), window_epochs, axis=1)
+    windows = view[:, ::EPOCHS_PER_MINUTE].transpose(1, 0, 2)  # (N, 5, W)
+    return Hypnogram(start=int(series.timestamps[window_epochs - EPOCHS_PER_MINUTE]),
+                     probs=score_windows(model, windows))

@@ -1,10 +1,13 @@
 """Real-time inference over newline-delimited epoch records.
 
-A SleepStream keeps the last 30 normalized epochs in a ring buffer, runs the
-model every second epoch once the window is full, grows the per-minute
-hypnogram, and re-runs the event rules after each prediction. A class record
-is emitted per prediction; each event kind is emitted at most once and never
-retracted, so an event only fires once no future data can overturn it:
+A SleepStream is the batch pipeline fed one record at a time: records are
+checked by the ingest code (a malformed line, or a non-finite, negative or
+out-of-range value, gets an `err,` frame and leaves the state unchanged), and
+the last 30 epochs, kept in a ring buffer, are scored once a minute by the
+batch scorer. The stream grows the per-minute hypnogram and re-runs the event
+rules after each prediction. A class record is emitted per prediction; each
+event kind is emitted at most once and never retracted, so an event only
+fires once no future data can overturn it:
 
 - sleep_onset is emitted as soon as the batch rules accept it on the prefix
   minus a short stability margin (the tail minutes whose smoothed/suppressed
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datapipe import EPOCH_SECONDS, zscore
+from . import sleepnet
+from .datapipe import EPOCH_SECONDS, EPOCHS_PER_MINUTE, parse_record, vitals_error
 from .events import EventRuleConfig, Hypnogram, SleepEvents, predict_events
 
 
@@ -52,34 +56,29 @@ class Emission:
 class SleepStream:
     """Single ordered stream; share one immutable model across streams freely."""
 
-    def __init__(self, model, rule_config=None, stride_epochs=2):
+    def __init__(self, model, rule_config=None):
         if model.norm_stats is None:
             raise ValueError("model has no normalization statistics")
         self.model = model
         self.rule_config = rule_config or EventRuleConfig()
         self.window_epochs = model.config.window_epochs
-        self.stride_epochs = stride_epochs
         self._ring = deque(maxlen=self.window_epochs)
         self._last_ts = None
         self._last_hr = None
         self._n_epochs = 0
         self._probs = []
         self._hyp_start = None
-        self._emitted = {}
+        self._emitted = set()
         self._finalized = False
 
     def feed_line(self, line):
         """Parse one input line and feed it; malformed input yields an error
         emission and leaves the state unchanged."""
-        parts = line.strip().split(",")
-        if len(parts) < 5:
-            return [Emission("err", (f"malformed line: {line.strip()!r}",))]
         try:
-            ts = int(float(parts[0]))
-            values = tuple(float(v) for v in parts[1:5])
+            record = parse_record(line.strip().split(","))
         except ValueError:
             return [Emission("err", (f"malformed line: {line.strip()!r}",))]
-        return self.feed(ts, *values)
+        return self.feed(*record)
 
     def feed(self, timestamp, hr, br, hr_conf, movement):
         """Consume one epoch record; returns the emissions it triggers."""
@@ -88,7 +87,7 @@ class SleepStream:
         if self._last_ts is not None and timestamp != self._last_ts + EPOCH_SECONDS:
             return [Emission("err", (f"out-of-order timestamp {timestamp}; "
                                      f"expected {self._last_ts + EPOCH_SECONDS}",))]
-        if not 0.0 <= hr_conf <= 1.0 or hr < 0 or br < 0 or movement < 0:
+        if vitals_error(hr, br, hr_conf, movement) is not None:
             return [Emission("err", (f"invalid feature values at {timestamp}",))]
 
         hr_diff = 0.0 if self._last_hr is None else hr - self._last_hr
@@ -99,13 +98,9 @@ class SleepStream:
 
         out = []
         if (self._n_epochs >= self.window_epochs
-                and (self._n_epochs - self.window_epochs) % self.stride_epochs == 0):
-            # C-contiguous like the batch path: einsum's accumulation order
-            # (and hence float32 rounding) depends on the memory layout
-            window = np.ascontiguousarray(np.array(self._ring, dtype=np.float64).T)  # (5, 30)
-            x = np.ascontiguousarray(zscore(window, self.model.norm_stats))
-            p_final, _ = self.model.forward_batch(x[None], train=False)
-            p = float(p_final[0])
+                and (self._n_epochs - self.window_epochs) % EPOCHS_PER_MINUTE == 0):
+            window = np.array(self._ring, dtype=np.float64).T[None]  # (1, 5, W)
+            p = float(sleepnet.score_windows(self.model, window)[0])
             minute_ts = timestamp - EPOCH_SECONDS  # start of the window's final minute
             if self._hyp_start is None:
                 self._hyp_start = minute_ts
@@ -133,7 +128,7 @@ class SleepStream:
         events = predict_events(hyp, self.rule_config)
         if events.sleep_onset is None:
             return []
-        self._emitted["sleep_onset"] = events.sleep_onset
+        self._emitted.add("sleep_onset")
         return [Emission("event", ("sleep_onset", events.sleep_onset))]
 
     def finalize(self):
@@ -145,31 +140,25 @@ class SleepStream:
         if not self._probs:
             return [], SleepEvents()
         events = predict_events(self.hypnogram(), self.rule_config)
-        out = []
-        for kind, ts in (("sleep_onset", events.sleep_onset), ("wake_time", events.wake_time)):
-            if ts is not None and kind not in self._emitted:
-                self._emitted[kind] = ts
-                out.append(Emission("event", (kind, ts)))
-        return out, events
+        pending = [pair for pair in events.pairs() if pair[0] not in self._emitted]
+        self._emitted.update(kind for kind, _ in pending)
+        return [Emission("event", pair) for pair in pending], events
 
 
-def batch_emissions(model, series, rule_config=None, stride_epochs=2):
+def batch_emissions(model, series, rule_config=None):
     """Batch-pipeline twin of a full stream replay, for equivalence checks:
     one class record per hypnogram minute plus the batch events."""
-    from .sleepnet import infer_hypnogram
-    hyp = infer_hypnogram(model, series, stride_epochs=stride_epochs)
+    hyp = sleepnet.infer_hypnogram(model, series)
     out = [Emission("class", (hyp.start + i * 60, float(p)))
            for i, p in enumerate(hyp.probs)]
     events = predict_events(hyp, rule_config or EventRuleConfig())
-    for kind, ts in (("sleep_onset", events.sleep_onset), ("wake_time", events.wake_time)):
-        if ts is not None:
-            out.append(Emission("event", (kind, ts)))
+    out.extend(Emission("event", pair) for pair in events.pairs())
     return out, events
 
 
-def replay_series(model, series, rule_config=None, stride_epochs=2):
+def replay_series(model, series, rule_config=None):
     """Feed a whole series epoch-by-epoch; returns (emissions, SleepEvents)."""
-    stream = SleepStream(model, rule_config, stride_epochs)
+    stream = SleepStream(model, rule_config)
     out = []
     for i in range(len(series)):
         out.extend(stream.feed(int(series.timestamps[i]), float(series.hr[i]),

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import pytest
 
 import somnoflow as sf
@@ -24,6 +27,24 @@ def train_small_model(windows, model_seed=3, n_epochs=6, train_seed=0, config=No
     model, report = sf.train(model, normed, None,
                              sf.TrainingHyper(n_epochs=n_epochs, seed=train_seed))
     return model, report, normed
+
+
+def corrupt_header(path, case):
+    """Rewrite the JSON header of a saved model (magic, version, length and
+    payload stay valid): drop one key (`missing-<key>`), empty the tensor
+    manifest, or make it invalid JSON, invalid UTF-8 or a JSON array."""
+    blob = path.read_bytes()
+    n = struct.unpack("<Q", blob[5:13])[0]
+    header = json.loads(blob[13:13 + n])
+    if case.startswith("missing-"):
+        del header[case[len("missing-"):]]
+        raw = json.dumps(header).encode()
+    elif case == "empty-manifest":
+        raw = json.dumps({**header, "manifest": []}).encode()
+    else:
+        raw = {"not-json": b"{not json", "not-utf8": b'{"\xff": 1}',
+               "not-object": b"[]"}[case]
+    path.write_bytes(blob[:5] + struct.pack("<Q", len(raw)) + raw + blob[13 + n:])
 
 
 @pytest.fixture(scope="session")

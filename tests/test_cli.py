@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from conftest import corrupt_header
 from somnoflow.cli import run
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -195,6 +196,15 @@ class TestPipelineChain:
         lines = out.read_text().splitlines()
         assert lines[0] == "minute,timestamp,probability,binarized,truth,event"
         assert len(lines) > 100
+
+
+    def test_infer_rejects_model_header_without_manifest(self, workdir, tmp_path, capsys):
+        model = tmp_path / "bad.slpn"
+        model.write_bytes((workdir / "model.slpn").read_bytes())
+        corrupt_header(model, "missing-manifest")
+        assert run(["infer", "--model", str(model), "--data",
+                    str(workdir / "night2.csv")]) == 1
+        assert "model header lacks manifest" in capsys.readouterr().err
 
 
 class TestServe:

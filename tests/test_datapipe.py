@@ -63,6 +63,22 @@ class TestIngest:
         with pytest.raises(IngestError, match="row 2.*hr_conf"):
             ingest_epochs(src)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    def test_non_finite_vital_names_row(self, column, value):
+        rows = [f"{30 * i},60,14,0.9,0.1" for i in range(4)]
+        fields = rows[2].split(",")
+        fields[column] = value
+        rows[2] = ",".join(fields)
+        with pytest.raises(IngestError, match="row 4: .* must be finite"):
+            ingest_epochs(make_csv(rows))
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_timestamp_names_row(self, value):
+        rows = ["0,60,14,0.9,0.1", f"{value},60,14,0.9,0.1"]
+        with pytest.raises(IngestError, match="row 3: unparseable"):
+            ingest_epochs(make_csv(rows))
+
     def test_missing_column(self):
         src = io.StringIO("timestamp,hr,br\n0,60,14\n")
         with pytest.raises(IngestError, match="header"):

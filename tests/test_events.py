@@ -147,16 +147,25 @@ class TestSuppress:
         np.testing.assert_array_equal(
             out.states, reference.ref_suppress_short_runs(states, min_run))
 
+    def test_every_short_input_matches_reference(self):
+        # all 0/1 inputs up to length 14 at min_run 1-5, against the literal
+        # restart-from-the-left fixpoint loop
+        for n in range(15):
+            for states in itertools.product((0, 1), repeat=n):
+                b = bhyp(states)
+                for min_run in range(1, 6):
+                    assert suppress_short_runs(b, min_run).states.tolist() == \
+                        reference.ref_suppress_short_runs(states, min_run), (states, min_run)
+
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=24),
            st.integers(1, 4))
     @settings(max_examples=200)
     def test_postcondition_and_idempotence(self, states, min_run):
         out = suppress_short_runs(bhyp(states), min_run)
         # no interior run shorter than min_run
-        from somnoflow.events import _runs
-        runs = _runs(out.states)
-        for s, start, length in runs[1:-1]:
-            assert length >= min_run
+        from somnoflow.events import _run_table
+        _, _, length = _run_table(out.states)
+        assert (length[1:-1] >= min_run).all()
         again = suppress_short_runs(out, min_run)
         np.testing.assert_array_equal(again.states, out.states)
 

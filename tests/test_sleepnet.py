@@ -4,12 +4,12 @@ import pytest
 import somnoflow as sf
 from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate
 from somnoflow.neuralcore import ConfigError, ShapeError
-from somnoflow.sleepnet import (DigestMismatchError, HeadConfig, ModelConfig,
-                                ModelFormatError, TrainingHyper,
+from somnoflow.sleepnet import (HEADER_KEYS, DigestMismatchError, HeadConfig,
+                                ModelConfig, ModelFormatError, TrainingHyper,
                                 TruncatedFileError, VersionMismatchError,
                                 build_model, finetune_transfer, forward,
                                 infer_hypnogram, load_model, save_model, train)
-from conftest import make_training_windows, train_small_model
+from conftest import corrupt_header, make_training_windows, train_small_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -280,6 +280,16 @@ class TestPersistence:
             load_model(path)
         path.write_bytes(blob[:8])
         with pytest.raises(TruncatedFileError):
+            load_model(path)
+
+    @pytest.mark.parametrize("case", [*(f"missing-{key}" for key in HEADER_KEYS),
+                                      "empty-manifest", "not-json", "not-utf8",
+                                      "not-object"])
+    def test_malformed_header(self, tmp_path, case):
+        path = tmp_path / "m.slpn"
+        save_model(self.make_model(), path)
+        corrupt_header(path, case)
+        with pytest.raises(ModelFormatError, match="header"):
             load_model(path)
 
     def test_bad_magic(self, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from somnoflow.datapipe import SynthConfig, synth_generate
 
@@ -84,6 +85,75 @@ class TestErrorFrames:
         stream = SleepStream(small_trained[0])
         stream.finalize()
         assert stream.feed(0, 60, 14, 0.9, 0.1)[0].kind == "err"
+
+
+def record_lines(series):
+    return [",".join([str(int(series.timestamps[i]))]
+                     + [repr(float(v[i])) for v in (series.hr, series.br, series.hr_conf,
+                                                    series.movement)])
+            for i in range(len(series))]
+
+
+def state(stream):
+    return (stream._n_epochs, list(stream._ring), stream._last_ts, stream._last_hr,
+            list(stream._probs), stream._hyp_start, set(stream._emitted),
+            stream._finalized)
+
+
+def feed_lines(stream, lines):
+    return [e.format() for line in lines for e in stream.feed_line(line)]
+
+
+# text fields of an epoch record: numbers of every kind, junk, and the next
+# timestamp of a warm stream (870)
+RECORD_FIELD = st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=6),
+                         st.sampled_from(["", "nan", "inf", "-inf", "1e999", "870", "0.5"]))
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    def test_non_finite_vital(self, small_trained, series, column, value):
+        lines = record_lines(series)[:80]
+        stream = SleepStream(small_trained[0])
+        head = feed_lines(stream, lines[:40])
+        before = state(stream)
+        fields = lines[40].split(",")
+        fields[column] = value
+        assert feed_lines(stream, [",".join(fields)]) == \
+            [f"err,invalid feature values at {series.timestamps[40]}"]
+        assert state(stream) == before
+        # the rest of the record scores as if the bad line never came
+        clean = SleepStream(small_trained[0])
+        assert head + feed_lines(stream, lines[40:]) == feed_lines(clean, lines)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_timestamp(self, small_trained, series, value):
+        stream = SleepStream(small_trained[0])
+        feed_lines(stream, record_lines(series)[:10])
+        before = state(stream)
+        line = f"{value},60,14,0.9,0.1"
+        assert feed_lines(stream, [line]) == [f"err,malformed line: {line!r}"]
+        assert state(stream) == before
+
+    @given(line=st.one_of(st.text(), st.lists(RECORD_FIELD, max_size=7).map(",".join)),
+           warm=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_line_gives_frames_or_one_err(self, small_trained, line, warm):
+        # warm: 29 epochs in, so a valid record at 870 s completes the first window
+        stream = SleepStream(small_trained[0])
+        if warm:
+            feed_lines(stream, [f"{30 * i},60,14,0.9,0.1" for i in range(29)])
+        before = state(stream)
+        out = stream.feed_line(line)
+        if any(e.kind == "err" for e in out):
+            assert len(out) == 1
+            assert state(stream) == before
+        else:
+            assert {e.kind for e in out} <= {"class", "event"}
+            assert stream._n_epochs == before[0] + 1
+        for e in out:
+            e.format()
 
 
 class TestEvents:
