@@ -243,12 +243,22 @@ def write_transitions(transitions, dest):
 
 
 def read_transitions(source):
+    """(kind, timestamp) pairs from a truth sidecar; IngestError names the
+    first row without a finite timestamp."""
     with open_text(source) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["kind", "timestamp"]:
             raise IngestError(f"bad sidecar header {header!r}; expected kind,timestamp")
-        return [(row[0], int(float(row[1]))) for row in reader if row]
+        out = []
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                out.append((row[0], int(float(row[1]))))
+            except (IndexError, ValueError, OverflowError) as exc:  # int(inf)
+                raise IngestError(f"row {row_no}: no finite timestamp: {row!r}") from exc
+        return out
 
 
 def make_windows(series, window_epochs=30, stride_epochs=2):

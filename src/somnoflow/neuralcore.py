@@ -5,12 +5,17 @@ Layers operate on batched arrays: convolution-path tensors are shaped
 owns its parameters and gradient buffers; a forward call caches what the
 matching backward call needs. Everything is numpy; no autograd.
 
-All contractions go through np.einsum with the default (non-optimized) path so
-that a given output element is accumulated in the same order regardless of
-batch size. That makes single-sample inference bit-identical to batched
-inference: `sleepnet.score_windows` scores a night in batches and the
-stream's windows one at a time, and the two must agree bit for bit.
-`tests/test_sleepnet.py::TestBatchInvariance` checks this contract.
+A window's output must not depend on the batch it is scored in:
+`sleepnet.score_windows` scores a night in batches and the stream's windows
+one at a time, and the two must agree bit for bit. Conv1d copies each window
+into C-contiguous im2col columns and runs one stacked matmul, which numpy
+executes as one fixed-shape BLAS product per window, so the shape, and with it
+the summation order, is the same whatever the batch size or input layout.
+Dense contracts with np.einsum on its default (non-optimized) path, which
+accumulates each output element in the same order at any batch size.
+MaxPool1d, BatchNorm1d and the activations are elementwise.
+`tests/test_sleepnet.py::TestBatchInvariance` checks this contract, also with
+OpenBLAS on 1 and on 2 threads.
 """
 
 from __future__ import annotations
@@ -117,7 +122,13 @@ class Conv1d(Layer):
         if k > length:
             raise ShapeError(f"{self.name}: kernel width {k} exceeds input length {length}")
         view = sliding_window_view(x, k, axis=2)  # (n, c, L-k+1, k)
-        y = np.einsum("ocj,nclj->nol", self.params["w"], view)
+        # im2col: (n, c*k, L-k+1) columns ordered (c, j), C-contiguous
+        # whatever the layout of x
+        cols = np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(n, c * k, -1)
+        # a stacked matmul runs one fixed-shape BLAS product per window, so a
+        # window's output cannot depend on its batch; one flattened
+        # (n*L', c*k) @ (c*k, o) GEMM would round differently as n changes
+        y = np.matmul(self.params["w"].reshape(self.out_channels, c * k), cols)
         y += self.params["b"][None, :, None]
         self._view = view
         return y
@@ -213,9 +224,19 @@ class MaxPool1d(Layer):
         p, s = self.pool_width, self.stride
         if p > length:
             raise ShapeError(f"{self.name}: pool width {p} exceeds input length {length}")
-        view = sliding_window_view(x, p, axis=2)[:, :, ::s]  # (n, c, Lout, p)
-        arg = view.argmax(axis=3)
-        out = np.take_along_axis(view, arg[..., None], axis=3)[..., 0]
+        span = s * ((length - p) // s) + 1  # first to last window start
+        out = x[:, :, :span:s].copy()
+        bits = out.view(f"u{out.itemsize}")
+        arg = np.zeros(out.shape, dtype=np.intp)
+        for i in range(1, p):
+            xi = x[:, :, i:i + span:s]
+            # strictly greater, or the first NaN: argmax's pick
+            later = ~(xi <= out) & (out == out)
+            # take xi's bits where later: unlike np.maximum this keeps the
+            # lowest index on a tie of -0.0 and +0.0, and unlike np.where or a
+            # masked copy it does not branch per element
+            bits ^= (bits ^ xi.view(bits.dtype)) * later
+            np.maximum(arg, later * i, out=arg)
         self.argmax, self._in_shape = arg, x.shape
         return out
 

@@ -465,7 +465,17 @@ def load_model(path):
     missing = [key for key in HEADER_KEYS if key not in header]
     if missing:
         raise ModelFormatError(f"model header lacks {', '.join(missing)}")
-    payload = blob[13 + header_len:]
+    try:
+        return _model_from_header(header, blob[13 + header_len:])
+    except ModelFormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # a header value of the wrong type, e.g. `"frozen": []` or a config
+        # without `heads`
+        raise ModelFormatError(f"model header has a malformed value: {exc!r}") from exc
+
+
+def _model_from_header(header, payload):
     expected = max((m["offset"] + 4 * int(np.prod(m["shape"] or [1])))
                    for m in header["manifest"]) if header["manifest"] else 0
     if len(payload) < expected:
@@ -497,12 +507,20 @@ def score_windows(model, windows):
     """Final sleep probability of each raw (N, 5, W) feature window: the one
     inference path. `infer_hypnogram` passes a night's windows and the stream
     one window per call; they agree bit for bit because a window's output does
-    not depend on its batch (`tests/test_sleepnet.py::TestBatchInvariance`)."""
+    not depend on its batch (`tests/test_sleepnet.py::TestBatchInvariance`).
+
+    Raises ValueError when a z-scored value is not finite, i.e. a finite
+    vital lies so far from the training mean that it overflows float32.
+    """
     probs = np.empty(len(windows), dtype=np.float64)
     for s in range(0, len(probs), INFER_CHUNK):
-        # C-contiguous whatever the input layout: einsum's accumulation order
-        # (and hence float32 rounding) depends on the memory layout
-        x = np.ascontiguousarray(zscore(windows[s:s + INFER_CHUNK], model.norm_stats))
+        # any memory layout will do: Conv1d, the only layer that reads x,
+        # copies it into C-contiguous columns before its matmul
+        with np.errstate(over="ignore"):  # reported by the check below
+            x = zscore(windows[s:s + INFER_CHUNK], model.norm_stats)
+        if not np.isfinite(x).all():
+            raise ValueError("z-scored features are not finite: a vital is non-finite "
+                             "or too far from the training mean for float32")
         probs[s:s + len(x)] = model.forward_batch(x, train=False)[0]
     return probs
 

@@ -37,6 +37,9 @@ from . import sleepnet
 from .datapipe import EPOCH_SECONDS, EPOCHS_PER_MINUTE, parse_record, vitals_error
 from .events import EventRuleConfig, Hypnogram, SleepEvents, predict_events
 
+# the least float64 magnitude that casting to float32 rounds to inf
+_FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
+
 
 @dataclass
 class Emission:
@@ -62,6 +65,8 @@ class SleepStream:
         self.model = model
         self.rule_config = rule_config or EventRuleConfig()
         self.window_epochs = model.config.window_epochs
+        self._mean = model.norm_stats.mean.tolist()
+        self._std = model.norm_stats.std.tolist()
         self._ring = deque(maxlen=self.window_epochs)
         self._last_ts = None
         self._last_hr = None
@@ -89,11 +94,19 @@ class SleepStream:
                                      f"expected {self._last_ts + EPOCH_SECONDS}",))]
         if vitals_error(hr, br, hr_conf, movement) is not None:
             return [Emission("err", (f"invalid feature values at {timestamp}",))]
-
         hr_diff = 0.0 if self._last_hr is None else hr - self._last_hr
+        record = (hr, br, hr_conf, movement, hr_diff)
+        # the z-score `score_windows` will compute, in plain floats: a record
+        # whose z-score overflows float32 would make it raise at the next
+        # minute, so refuse the record now
+        if not all(abs((v - m) / s) < _FLOAT32_OVERFLOW
+                   for v, m, s in zip(record, self._mean, self._std)):
+            return [Emission("err", (f"feature values at {timestamp} overflow "
+                                     f"float32 once z-scored",))]
+
         self._last_hr = hr
         self._last_ts = timestamp
-        self._ring.append((hr, br, hr_conf, movement, hr_diff))
+        self._ring.append(record)
         self._n_epochs += 1
 
         out = []

@@ -32,7 +32,9 @@ def train_small_model(windows, model_seed=3, n_epochs=6, train_seed=0, config=No
 def corrupt_header(path, case):
     """Rewrite the JSON header of a saved model (magic, version, length and
     payload stay valid): drop one key (`missing-<key>`), empty the tensor
-    manifest, or make it invalid JSON, invalid UTF-8 or a JSON array."""
+    manifest, give a value the wrong type (an empty config, a manifest entry
+    without its offset, a JSON array of frozen flags), or make the header
+    invalid JSON, invalid UTF-8 or a JSON array."""
     blob = path.read_bytes()
     n = struct.unpack("<Q", blob[5:13])[0]
     header = json.loads(blob[13:13 + n])
@@ -41,6 +43,13 @@ def corrupt_header(path, case):
         raw = json.dumps(header).encode()
     elif case == "empty-manifest":
         raw = json.dumps({**header, "manifest": []}).encode()
+    elif case == "empty-config":
+        raw = json.dumps({**header, "config": {}}).encode()
+    elif case == "manifest-entry-without-offset":
+        del header["manifest"][0]["offset"]
+        raw = json.dumps(header).encode()
+    elif case == "frozen-array":
+        raw = json.dumps({**header, "frozen": []}).encode()
     else:
         raw = {"not-json": b"{not json", "not-utf8": b'{"\xff": 1}',
                "not-object": b"[]"}[case]

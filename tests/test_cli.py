@@ -206,6 +206,28 @@ class TestPipelineChain:
                     str(workdir / "night2.csv")]) == 1
         assert "model header lacks manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["sleep_onset", "sleep_onset,inf"])
+    def test_eval_rejects_truth_row_without_timestamp(self, workdir, tmp_path, capsys, row):
+        truth = tmp_path / "truth.csv"
+        truth.write_text(f"kind,timestamp\n{row}\n")
+        assert run(["eval", "--model", str(workdir / "model.slpn"),
+                    "--data", str(workdir / "night2.csv"),
+                    "--truth-events", str(truth)]) == 1
+        err = capsys.readouterr().err
+        assert "row 2: no finite timestamp" in err
+        assert "Traceback" not in err
+
+    def test_infer_rejects_vital_overflowing_float32(self, workdir, tmp_path, capsys):
+        lines = (workdir / "night2.csv").read_text().splitlines()
+        fields = lines[51].split(",")
+        fields[1] = "1e40"  # hr: finite, but its z-score overflows float32
+        lines[51] = ",".join(fields)
+        data = tmp_path / "night.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert run(["infer", "--model", str(workdir / "model.slpn"),
+                    "--data", str(data)]) == 1
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestServe:
     def test_stdin_round(self, workdir, capsys, monkeypatch):

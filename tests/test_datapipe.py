@@ -230,6 +230,13 @@ class TestSynth:
         write_transitions(series.transitions, path)
         assert read_transitions(path) == series.transitions
 
+    @pytest.mark.parametrize("row", ["sleep_onset", "sleep_onset,", "sleep_onset,inf",
+                                     "sleep_onset,nan", "sleep_onset,soon"])
+    def test_transition_row_without_finite_timestamp(self, row):
+        text = f"kind,timestamp\nwake_time,600\n\n{row}\n"
+        with pytest.raises(IngestError, match="row 4: no finite timestamp"):
+            read_transitions(io.StringIO(text))
+
 
 class TestBuildTrainingSet:
     def test_context_window_bounds(self):

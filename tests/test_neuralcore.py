@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from somnoflow.neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense,
                                   Dropout, MaxPool1d, NonFiniteGradientError,
@@ -21,6 +22,25 @@ def naive_conv1d(x, w, b):
                         acc += w[o, c, j] * x[ni, c, i + j]
                 out[ni, o, i] = acc
     return out
+
+
+def einsum_conv1d(x, w, b):
+    """The einsum definition of valid convolution, stride 1."""
+    view = sliding_window_view(x, w.shape[2], axis=2)  # (n, c, L-k+1, k)
+    return np.einsum("ocj,nclj->nol", w, view) + b[None, :, None]
+
+
+def argmax_maxpool1d(x, p, s):
+    """The sliding_window_view/argmax/take_along_axis definition of max
+    pooling: (output, within-window argmax)."""
+    view = sliding_window_view(x, p, axis=2)[:, :, ::s]  # (n, c, Lout, p)
+    arg = view.argmax(axis=3)
+    return np.take_along_axis(view, arg[..., None], axis=3)[..., 0], arg
+
+
+def bits(a):
+    a = np.ascontiguousarray(a)
+    return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
 
 
 def fd_grad(f, arr, h=1e-4):
@@ -111,6 +131,33 @@ class TestConv1d:
         assert max_rel_err(dx, fd_grad(loss, x)) < 1e-4
 
 
+class TestConv1dMatmul:
+    """Conv1d runs one fixed-shape matmul per window: a window's output must
+    not depend on its batch or on the memory layout of the input."""
+
+    @pytest.mark.parametrize("k", range(1, 31))  # k = 30: L' = 1, numpy's gemv path
+    def test_batch_invariant_and_close_to_einsum(self, k):
+        rng = np.random.default_rng(k)
+        conv = Conv1d("c", 5, 16, k, rng=rng)
+        conv.params["b"][...] = rng.standard_normal(16)
+        x = rng.standard_normal((65, 5, 30)).astype(np.float32)
+        one = np.concatenate([conv.forward(x[i:i + 1]) for i in range(len(x))])
+        for size in (2, 64, 65):
+            got = np.concatenate([conv.forward(x[s:s + size])
+                                  for s in range(0, len(x), size)])
+            np.testing.assert_array_equal(bits(got), bits(one))
+        # any input layout gives the same bits
+        np.testing.assert_array_equal(bits(conv.forward(np.asfortranarray(x))), bits(one))
+        np.testing.assert_array_equal(
+            bits(conv.forward(x.transpose(2, 0, 1).copy().transpose(1, 2, 0))), bits(one))
+        # both sides sum c*k float32 products in some order: each is within
+        # (c*k + 1) * eps * sum|terms| of the exact value
+        w, b = conv.params["w"], conv.params["b"]
+        terms = einsum_conv1d(np.abs(x), np.abs(w), np.abs(b))
+        bound = 2 * (5 * k + 1) * np.finfo(np.float32).eps * terms
+        assert np.all(np.abs(one - einsum_conv1d(x, w, b)) <= bound)
+
+
 class TestBatchNorm:
     def test_standardized_input_unchanged(self):
         bn = BatchNorm1d("bn", 1, dtype=np.float64)
@@ -193,6 +240,40 @@ class TestMaxPool:
         pool.forward(x)
         dx = pool.backward(np.array([[[1.0, 2.0]]], dtype=np.float32))
         np.testing.assert_allclose(dx[0, 0], [0.0, 1.0, 0.0, 2.0])
+
+
+def pool_input(kind, rng, shape, dtype):
+    if kind == "random":
+        return rng.standard_normal(shape).astype(dtype)
+    # few distinct values, -0.0 and +0.0 among them, so windows tie
+    x = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype=dtype), shape)
+    if kind == "nan":
+        x[rng.random(shape) < 0.3] = np.nan
+    return x
+
+
+class TestMaxPoolDefinition:
+    """Strided maxima against the sliding_window_view/argmax definition, bit
+    for bit: ties go to the lowest index and the first NaN wins, as in argmax."""
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "nan"])
+    @pytest.mark.parametrize("stride", [None, 1, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_argmax_definition(self, p, stride, kind):
+        rng = np.random.default_rng(100 * p + 10 * (stride or 0) + len(kind))
+        for dtype in (np.float32, np.float64):
+            for length in range(p, p + 12):
+                x = pool_input(kind, rng, (3, 2, length), dtype)
+                pool = MaxPool1d("p", p, stride, dtype=dtype)
+                out = pool.forward(x)
+                want, want_arg = argmax_maxpool1d(x, p, pool.stride)
+                np.testing.assert_array_equal(bits(out), bits(want))
+                np.testing.assert_array_equal(pool.argmax, want_arg)
+                dy = rng.standard_normal(out.shape).astype(dtype)
+                want_dx = np.zeros_like(x)
+                for n, c, l in np.ndindex(*dy.shape):
+                    want_dx[n, c, l * pool.stride + want_arg[n, c, l]] += dy[n, c, l]
+                np.testing.assert_array_equal(bits(pool.backward(dy)), bits(want_dx))
 
 
 class TestDenseAndActivations:

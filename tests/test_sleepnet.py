@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -284,7 +288,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("case", [*(f"missing-{key}" for key in HEADER_KEYS),
                                       "empty-manifest", "not-json", "not-utf8",
-                                      "not-object"])
+                                      "not-object", "empty-config",
+                                      "manifest-entry-without-offset", "frozen-array"])
     def test_malformed_header(self, tmp_path, case):
         path = tmp_path / "m.slpn"
         save_model(self.make_model(), path)
@@ -329,6 +334,13 @@ class TestInferHypnogram:
         hyp = infer_hypnogram(model, series)
         assert np.all((hyp.probs >= 0) & (hyp.probs <= 1))
 
+    def test_z_score_overflowing_float32_rejected(self, small_trained):
+        model, _, _ = small_trained
+        series = synth_generate(SynthConfig(seed=42, hours=2))
+        series.hr[50] = 1e40  # finite in float64, not in float32 once z-scored
+        with pytest.raises(ValueError, match="not finite"):
+            infer_hypnogram(model, series)
+
 
 def _bits(a):
     a = np.ascontiguousarray(a)
@@ -369,3 +381,44 @@ class TestBatchInvariance:
                 _bits(np.concatenate([p for p, _ in got])), _bits(want_final))
             np.testing.assert_array_equal(
                 _bits(np.concatenate([h for _, h in got])), _bits(want_heads))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_forward_batch_sizes_equal_batch_one_under_blas_threads(
+            self, small_trained, tmp_path, threads):
+        """The same check in a fresh process whose OpenBLAS runs `threads`
+        threads (tier-1 otherwise runs only the machine's default)."""
+        model, _, _ = small_trained
+        night = synth_generate(SynthConfig(seed=44, hours=8))
+        x = np.stack([sf.apply_normalizer(w, model.norm_stats).values
+                      for w in sf.make_windows(night)])
+        save_model(model, tmp_path / "m.slpn")
+        np.save(tmp_path / "x.npy", x)
+        src = os.path.dirname(os.path.dirname(sf.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        sizes = [str(size) for size in (1, 2, 3, 7, 64, 466)]
+        proc = subprocess.run([sys.executable, "-c", _BATCH_SIZES_SCRIPT, str(tmp_path), *sizes],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        got = np.load(tmp_path / "probs.npz")
+        for size in sizes[1:]:
+            np.testing.assert_array_equal(_bits(got[f"final{size}"]), _bits(got["final1"]))
+            np.testing.assert_array_equal(_bits(got[f"heads{size}"]), _bits(got["heads1"]))
+
+
+# argv: a directory holding m.slpn and x.npy, then batch sizes; writes the
+# forward_batch probabilities of x at each batch size to probs.npz there
+_BATCH_SIZES_SCRIPT = """
+import sys
+import numpy as np
+from somnoflow.sleepnet import load_model
+d, sizes = sys.argv[1], sys.argv[2:]
+model = load_model(d + "/m.slpn")
+x = np.load(d + "/x.npy")
+out = {}
+for size in sizes:
+    got = [model.forward_batch(x[s:s + int(size)]) for s in range(0, len(x), int(size))]
+    out["final" + size] = np.concatenate([p for p, _ in got])
+    out["heads" + size] = np.concatenate([h for _, h in got])
+np.savez(d + "/probs.npz", **out)
+"""

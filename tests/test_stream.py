@@ -1,9 +1,10 @@
+import copy
 import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from somnoflow.datapipe import SynthConfig, synth_generate
+from somnoflow.datapipe import NormStats, SynthConfig, synth_generate
 
 
 def truncate(series, n):
@@ -126,6 +127,34 @@ class TestHostileInput:
         # the rest of the record scores as if the bad line never came
         clean = SleepStream(small_trained[0])
         assert head + feed_lines(stream, lines[40:]) == feed_lines(clean, lines)
+
+    @pytest.mark.parametrize("line", ["870,1e40,14,0.9,0.1", "870,60,1e40,0.9,0.1",
+                                      "870,60,14,0.9,1e40"])
+    def test_z_score_overflowing_float32(self, small_trained, line):
+        # finite vitals whose z-score is inf in float32
+        lines = [f"{30 * i},60,14,0.9,0.1" for i in range(29)]
+        stream = SleepStream(small_trained[0])
+        feed_lines(stream, lines)
+        before = state(stream)
+        assert feed_lines(stream, [line]) == \
+            ["err,feature values at 870 overflow float32 once z-scored"]
+        assert state(stream) == before
+        clean = SleepStream(small_trained[0])
+        good = "870,60,14,0.9,0.1"
+        assert feed_lines(stream, [good]) == feed_lines(clean, lines + [good])[-1:]
+
+    def test_hr_diff_z_score_overflowing_float32(self, small_trained):
+        model = copy.deepcopy(small_trained[0])
+        mean, std = model.norm_stats.mean.copy(), model.norm_stats.std.copy()
+        mean[4], std[4] = 0.0, 1e-300  # any change of hr overflows hr_diff's z-score alone
+        model.norm_stats = NormStats(mean=mean, std=std)
+        stream = SleepStream(model)
+        feed_lines(stream, [f"{30 * i},60,14,0.9,0.1" for i in range(29)])
+        before = state(stream)
+        assert feed_lines(stream, ["870,61,14,0.9,0.1"]) == \
+            ["err,feature values at 870 overflow float32 once z-scored"]
+        assert state(stream) == before
+        assert feed_lines(stream, ["870,60,14,0.9,0.1"])[0].startswith("class,840,")
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
     def test_non_finite_timestamp(self, small_trained, series, value):
