@@ -121,27 +121,35 @@ class Conv1d(Layer):
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         if k > length:
             raise ShapeError(f"{self.name}: kernel width {k} exceeds input length {length}")
-        view = sliding_window_view(x, k, axis=2)  # (n, c, L-k+1, k)
-        # im2col: (n, c*k, L-k+1) columns ordered (c, j), C-contiguous
-        # whatever the layout of x
-        cols = np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(n, c * k, -1)
+        self._view = sliding_window_view(x, k, axis=2)  # (n, c, L-k+1, k)
         # a stacked matmul runs one fixed-shape BLAS product per window, so a
         # window's output cannot depend on its batch; one flattened
         # (n*L', c*k) @ (c*k, o) GEMM would round differently as n changes
-        y = np.matmul(self.params["w"].reshape(self.out_channels, c * k), cols)
+        y = np.matmul(self.params["w"].reshape(self.out_channels, -1), self._columns())
         y += self.params["b"][None, :, None]
-        self._view = view
         return y
 
+    def _columns(self):
+        """im2col of the cached input: (n, c*k, L-k+1) columns ordered
+        (c, j), C-contiguous whatever the layout of x. Rebuilt by backward
+        rather than kept, so a forward caches no more than a view."""
+        n, c, lout, k = self._view.shape
+        return np.ascontiguousarray(self._view.transpose(0, 1, 3, 2)).reshape(n, c * k, lout)
+
     def backward(self, dy):
-        w = self.params["w"]
-        k = self.kernel_width
-        self.grads["w"] += np.einsum("nol,nclj->ocj", dy, self._view)
+        n, _, lout = dy.shape
+        c, k = self.in_channels, self.kernel_width
+        # dW: one (o, n*L') @ (n*L', c*k) GEMM; gradients need no batch-invariance
+        self.grads["w"] += np.tensordot(dy, self._columns(), axes=([0, 2], [0, 2])).reshape(
+            self.params["w"].shape)
         self.grads["b"] += dy.sum(axis=(0, 2))
-        # input gradient = full correlation with the flipped kernel
-        dyp = np.pad(dy, ((0, 0), (0, 0), (k - 1, k - 1)))
-        dview = sliding_window_view(dyp, k, axis=2)  # (n, o, L, k)
-        return np.einsum("ocj,nolj->ncl", w[:, :, ::-1], dview)
+        # col2im: column entry (c, j, l) was read from x[:, c, l + j]
+        dcols = np.matmul(self.params["w"].reshape(self.out_channels, -1).T, dy)
+        dcols = dcols.reshape(n, c, k, lout)
+        dx = np.zeros((n, c, lout + k - 1), dtype=dy.dtype)
+        for j in range(k):
+            dx[:, :, j:j + lout] += dcols[:, :, j]
+        return dx
 
 
 class BatchNorm1d(Layer):

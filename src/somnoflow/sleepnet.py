@@ -305,11 +305,14 @@ def _prepare_xy(windows, model):
     return x, y
 
 
-def _epoch_loss(model, x, y, aux_weight, batch_size=256):
+def _epoch_loss(model, x, y, aux_weight):
+    # INFER_CHUNK windows per forward: at 256, the forward temporaries (1.1 MB
+    # of im2col columns for the width-11 head) were mapped afresh on many
+    # calls, and a 2-epoch training run took about 2,000 page faults in here
     losses = []
     correct = 0
-    for s in range(0, len(x), batch_size):
-        xb, yb = x[s:s + batch_size], y[s:s + batch_size]
+    for s in range(0, len(x), INFER_CHUNK):
+        xb, yb = x[s:s + INFER_CHUNK], y[s:s + INFER_CHUNK]
         p_final, p_heads = model.forward_batch(xb, train=False)
         loss, _ = bce_loss(p_final, yb)
         total = loss.mean()

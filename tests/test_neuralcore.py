@@ -157,6 +157,38 @@ class TestConv1dMatmul:
         bound = 2 * (5 * k + 1) * np.finfo(np.float32).eps * terms
         assert np.all(np.abs(one - einsum_conv1d(x, w, b)) <= bound)
 
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_backward_close_to_einsum(self, k):
+        rng = np.random.default_rng(100 + k)
+        conv = Conv1d("c", 5, 16, k, rng=rng)
+        n, lout = 32, 31 - k
+        x = rng.standard_normal((n, 5, 30)).astype(np.float32)
+        dy = rng.standard_normal((n, 16, lout)).astype(np.float32)
+        conv.forward(np.asfortranarray(x))
+        dx = conv.backward(dy)
+        assert dx.dtype == np.float32 and dx.shape == x.shape
+
+        def pad(a):
+            return np.pad(a, ((0, 0), (0, 0), (k - 1, k - 1)))
+
+        # the einsum definitions: dW correlates dy with the input windows,
+        # dx is the full correlation of dy with the flipped kernel
+        def dw_of(dy, x):
+            return np.einsum("nol,nclj->ocj", dy, sliding_window_view(x, k, axis=2))
+
+        def dx_of(dy, w):
+            return np.einsum("ocj,nolj->ncl", w[:, :, ::-1],
+                             sliding_window_view(pad(dy), k, axis=2))
+
+        # each side sums float32 products in some order: within
+        # (terms + 1) * eps * sum|terms| of the exact value
+        eps = np.finfo(np.float32).eps
+        w = conv.params["w"]
+        assert np.all(np.abs(conv.grads["w"] - dw_of(dy, x))
+                      <= 2 * (n * lout + 1) * eps * dw_of(np.abs(dy), np.abs(x)))
+        assert np.all(np.abs(dx - dx_of(dy, w))
+                      <= 2 * (16 * k + 1) * eps * dx_of(np.abs(dy), np.abs(w)))
+
 
 class TestBatchNorm:
     def test_standardized_input_unchanged(self):
