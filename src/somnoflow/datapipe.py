@@ -311,8 +311,9 @@ def fit_normalizer(windows):
 def zscore(values, stats):
     """Z-score (..., 5, T) feature values in float64, then cast to float32.
 
-    The one normalization formula: training windows and `score_windows`, the
-    scorer of batch and stream, both go through it, so they round identically.
+    The one normalization formula: training windows, `infer_hypnogram`'s
+    whole night and the stream's single records all go through it, so they
+    round identically.
     """
     return ((values - stats.mean[:, None]) / stats.std[:, None]).astype(np.float32)
 

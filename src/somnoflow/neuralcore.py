@@ -5,23 +5,26 @@ Layers operate on batched arrays: convolution-path tensors are shaped
 owns its parameters and gradient buffers; a forward call caches what the
 matching backward call needs. Everything is numpy; no autograd.
 
-A window's output must not depend on the batch it is scored in:
-`sleepnet.score_windows` scores a night in batches and the stream's windows
-one at a time, and the two must agree bit for bit. Conv1d copies each window
-into C-contiguous im2col columns and runs one stacked matmul, which numpy
-executes as one fixed-shape BLAS product per window, so the shape, and with it
-the summation order, is the same whatever the batch size or input layout.
+A result must not depend on the batch or the neighbours it is computed
+with: `sleepnet.RecordScorer` runs a night's conv positions as tiles of a
+fixed width in one call, and the stream runs the one tile that holds its
+newest positions with the epochs past them zero-padded; the two must agree
+bit for bit. Conv1d copies each input (a tile, or a training window) into
+C-contiguous im2col columns and runs one stacked matmul, which numpy executes
+as one fixed-shape BLAS product per input. So the shape, and with it each
+column's summation order, is the same whatever the batch size or input
+layout, and a column does not depend on the values in the other columns.
 Dense contracts with np.einsum on its default (non-optimized) path, which
 accumulates each output element in the same order at any batch size.
-MaxPool1d, BatchNorm1d and the activations are elementwise.
-`tests/test_sleepnet.py::TestBatchInvariance` checks this contract, also with
-OpenBLAS on 1 and on 2 threads.
+MaxPool1d, BatchNorm1d and the activations act per position.
+`tests/test_sleepnet.py::TestBatchInvariance` and `TestRecordScorer` check
+this contract, also with OpenBLAS on 1 and on 2 threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -112,7 +115,7 @@ class Conv1d(Layer):
         self.params["b"] = np.zeros(out_channels, dtype=self.dtype)
         self.grads["w"] = np.zeros_like(self.params["w"])
         self.grads["b"] = np.zeros_like(self.params["b"])
-        self._view = None
+        self._x = None
 
     def forward(self, x, train=False):
         n, c, length = x.shape
@@ -121,7 +124,7 @@ class Conv1d(Layer):
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         if k > length:
             raise ShapeError(f"{self.name}: kernel width {k} exceeds input length {length}")
-        self._view = sliding_window_view(x, k, axis=2)  # (n, c, L-k+1, k)
+        self._x = x
         # a stacked matmul runs one fixed-shape BLAS product per window, so a
         # window's output cannot depend on its batch; one flattened
         # (n*L', c*k) @ (c*k, o) GEMM would round differently as n changes
@@ -132,9 +135,15 @@ class Conv1d(Layer):
     def _columns(self):
         """im2col of the cached input: (n, c*k, L-k+1) columns ordered
         (c, j), C-contiguous whatever the layout of x. Rebuilt by backward
-        rather than kept, so a forward caches no more than a view."""
-        n, c, lout, k = self._view.shape
-        return np.ascontiguousarray(self._view.transpose(0, 1, 3, 2)).reshape(n, c * k, lout)
+        rather than kept, so a forward caches no more than its input."""
+        x, k = self._x, self.kernel_width
+        n, c, length = x.shape
+        lout = length - k + 1
+        sn, sc, sl = x.strides
+        # column entry (c, j, l) is x[:, c, l + j]; as_strided skips
+        # sliding_window_view's checks, most of a batch-1 call's cost
+        view = as_strided(x, (n, c, k, lout), (sn, sc, sl, sl), writeable=False)
+        return np.ascontiguousarray(view).reshape(n, c * k, lout)
 
     def backward(self, dy):
         n, _, lout = dy.shape
@@ -249,13 +258,15 @@ class MaxPool1d(Layer):
         return out
 
     def backward(self, dy):
-        n, c, lout = dy.shape
+        s = self.stride
+        span = s * (dy.shape[2] - 1) + 1
         dx = np.zeros(self._in_shape, dtype=dy.dtype)
-        # source position of each pooled maximum
-        src = self.argmax + np.arange(lout)[None, None, :] * self.stride
-        ni = np.arange(n)[:, None, None]
-        ci = np.arange(c)[None, :, None]
-        np.add.at(dx, (ni, ci, src), dy)
+        # route each gradient to its window's argmax, one pool offset at a
+        # time. np.where, unlike a multiply by the mask, keeps a NaN or inf
+        # gradient away from the other inputs; descending offsets add each
+        # input's gradients from overlapping windows in window order
+        for i in reversed(range(self.pool_width)):
+            dx[:, :, i:i + span:s] += np.where(self.argmax == i, dy, 0)
         return dx
 
 

@@ -9,6 +9,11 @@ final output plus a weighted BCE on every head output (deep supervision).
 
 Transfer learning freezes everything except the trunk (optionally also the
 heads' FC stacks) and retrains on a cohort's windows.
+
+Training runs windows through `SleepNetModel.forward_batch`. Inference runs
+a record through `RecordScorer`, which computes each head's conv, batchnorm,
+relu and maxpool once per position of the record, in tiles, and only the FC
+layers per window.
 """
 
 from __future__ import annotations
@@ -30,10 +35,17 @@ from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
 
 MODEL_MAGIC = b"SLPN"
 MODEL_FORMAT_VERSION = 1
-# windows per forward call in score_windows: layers keep their forward
-# caches (batchnorm xhat, pool argmax, relu masks), so a whole night as one
+# windows per forward call in _epoch_loss: layers keep their forward caches
+# (batchnorm xhat, pool argmax, relu masks), so a whole training set as one
 # batch would hold several MB more at peak
 INFER_CHUNK = 64
+# conv positions per tile in RecordScorer; even, so that no pool pair
+# straddles two tiles
+TILE = 32
+# windows per FC call in RecordScorer: fc1 keeps its input, the windows'
+# overlapping pooled slices, about 14 times the record's pooled sequence, so
+# one call per 24 h record held 5 MB; 128 also ran faster than 64 or 466
+FC_CHUNK = 128
 HEADER_KEYS = ("format_version", "config", "frozen", "norm_stats", "manifest", "digest")
 
 
@@ -83,6 +95,12 @@ class ModelConfig:
             if h.kernel_width > self.window_epochs:
                 raise ConfigError(f"kernel width {h.kernel_width} exceeds "
                                   f"window of {self.window_epochs} epochs")
+            if EPOCHS_PER_MINUTE % h.pool_width:
+                # scoring takes window t's pooled features as a slice of the
+                # record's pooled sequence, which needs whole pool strides
+                # per 1-minute shift
+                raise ConfigError(f"pool width {h.pool_width} does not divide the "
+                                  f"{EPOCHS_PER_MINUTE}-epoch window shift")
         if self.aux_loss_weight < 0:
             raise ConfigError("aux_loss_weight must be >= 0")
         if not self.trunk_widths or self.trunk_widths[-1] != 1:
@@ -136,8 +154,8 @@ class _Head:
         self.pool = MaxPool1d(f"{name}.pool", cfg.pool_width, dtype=dtype)
         self.dropout = Dropout(f"{name}.dropout", cfg.dropout_rate, dropout_rng, dtype=dtype)
         conv_len = model_cfg.window_epochs - cfg.kernel_width + 1
-        pooled_len = (conv_len - cfg.pool_width) // cfg.pool_width + 1
-        self.flat_size = cfg.n_filters * pooled_len
+        self.pooled_len = (conv_len - cfg.pool_width) // cfg.pool_width + 1
+        self.flat_size = cfg.n_filters * self.pooled_len
         self.fc1 = Dense(f"{name}.fc1", self.flat_size, cfg.fc_width, rng=rng, dtype=dtype)
         self.relu2 = ReLU(f"{name}.relu2", dtype=dtype)
         self.fc2 = Dense(f"{name}.fc2", cfg.fc_width, 1, rng=rng, dtype=dtype)
@@ -146,17 +164,24 @@ class _Head:
     def param_layers(self):
         return [self.conv, self.bn, self.fc1, self.fc2]
 
-    def forward(self, x, train):
+    def features(self, x, train):
+        """The per-position layers: conv -> bn -> relu -> pool."""
         z = self.conv.forward(x, train)
         z = self.bn.forward(z, train)
         z = self.relu1.forward(z, train)
-        z = self.pool.forward(z, train)
+        return self.pool.forward(z, train)
+
+    def classify(self, z, train):
+        """The per-window layers: (N, F, pooled_len) C-contiguous pooled
+        features -> dropout -> fc1 -> relu -> fc2 -> (N, 1) logit."""
         z = self.dropout.forward(z, train)
         self._pre_flat_shape = z.shape
-        flat = z.reshape(z.shape[0], -1)
-        h = self.fc1.forward(flat, train)
+        h = self.fc1.forward(z.reshape(z.shape[0], -1), train)
         h = self.relu2.forward(h, train)
-        return self.fc2.forward(h, train)  # (N, 1) logit
+        return self.fc2.forward(h, train)
+
+    def forward(self, x, train):
+        return self.classify(self.features(x, train), train)
 
     def backward(self, dlogit):
         dh = self.fc2.backward(dlogit)
@@ -242,13 +267,17 @@ class SleepNetModel:
             raise ShapeError(f"expected (N, {self.config.input_features}, "
                              f"{self.config.window_epochs}) input, got {x.shape}")
         logits = [h.forward(x, train) for h in self.heads]   # each (N,1)
-        p_heads = sigmoid(np.concatenate(logits, axis=1))    # (N,H)
+        p_final, p_heads = self.fuse(logits, train)
+        self._cache = (p_heads, p_final)
+        return p_final, p_heads
+
+    def fuse(self, logits, train=False):
+        """The trunk over the heads' (N, 1) logits: (p_final (N,), p_heads (N, H))."""
+        p_heads = sigmoid(np.concatenate(logits, axis=1))
         t = p_heads
         for layer in self.trunk:
             t = layer.forward(t, train)
-        p_final = sigmoid(t[:, 0])
-        self._cache = (p_heads, p_final)
-        return p_final, p_heads
+        return sigmoid(t[:, 0]), p_heads
 
     def backward(self, dLdp_final, dLdp_heads, skip_heads=False):
         p_heads, p_final = self._cache
@@ -500,32 +529,111 @@ def _model_from_header(header, payload):
         raw = np.frombuffer(payload, dtype="<f4", count=count, offset=m["offset"])
         arr[...] = raw.reshape(m["shape"]).astype(arr.dtype)
     for layer in model.param_layers():
-        layer.frozen = header["frozen"].get(layer.name, False)
+        frozen = header["frozen"].get(layer.name, False)
+        if not isinstance(frozen, bool):
+            raise ModelFormatError(f"model header has a frozen flag {frozen!r} for "
+                                   f"{layer.name}; expected true or false")
+        layer.frozen = frozen
     if header["norm_stats"] is not None:
         model.norm_stats = NormStats.from_dict(header["norm_stats"])
     return model
 
 
-def score_windows(model, windows):
-    """Final sleep probability of each raw (N, 5, W) feature window: the one
-    inference path. `infer_hypnogram` passes a night's windows and the stream
-    one window per call; they agree bit for bit because a window's output does
-    not depend on its batch (`tests/test_sleepnet.py::TestBatchInvariance`).
+class _Columns:
+    """Columns [base, base + width) of a (rows, n) sequence that grows at
+    the end and is forgotten at the front. Columns not yet written are 0."""
 
-    Raises ValueError when a z-scored value is not finite, i.e. a finite
-    vital lies so far from the training mean that it overflows float32.
+    def __init__(self, rows, dtype):
+        self.base = 0
+        self.keep = 0   # columns before this one may be dropped
+        self.data = np.zeros((rows, 0), dtype=dtype)
+
+    def view(self, start, stop):
+        """Columns [start, stop), zeros past the written ones; a view."""
+        if stop - self.base > self.data.shape[1]:
+            grown = np.zeros((self.data.shape[0], 2 * (stop - self.keep)), self.data.dtype)
+            kept = self.data[:, self.keep - self.base:]
+            grown[:, :kept.shape[1]] = kept
+            self.base, self.data = self.keep, grown
+        return self.data[:, start - self.base:stop - self.base]
+
+    def write(self, start, values):
+        self.view(start, start + values.shape[1])[...] = values
+
+
+def _blocks(seq, width, step, count):
+    """(rows, count, width) view of column blocks [j*step, j*step + width)
+    of a (rows, n) array."""
+    if count == 1:  # the stream's case, without sliding_window_view's fixed cost
+        return seq[:, None, :width]
+    return sliding_window_view(seq, width, axis=1)[:, ::step]
+
+
+class RecordScorer:
+    """Final sleep probability of each 1-minute window of one record, from
+    its z-scored (5, n) epochs pushed in pieces of any size: the one
+    inference path. `infer_hypnogram` pushes a night at once and the stream
+    one record at a time; every split of a record gives the same bits
+    (`tests/test_sleepnet.py::TestRecordScorer`).
+
+    A head computes its conv positions in tiles of TILE columns aligned to
+    the record's first epoch: tile t holds positions [t*TILE, (t+1)*TILE),
+    read from epochs [t*TILE, t*TILE + TILE + k - 1), zero-padded past the
+    newest epoch. Conv1d runs each tile as one fixed-shape matmul, and a
+    column of such a product does not depend on the other columns, so a
+    position comes out the same whether its tile ran on the whole night or
+    on the epochs so far. batchnorm, relu and maxpool act per position.
+    The 2-epoch window shift is a whole number of pool strides, so window
+    w's pooled features are a slice of the record's pooled sequence; only
+    fc1 -> fc2 (on C-contiguous copies of those slices, FC_CHUNK windows per
+    call) and the trunk run per window. A push recomputes the tile that
+    holds a head's newest positions, and the columns keep what later windows
+    still need: pooled features from their first window on and z-scored
+    epochs from the start of their open tile.
     """
-    probs = np.empty(len(windows), dtype=np.float64)
-    for s in range(0, len(probs), INFER_CHUNK):
-        # any memory layout will do: Conv1d, the only layer that reads x,
-        # copies it into C-contiguous columns before its matmul
-        with np.errstate(over="ignore"):  # reported by the check below
-            x = zscore(windows[s:s + INFER_CHUNK], model.norm_stats)
-        if not np.isfinite(x).all():
-            raise ValueError("z-scored features are not finite: a vital is non-finite "
-                             "or too far from the training mean for float32")
-        probs[s:s + len(x)] = model.forward_batch(x, train=False)[0]
-    return probs
+
+    def __init__(self, model):
+        self.model = model
+        self.n_epochs = 0
+        self.n_windows = 0
+        dtype = model.heads[0].conv.dtype
+        self._z = _Columns(model.config.input_features, dtype)
+        self._pooled = [_Columns(h.conv.out_channels, dtype) for h in model.heads]
+        self._done = [0] * len(model.heads)  # conv positions computed, per head
+
+    def push(self, z):
+        """Append z-scored (5, n) epochs; returns the (m,) float64 final
+        probabilities of the m windows they complete."""
+        self._z.write(self.n_epochs, z)
+        self.n_epochs += z.shape[1]
+        first = self.n_windows
+        stop = (self.n_epochs - self.model.config.window_epochs) // EPOCHS_PER_MINUTE + 1
+        if stop <= first:
+            return np.empty(0)
+        logits = [self._head_logits(i, head, first, stop)
+                  for i, head in enumerate(self.model.heads)]
+        self.n_windows = stop
+        self._z.keep = min(done // TILE * TILE for done in self._done)
+        return self.model.fuse(logits)[0].astype(np.float64)
+
+    def _head_logits(self, i, head, first, stop):
+        k, pool = head.conv.kernel_width, head.pool.pool_width
+        positions = self.n_epochs - k + 1
+        start = self._done[i] // TILE * TILE
+        n_tiles = -(-(positions - start) // TILE)
+        x = self._z.view(start, start + n_tiles * TILE + k - 1)
+        tiles = _blocks(x, TILE + k - 1, TILE, n_tiles)            # (5, n_tiles, .)
+        y = head.features(tiles.transpose(1, 0, 2), train=False)  # (n_tiles, F, .)
+        pooled = self._pooled[i]
+        pooled.write(start // pool, y.transpose(1, 0, 2).reshape(y.shape[1], -1))
+        self._done[i] = positions
+        shift = EPOCHS_PER_MINUTE // pool
+        seq = pooled.view(first * shift, (stop - 1) * shift + head.pooled_len)
+        windows = _blocks(seq, head.pooled_len, shift, stop - first).transpose(1, 0, 2)
+        pooled.keep = min(stop * shift, positions // TILE * TILE // pool)
+        return np.concatenate([head.classify(np.ascontiguousarray(windows[s:s + FC_CHUNK]),
+                                             train=False)
+                               for s in range(0, len(windows), FC_CHUNK)])
 
 
 def infer_hypnogram(model, series):
@@ -533,7 +641,9 @@ def infer_hypnogram(model, series):
 
     Windows of the model's width are cut on a 1-minute stride. The first
     prediction lands on the final minute of the first full window, i.e. 14
-    minutes after the series start.
+    minutes after the series start. Raises ValueError when a z-scored value
+    is not finite, i.e. a finite vital lies so far from the training mean
+    that it overflows float32.
     """
     if model.norm_stats is None:
         raise ValueError("model has no normalization statistics; train or load first")
@@ -541,7 +651,10 @@ def infer_hypnogram(model, series):
     if len(series) < window_epochs:
         make_windows(series, window_epochs)  # warns, returns []
         return Hypnogram(start=int(series.timestamps[0]), probs=np.empty(0))
-    view = sliding_window_view(series.feature_matrix(), window_epochs, axis=1)
-    windows = view[:, ::EPOCHS_PER_MINUTE].transpose(1, 0, 2)  # (N, 5, W)
+    with np.errstate(over="ignore"):  # reported by the check below
+        z = zscore(series.feature_matrix(), model.norm_stats)
+    if not np.isfinite(z).all():
+        raise ValueError("z-scored features are not finite: a vital is non-finite "
+                         "or too far from the training mean for float32")
     return Hypnogram(start=int(series.timestamps[window_epochs - EPOCHS_PER_MINUTE]),
-                     probs=score_windows(model, windows))
+                     probs=RecordScorer(model).push(z))

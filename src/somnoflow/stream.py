@@ -1,13 +1,18 @@
 """Real-time inference over newline-delimited epoch records.
 
-A SleepStream is the batch pipeline fed one record at a time: records are
-checked by the ingest code (a malformed line, or a non-finite, negative or
-out-of-range value, gets an `err,` frame and leaves the state unchanged), and
-the last 30 epochs, kept in a ring buffer, are scored once a minute by the
-batch scorer. The stream grows the per-minute hypnogram and re-runs the event
-rules after each prediction. A class record is emitted per prediction; each
-event kind is emitted at most once and never retracted, so an event only
-fires once no future data can overturn it:
+A SleepStream is the batch pipeline fed one record at a time. Records are
+checked by the ingest code and z-scored by the batch formula; a malformed
+line, a non-finite, negative or out-of-range value, or a z-score that
+overflows float32 gets an `err,` frame and leaves the state unchanged. Each
+accepted record is pushed into the batch scorer, `sleepnet.RecordScorer`,
+which scores a window as soon as its final epoch arrives by re-running the
+conv tile that holds the newest epochs, zero-padded past them. A column of
+that fixed-shape product is the same as in a whole-night pass, so every
+probability equals the batch one bit for bit. The stream grows the
+per-minute hypnogram and re-runs the event rules after each prediction. A
+class record is emitted per prediction; each event kind is emitted at most
+once and never retracted, so an event only fires once no future data can
+overturn it:
 
 - sleep_onset is emitted as soon as the batch rules accept it on the prefix
   minus a short stability margin (the tail minutes whose smoothed/suppressed
@@ -28,17 +33,13 @@ Wire grammar (one record per line):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sleepnet
-from .datapipe import EPOCH_SECONDS, EPOCHS_PER_MINUTE, parse_record, vitals_error
+from .datapipe import EPOCH_SECONDS, parse_record, vitals_error, zscore
 from .events import EventRuleConfig, Hypnogram, SleepEvents, predict_events
-
-# the least float64 magnitude that casting to float32 rounds to inf
-_FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
 
 @dataclass
@@ -64,13 +65,9 @@ class SleepStream:
             raise ValueError("model has no normalization statistics")
         self.model = model
         self.rule_config = rule_config or EventRuleConfig()
-        self.window_epochs = model.config.window_epochs
-        self._mean = model.norm_stats.mean.tolist()
-        self._std = model.norm_stats.std.tolist()
-        self._ring = deque(maxlen=self.window_epochs)
+        self._scorer = sleepnet.RecordScorer(model)
         self._last_ts = None
         self._last_hr = None
-        self._n_epochs = 0
         self._probs = []
         self._hyp_start = None
         self._emitted = set()
@@ -95,25 +92,17 @@ class SleepStream:
         if vitals_error(hr, br, hr_conf, movement) is not None:
             return [Emission("err", (f"invalid feature values at {timestamp}",))]
         hr_diff = 0.0 if self._last_hr is None else hr - self._last_hr
-        record = (hr, br, hr_conf, movement, hr_diff)
-        # the z-score `score_windows` will compute, in plain floats: a record
-        # whose z-score overflows float32 would make it raise at the next
-        # minute, so refuse the record now
-        if not all(abs((v - m) / s) < _FLOAT32_OVERFLOW
-                   for v, m, s in zip(record, self._mean, self._std)):
+        with np.errstate(over="ignore"):  # reported below
+            z = zscore(np.array([[hr], [br], [hr_conf], [movement], [hr_diff]]),
+                       self.model.norm_stats)
+        if not np.isfinite(z).all():
             return [Emission("err", (f"feature values at {timestamp} overflow "
                                      f"float32 once z-scored",))]
 
         self._last_hr = hr
         self._last_ts = timestamp
-        self._ring.append(record)
-        self._n_epochs += 1
-
         out = []
-        if (self._n_epochs >= self.window_epochs
-                and (self._n_epochs - self.window_epochs) % EPOCHS_PER_MINUTE == 0):
-            window = np.array(self._ring, dtype=np.float64).T[None]  # (1, 5, W)
-            p = float(sleepnet.score_windows(self.model, window)[0])
+        for p in self._scorer.push(z).tolist():  # at most one window ends per record
             minute_ts = timestamp - EPOCH_SECONDS  # start of the window's final minute
             if self._hyp_start is None:
                 self._hyp_start = minute_ts

@@ -436,6 +436,37 @@ class TestAdam:
             Adam().step([dense])
 
 
+class TestMaxPoolBackward:
+    """The offset-by-offset backward against np.add.at scattering each
+    gradient to its window's argmax, bit for bit: overlapping windows add in
+    the same order, and a NaN or inf gradient reaches only its argmax."""
+
+    @pytest.mark.parametrize("grad", ["random", "signed-zero", "non-finite"])
+    @pytest.mark.parametrize("stride", ["width", 1, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_add_at(self, p, stride, grad):
+        rng = np.random.default_rng(10 * p + len(grad))
+        for dtype in (np.float32, np.float64):
+            for length in range(p, p + 9):
+                x = pool_input("tied", rng, (3, 2, length), dtype)
+                pool = MaxPool1d("p", p, p if stride == "width" else stride, dtype=dtype)
+                out = pool.forward(x)
+                dy = rng.standard_normal(out.shape).astype(dtype)
+                if grad == "signed-zero":
+                    dy = rng.choice(np.array([-0.0, 0.0, 1.5], dtype=dtype), out.shape)
+                elif grad == "non-finite":
+                    bad = rng.choice(np.array([np.nan, np.inf, -np.inf], dtype=dtype), out.shape)
+                    dy = np.where(rng.random(out.shape) < 0.3, bad, dy)
+                n, c, lout = out.shape
+                want = np.zeros_like(x)
+                src = pool.argmax + np.arange(lout) * pool.stride
+                with np.errstate(invalid="ignore"):  # inf + -inf where windows overlap
+                    np.add.at(want, (np.arange(n)[:, None, None], np.arange(c)[None, :, None],
+                                     src), dy)
+                    got = pool.backward(dy)
+                np.testing.assert_array_equal(bits(got), bits(want))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_all_layers_gradcheck(seed):
     """Analytic vs central finite differences for every layer type."""

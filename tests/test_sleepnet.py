@@ -2,18 +2,23 @@ import os
 import subprocess
 import sys
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import somnoflow as sf
-from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate
+from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate, zscore
 from somnoflow.neuralcore import ConfigError, ShapeError
-from somnoflow.sleepnet import (HEADER_KEYS, DigestMismatchError, HeadConfig,
-                                ModelConfig, ModelFormatError, TrainingHyper,
-                                TruncatedFileError, VersionMismatchError,
-                                build_model, finetune_transfer, forward,
-                                infer_hypnogram, load_model, save_model, train)
-from conftest import corrupt_header, make_training_windows, train_small_model
+from somnoflow.sleepnet import (HEADER_KEYS, TILE, DigestMismatchError, HeadConfig,
+                                ModelConfig, ModelFormatError, RecordScorer,
+                                TrainingHyper, TruncatedFileError,
+                                VersionMismatchError, build_model, finetune_transfer,
+                                forward, infer_hypnogram, load_model, save_model, train)
+from conftest import (corrupt_header, make_training_windows, tiled_probs,
+                      train_small_model)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -63,6 +68,11 @@ class TestBuild:
     def test_trunk_must_end_in_one(self):
         with pytest.raises(ConfigError):
             build_model(ModelConfig(trunk_widths=[8, 4]))
+
+    @pytest.mark.parametrize("pool_width", [3, 4])
+    def test_pool_width_not_dividing_window_shift_rejected(self, pool_width):
+        with pytest.raises(ConfigError, match="pool width"):
+            build_model(ModelConfig(heads=[HeadConfig(pool_width=pool_width)]))
 
     def test_no_heads_rejected(self):
         with pytest.raises(ConfigError):
@@ -289,7 +299,8 @@ class TestPersistence:
     @pytest.mark.parametrize("case", [*(f"missing-{key}" for key in HEADER_KEYS),
                                       "empty-manifest", "not-json", "not-utf8",
                                       "not-object", "empty-config",
-                                      "manifest-entry-without-offset", "frozen-array"])
+                                      "manifest-entry-without-offset", "frozen-array",
+                                      "frozen-string", "frozen-number", "pool-width-3"])
     def test_malformed_header(self, tmp_path, case):
         path = tmp_path / "m.slpn"
         save_model(self.make_model(), path)
@@ -347,24 +358,156 @@ def _bits(a):
     return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
 
 
+@functools.lru_cache(maxsize=1)
+def day_epochs():
+    """Features of a 24 h synthetic record (2,880 epochs)."""
+    return synth_generate(SynthConfig(seed=46, hours=24)).feature_matrix()
+
+
+def day_z(model, n_epochs):
+    return zscore(day_epochs()[:, :n_epochs], model.norm_stats)
+
+
+def replay(model, z, sizes):
+    """Probabilities of a record pushed in pieces of the given sizes."""
+    scorer = RecordScorer(model)
+    pieces, start = [], 0
+    for size in sizes:
+        pieces.append(scorer.push(z[:, start:start + size]))
+        start += size
+    return np.concatenate(pieces)
+
+
+# record lengths around tile edges: the first windows, each head's first
+# and second tiles filling up (k + 31 and k + 63 epochs for k = 3 to 11),
+# a night and a day
+EDGE_LENGTHS = [*range(30, 44), *range(59, 76), 960, 2880]
+
+
+class TestRecordScorer:
+    """Any split of a record into pushes gives the bits of one whole push,
+    which are those of the tiled definition."""
+
+    @pytest.mark.parametrize("n_epochs", EDGE_LENGTHS)
+    def test_record_by_record_equals_whole_record(self, small_trained, n_epochs):
+        model = small_trained[0]
+        z = day_z(model, n_epochs)
+        whole = RecordScorer(model).push(z)
+        assert len(whole) == (n_epochs - 30) // 2 + 1
+        np.testing.assert_array_equal(_bits(whole), _bits(tiled_probs(model, z)))
+        np.testing.assert_array_equal(_bits(replay(model, z, [1] * n_epochs)), _bits(whole))
+
+    @given(n_epochs=st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(0, 400)),
+           sizes=st.lists(st.integers(0, 200), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_equals_whole_record(self, small_trained, n_epochs, sizes):
+        model = small_trained[0]
+        z = day_z(model, n_epochs)
+        sizes = [*sizes, n_epochs]  # the last push takes what is left
+        whole = RecordScorer(model).push(z)
+        np.testing.assert_array_equal(_bits(replay(model, z, sizes)), _bits(whole))
+
+    @pytest.mark.parametrize("pool_width", [1, 2])
+    def test_other_kernel_and_pool_widths(self, small_trained, pool_width):
+        # even kernels end a window's conv positions mid pool pair; k = 1
+        # and k = 28 give the longest and the shortest conv rows
+        heads = [HeadConfig(kernel_width=k, n_filters=4, fc_width=4, dropout_rate=0.0,
+                            pool_width=pool_width) for k in (1, 2, 4, 28)]
+        model = build_model(ModelConfig(heads=heads, trunk_widths=[4, 1], seed=4))
+        model.norm_stats = small_trained[0].norm_stats
+        z = day_z(model, 200)
+        whole = RecordScorer(model).push(z)
+        np.testing.assert_array_equal(_bits(whole), _bits(tiled_probs(model, z)))
+        np.testing.assert_array_equal(_bits(replay(model, z, [1] * 200)), _bits(whole))
+
+    def test_record_by_record_keeps_bounded_state(self, small_trained):
+        # a day pushed one epoch at a time holds what later windows need, at
+        # most two tiles and a window, in buffers that grow by a factor of 2
+        model = small_trained[0]
+        scorer = RecordScorer(model)
+        z = day_z(model, 2880)
+        widths = set()
+        for i in range(2880):
+            scorer.push(z[:, i:i + 1])
+            widths.update(c.data.shape[1] for c in (scorer._z, *scorer._pooled))
+        assert max(widths) <= 2 * (2 * TILE + model.config.window_epochs)
+
+
+def einsum_conv(x, w, b):
+    view = sliding_window_view(x, w.shape[2], axis=2)  # (n, c, L-k+1, k)
+    return np.einsum("ocj,nclj->nol", w, view) + b[None, :, None]
+
+
+def rounding_bound(model, x):
+    """How far two float32 evaluations of the model on windows x (N, 5, W)
+    can differ when they add each conv position's 5k products in different
+    orders. As in TestConv1dMatmul, a float32 sum of n terms is within
+    (n + 1) eps sum|terms| of the exact value. The conv gap is carried
+    through each later layer by its Lipschitz constant, and each later layer
+    adds its own rounding on both sides."""
+    eps = float(np.finfo(np.float32).eps)
+    x = x.astype(np.float64)
+
+    def f64(layer, name):
+        return layer.params[name].astype(np.float64)
+
+    def dense(layer, a, gap):
+        w, b = f64(layer, "w"), f64(layer, "b")
+        terms = (np.abs(a) + gap) @ np.abs(w).T + np.abs(b)
+        return a @ w.T + b, gap @ np.abs(w).T + 2 * (w.shape[1] + 1) * eps * terms
+
+    def sigmoid(a, gap):  # 1/4-Lipschitz; exp, add and divide round on each side
+        return 1 / (1 + np.exp(-a)), gap / 4 + 2 * 8 * eps
+
+    p_heads, gaps = [], []
+    for head in model.heads:
+        w, b, bn = f64(head.conv, "w"), f64(head.conv, "b"), head.bn
+        a = einsum_conv(x, w, b)
+        gap = 2 * (w.shape[1] * w.shape[2] + 1) * eps * einsum_conv(np.abs(x), np.abs(w),
+                                                                     np.abs(b))
+        # (a - mean) * inv_std * gamma + beta: four roundings on each side
+        scale = (f64(bn, "gamma") * (1.0 / np.sqrt(bn.running_var + bn.eps)))[:, None]
+        beta = f64(bn, "beta")[:, None]
+        centred = np.abs(a - bn.running_mean[:, None]) + gap
+        a = (a - bn.running_mean[:, None]) * scale + beta
+        gap = gap * np.abs(scale) + 2 * 5 * eps * (np.abs(scale) * centred + np.abs(beta))
+        a = np.maximum(a, 0)
+        pool = head.pool.pool_width
+        a, gap = (sliding_window_view(v, pool, axis=2)[:, :, ::pool].max(axis=3)
+                  for v in (a, gap))
+        a, gap = dense(head.fc1, a.reshape(len(a), -1), gap.reshape(len(a), -1))
+        a, gap = dense(head.fc2, np.maximum(a, 0), gap)
+        a, gap = sigmoid(a, gap)
+        p_heads.append(a)
+        gaps.append(gap)
+    a, gap = np.concatenate(p_heads, axis=1), np.concatenate(gaps, axis=1)
+    for layer in model.trunk:
+        a, gap = dense(layer, a, gap) if layer.params else (np.maximum(a, 0), gap)
+    return sigmoid(a[:, 0], gap[:, 0])[1]
+
+
 class TestBatchInvariance:
-    """A window's output must not depend on the batch it is scored in:
-    infer_hypnogram scores a night in batches, the stream one window at a
-    time, and the two must agree bit for bit."""
+    """A window's output must not depend on how the record reaches the
+    scorer: infer_hypnogram scores a night in one pass, the stream one
+    record at a time, and the two must agree bit for bit."""
 
     @pytest.mark.parametrize("n_epochs", [30, 156, 158, 960])  # 1, 64, 65, 466 windows
     def test_infer_hypnogram_equals_per_window_forward(self, small_trained, n_epochs):
+        """Bit for bit the tiled definition, and within float32 rounding of
+        forward_batch on each window alone."""
         model, _, _ = small_trained
         night = synth_generate(SynthConfig(seed=43, hours=8))
         series = first_epochs(night, n_epochs)
         windows = sf.make_windows(series)
-        want = np.array([model.forward_batch(
-            sf.apply_normalizer(w, model.norm_stats).values[None])[0][0]
-            for w in windows], dtype=np.float64)
         hyp = infer_hypnogram(model, series)
-        assert len(want) == (n_epochs - 30) // 2 + 1
+        assert len(hyp) == (n_epochs - 30) // 2 + 1
         assert hyp.start == windows[0].label_timestamp
+        want = tiled_probs(model, zscore(series.feature_matrix(), model.norm_stats))
         np.testing.assert_array_equal(_bits(hyp.probs), _bits(want))
+        x = np.stack([sf.apply_normalizer(w, model.norm_stats).values for w in windows])
+        per_window = np.array([model.forward_batch(w[None])[0][0] for w in x],
+                              dtype=np.float64)
+        assert np.all(np.abs(hyp.probs - per_window) <= rounding_bound(model, x))
 
     def test_forward_batch_sizes_equal_batch_one(self, small_trained):
         model, _, _ = small_trained
@@ -386,15 +529,19 @@ class TestBatchInvariance:
     def test_forward_batch_sizes_equal_batch_one_under_blas_threads(
             self, small_trained, tmp_path, threads):
         """The same check in a fresh process whose OpenBLAS runs `threads`
-        threads (tier-1 otherwise runs only the machine's default)."""
+        threads (tier-1 otherwise runs only the machine's default); there
+        too, a night scored in one pass equals the tiled definition and a
+        record-by-record replay, at 1, 64, 65 and 466 windows."""
         model, _, _ = small_trained
         night = synth_generate(SynthConfig(seed=44, hours=8))
         x = np.stack([sf.apply_normalizer(w, model.norm_stats).values
                       for w in sf.make_windows(night)])
         save_model(model, tmp_path / "m.slpn")
         np.save(tmp_path / "x.npy", x)
+        np.save(tmp_path / "z.npy", zscore(night.feature_matrix(), model.norm_stats))
         src = os.path.dirname(os.path.dirname(sf.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        path = os.pathsep.join(filter(None, [src, os.path.dirname(__file__),
+                                             os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
         sizes = [str(size) for size in (1, 2, 3, 7, 64, 466)]
         proc = subprocess.run([sys.executable, "-c", _BATCH_SIZES_SCRIPT, str(tmp_path), *sizes],
@@ -404,21 +551,36 @@ class TestBatchInvariance:
         for size in sizes[1:]:
             np.testing.assert_array_equal(_bits(got[f"final{size}"]), _bits(got["final1"]))
             np.testing.assert_array_equal(_bits(got[f"heads{size}"]), _bits(got["heads1"]))
+        for n_epochs in (30, 156, 158, 960):
+            night_pass = _bits(got[f"night{n_epochs}"])
+            assert len(night_pass) == (n_epochs - 30) // 2 + 1
+            np.testing.assert_array_equal(night_pass, _bits(got[f"definition{n_epochs}"]))
+            np.testing.assert_array_equal(night_pass, _bits(got[f"replay{n_epochs}"]))
 
 
-# argv: a directory holding m.slpn and x.npy, then batch sizes; writes the
-# forward_batch probabilities of x at each batch size to probs.npz there
+# argv: a directory holding m.slpn, x.npy and z.npy, then batch sizes; writes
+# to probs.npz there the forward_batch probabilities of the windows x at each
+# batch size, and for the first 30, 156, 158 and 960 epochs of the z-scored
+# night z its RecordScorer probabilities pushed whole and one epoch at a time,
+# and its tiled definition
 _BATCH_SIZES_SCRIPT = """
 import sys
 import numpy as np
-from somnoflow.sleepnet import load_model
+from somnoflow.sleepnet import RecordScorer, load_model
+from conftest import tiled_probs
 d, sizes = sys.argv[1], sys.argv[2:]
 model = load_model(d + "/m.slpn")
 x = np.load(d + "/x.npy")
+z = np.load(d + "/z.npy")
 out = {}
 for size in sizes:
     got = [model.forward_batch(x[s:s + int(size)]) for s in range(0, len(x), int(size))]
     out["final" + size] = np.concatenate([p for p, _ in got])
     out["heads" + size] = np.concatenate([h for _, h in got])
+for n in (30, 156, 158, 960):
+    out[f"night{n}"] = RecordScorer(model).push(z[:, :n])
+    scorer = RecordScorer(model)
+    out[f"replay{n}"] = np.concatenate([scorer.push(z[:, i:i + 1]) for i in range(n)])
+    out[f"definition{n}"] = tiled_probs(model, z[:, :n])
 np.savez(d + "/probs.npz", **out)
 """

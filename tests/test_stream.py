@@ -60,17 +60,17 @@ class TestErrorFrames:
     def test_out_of_order_timestamp(self, small_trained, series):
         stream = SleepStream(small_trained[0])
         feed_series(stream, series, 10)
-        before = (stream._n_epochs, list(stream._ring))
+        before = state(stream)
         out = stream.feed(int(series.timestamps[10]) + 60, 60, 14, 0.9, 0.1)
         assert [e.kind for e in out] == ["err"]
         assert "out-of-order" in out[0].format()
-        assert (stream._n_epochs, list(stream._ring)) == before
+        assert state(stream) == before
 
     def test_invalid_values(self, small_trained):
         stream = SleepStream(small_trained[0])
         out = stream.feed(0, 60, 14, 1.5, 0.1)
         assert out[0].kind == "err"
-        assert stream._n_epochs == 0
+        assert stream._scorer.n_epochs == 0
 
     def test_malformed_line(self, small_trained):
         stream = SleepStream(small_trained[0])
@@ -80,7 +80,7 @@ class TestErrorFrames:
     def test_wellformed_line_accepted(self, small_trained):
         stream = SleepStream(small_trained[0])
         assert stream.feed_line("0,60,14,0.9,0.1") == []
-        assert stream._n_epochs == 1
+        assert stream._scorer.n_epochs == 1
 
     def test_feed_after_finalize(self, small_trained):
         stream = SleepStream(small_trained[0])
@@ -96,8 +96,9 @@ def record_lines(series):
 
 
 def state(stream):
-    return (stream._n_epochs, list(stream._ring), stream._last_ts, stream._last_hr,
-            list(stream._probs), stream._hyp_start, set(stream._emitted),
+    scorer = stream._scorer
+    return (scorer.n_epochs, scorer.n_windows, scorer._z.data.tobytes(), stream._last_ts,
+            stream._last_hr, list(stream._probs), stream._hyp_start, set(stream._emitted),
             stream._finalized)
 
 
@@ -180,7 +181,7 @@ class TestHostileInput:
             assert state(stream) == before
         else:
             assert {e.kind for e in out} <= {"class", "event"}
-            assert stream._n_epochs == before[0] + 1
+            assert stream._scorer.n_epochs == before[0] + 1
         for e in out:
             e.format()
 
