@@ -11,8 +11,8 @@ from .evalkit import (ConfusionCounts, MetricReport, accuracy, aggregate_runs,
                       confusion, match_events, precision, sensitivity,
                       specificity)
 from .sleepnet import (HeadConfig, ModelConfig, SleepNetModel, TrainingHyper,
-                       build_model, finetune_transfer, forward, infer_hypnogram,
-                       load_model, save_model, train)
+                       build_model, finetune_transfer, infer_hypnogram, load_model,
+                       save_model, train)
 from .stream import SleepStream, batch_emissions, replay_series
 
 __version__ = "0.1.0"

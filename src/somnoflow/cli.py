@@ -273,10 +273,24 @@ def _read_hypnogram(path):
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["timestamp", "probability"]:
             raise ValueError(f"bad hypnogram header {header!r}")
-        rows = [(int(float(r[0])), float(r[1])) for r in reader if r]
-    if not rows:
+        start, probs = None, []
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                ts, p = int(row[0]), float(row[1])
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"hypnogram row {row_no}: unparseable values: {row!r}") from exc
+            start = ts if start is None else start
+            if ts != start + 60 * len(probs):
+                raise ValueError(f"hypnogram row {row_no}: timestamp {ts}, expected "
+                                 f"{start + 60 * len(probs)}")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"hypnogram row {row_no}: probability {row[1]} outside [0,1]")
+            probs.append(p)
+    if not probs:
         raise ValueError("empty hypnogram file")
-    return Hypnogram(start=rows[0][0], probs=np.array([p for _, p in rows]))
+    return Hypnogram(start=start, probs=np.array(probs))
 
 
 def _cmd_infer(args):

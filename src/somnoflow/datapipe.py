@@ -25,6 +25,8 @@ EPOCH_SECONDS = 30
 EPOCHS_PER_MINUTE = 2
 FEATURE_NAMES = ("hr", "br", "hr_conf", "movement", "hr_diff")
 CSV_COLUMNS = ("timestamp", "hr", "br", "hr_conf", "movement")
+MAX_FILL_EPOCHS = 2  # most missing epochs that ingest_epochs fills in one gap
+MIN_TAIL_MIN = 20.0  # trailing wake kept after a single synthetic sleep period
 
 
 class IngestError(ValueError):
@@ -150,12 +152,12 @@ def _parse_row(row, row_no, has_label):
     return ts, hr, br, hr_conf, movement, label
 
 
-def ingest_epochs(source, subject_id="", fill_gaps=False, max_fill_epochs=2):
+def ingest_epochs(source, subject_id="", fill_gaps=False):
     """Read an epoch CSV into an EpochSeries.
 
     Expected header: timestamp,hr,br,hr_conf,movement[,label]. Timestamps must
     advance in strict 30 s steps; a gap is an error unless fill_gaps carries
-    the last observation forward (at most max_fill_epochs missing epochs).
+    the last observation forward (at most MAX_FILL_EPOCHS missing epochs).
     """
     with open_text(source) as fh:
         reader = csv.reader(fh)
@@ -186,9 +188,9 @@ def ingest_epochs(source, subject_id="", fill_gaps=False, max_fill_epochs=2):
                         raise IngestError(f"row {row_no}: timestamp {ts} not on the 30 s grid")
                     if not fill_gaps:
                         raise IngestError(f"row {row_no}: gap of {missing} epochs before timestamp {ts}")
-                    if missing > max_fill_epochs:
+                    if missing > MAX_FILL_EPOCHS:
                         raise IngestError(
-                            f"row {row_no}: gap of {missing} epochs exceeds fill limit {max_fill_epochs}")
+                            f"row {row_no}: gap of {missing} epochs exceeds fill limit {MAX_FILL_EPOCHS}")
                     for i in range(1, missing + 1):
                         cols["timestamp"].append(prev_ts + i * EPOCH_SECONDS)
                         for name in ("hr", "br", "hr_conf", "movement", "label"):
@@ -261,8 +263,8 @@ def read_transitions(source):
         return out
 
 
-def make_windows(series, window_epochs=30, stride_epochs=2):
-    """Cut rolling windows: window i covers epochs [i*stride, i*stride+window).
+def make_windows(series, window_epochs=30):
+    """Cut rolling windows: window i covers epochs [2i, 2i + window_epochs).
 
     The label is the final minute's state; if the last two epochs disagree the
     window stays unlabeled. A series shorter than one window yields an empty
@@ -274,9 +276,9 @@ def make_windows(series, window_epochs=30, stride_epochs=2):
         return []
     mat = series.feature_matrix()
     out = []
-    count = (n - window_epochs) // stride_epochs + 1
+    count = (n - window_epochs) // EPOCHS_PER_MINUTE + 1
     for i in range(count):
-        s = i * stride_epochs
+        s = i * EPOCHS_PER_MINUTE
         e = s + window_epochs
         l1 = int(series.labels[e - 2])
         l2 = int(series.labels[e - 1])
@@ -349,7 +351,6 @@ class SynthConfig:
     start_timestamp: int = 0
     subject_id: str = "synthetic"
     single_sleep_period: bool = False
-    min_tail_min: float = 20.0  # trailing wake kept when single_sleep_period
 
     def validate(self):
         if self.hours < 1.0:
@@ -383,7 +384,7 @@ def synth_generate(config):
                                        * EPOCHS_PER_MINUTE)))
         sleep_epochs = max(2, int(round(draw_minutes(config.mean_sleep_min)
                                         * EPOCHS_PER_MINUTE)))
-        tail = int(round(config.min_tail_min * EPOCHS_PER_MINUTE))
+        tail = int(round(MIN_TAIL_MIN * EPOCHS_PER_MINUTE))
         sleep_epochs = min(sleep_epochs, n_epochs - wake_epochs - tail)
         if sleep_epochs < 2:
             raise ValueError("record too short for a single sleep period")
@@ -449,8 +450,7 @@ def _series_transitions(series):
     return [int(series.timestamps[i]) for i in idx]
 
 
-def build_training_set(series_list, context_hours=1.0, seed=0,
-                       window_epochs=30, stride_epochs=2):
+def build_training_set(series_list, context_hours=1.0, seed=0):
     """Labeled windows near state transitions, class-balanced.
 
     Keeps windows whose end timestamp lies within +-context_hours of some
@@ -463,7 +463,7 @@ def build_training_set(series_list, context_hours=1.0, seed=0,
         trans = _series_transitions(series)
         if trans:
             any_transitions = True
-        for w in make_windows(series, window_epochs, stride_epochs):
+        for w in make_windows(series):
             if w.label is None:
                 continue
             if context_hours > 0:

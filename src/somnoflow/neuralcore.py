@@ -26,6 +26,11 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+BCE_EPS = 1e-7
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class ShapeError(ValueError):
     """Tensor shapes incompatible with the requested operation."""
@@ -39,10 +44,6 @@ class NonFiniteGradientError(FloatingPointError):
     """A gradient buffer contains NaN or inf; the message names the layer."""
 
 
-def relu(x):
-    return np.maximum(x, 0)
-
-
 def sigmoid(x):
     # split by sign to avoid overflow in exp for large |x|
     out = np.empty_like(x)
@@ -53,13 +54,13 @@ def sigmoid(x):
     return out
 
 
-def bce_loss(p, y, eps=1e-7):
+def bce_loss(p, y):
     """Binary cross-entropy and its gradient wrt p.
 
-    p is clamped into [eps, 1-eps] before the logs, so the loss is always
-    finite. Returns (loss, dL/dp), both elementwise.
+    p is clamped into [BCE_EPS, 1-BCE_EPS] before the logs, so the loss is
+    always finite. Returns (loss, dL/dp), both elementwise.
     """
-    p = np.clip(p, eps, 1.0 - eps)
+    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     y = np.asarray(y, dtype=p.dtype)
     loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
     grad = (p - y) / (p * (1.0 - p))
@@ -69,9 +70,8 @@ def bce_loss(p, y, eps=1e-7):
 class Layer:
     """Base class: parameter/gradient dicts keyed by name, plus a freeze flag."""
 
-    def __init__(self, name, dtype=np.float32):
+    def __init__(self, name):
         self.name = name
-        self.dtype = np.dtype(dtype)
         self.params = {}
         self.grads = {}
         self.frozen = False
@@ -99,9 +99,10 @@ class Conv1d(Layer):
 
     def __init__(self, name, in_channels, out_channels, kernel_width,
                  rng=None, dtype=np.float32):
-        super().__init__(name, dtype)
+        super().__init__(name)
         if kernel_width < 1:
             raise ConfigError(f"{name}: kernel_width must be >= 1, got {kernel_width}")
+        self.dtype = np.dtype(dtype)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_width = kernel_width
@@ -165,16 +166,13 @@ class BatchNorm1d(Layer):
     """Per-channel batch normalization over (batch, length).
 
     Train mode normalizes by batch statistics and blends them into the running
-    statistics with `momentum`; infer mode uses the running statistics only.
+    statistics with momentum BN_MOMENTUM; infer mode uses the running ones.
     """
 
-    def __init__(self, name, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
-        super().__init__(name, dtype)
-        if not 0.0 < momentum < 1.0:
-            raise ConfigError(f"{name}: momentum must be in (0,1), got {momentum}")
+    def __init__(self, name, channels, dtype=np.float32):
+        super().__init__(name)
+        self.dtype = np.dtype(dtype)
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.params["gamma"] = np.ones(channels, dtype=self.dtype)
         self.params["beta"] = np.zeros(channels, dtype=self.dtype)
         self.grads["gamma"] = np.zeros(channels, dtype=self.dtype)
@@ -195,14 +193,14 @@ class BatchNorm1d(Layer):
                 raise ShapeError(f"{self.name}: need at least 2 samples per channel in train mode")
             mean = x.mean(axis=(0, 2))
             var = x.var(axis=(0, 2))
-            self.running_mean[...] = ((1.0 - self.momentum) * self.running_mean
-                                      + self.momentum * mean).astype(self.dtype)
-            self.running_var[...] = ((1.0 - self.momentum) * self.running_var
-                                     + self.momentum * var).astype(self.dtype)
+            self.running_mean[...] = ((1.0 - BN_MOMENTUM) * self.running_mean
+                                      + BN_MOMENTUM * mean).astype(self.dtype)
+            self.running_var[...] = ((1.0 - BN_MOMENTUM) * self.running_var
+                                     + BN_MOMENTUM * var).astype(self.dtype)
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
         self._cache = (xhat, inv_std, train, n * length)
         return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
@@ -228,8 +226,8 @@ class MaxPool1d(Layer):
     backward routing.
     """
 
-    def __init__(self, name, pool_width, stride=None, dtype=np.float32):
-        super().__init__(name, dtype)
+    def __init__(self, name, pool_width, stride=None):
+        super().__init__(name)
         if pool_width < 1:
             raise ConfigError(f"{name}: pool_width must be >= 1, got {pool_width}")
         self.pool_width = pool_width
@@ -274,14 +272,14 @@ class Dense(Layer):
     """Fully connected layer, weights (out_features, in_features)."""
 
     def __init__(self, name, in_features, out_features, rng=None, dtype=np.float32):
-        super().__init__(name, dtype)
+        super().__init__(name)
         limit = np.sqrt(6.0 / in_features)
         if rng is None:
             w = np.zeros((out_features, in_features))
         else:
             w = rng.uniform(-limit, limit, (out_features, in_features))
-        self.params["w"] = w.astype(self.dtype)
-        self.params["b"] = np.zeros(out_features, dtype=self.dtype)
+        self.params["w"] = w.astype(dtype)
+        self.params["b"] = np.zeros(out_features, dtype=dtype)
         self.grads["w"] = np.zeros_like(self.params["w"])
         self.grads["b"] = np.zeros_like(self.params["b"])
         self._x = None
@@ -300,8 +298,8 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self, name="relu", dtype=np.float32):
-        super().__init__(name, dtype)
+    def __init__(self, name="relu"):
+        super().__init__(name)
         self._mask = None
 
     def forward(self, x, train=False):
@@ -316,8 +314,8 @@ class Dropout(Layer):
     """Inverted dropout: train mode zeroes units with probability `rate` and
     scales survivors by 1/(1-rate); infer mode is the identity."""
 
-    def __init__(self, name, rate, rng, dtype=np.float32):
-        super().__init__(name, dtype)
+    def __init__(self, name, rate, rng):
+        super().__init__(name)
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"{name}: dropout rate must be in [0,1), got {rate}")
         self.rate = rate
@@ -344,11 +342,8 @@ class Adam:
     parameters, moments and step counters stay untouched. Gradients of updated
     layers are zeroed after each step."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._state = {}  # (layer name, param name) -> {"m","v","step"}
 
     def step(self, layers):
@@ -367,9 +362,9 @@ class Adam:
                     self._state[key] = st
                 st["step"] += 1
                 t = st["step"]
-                st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
-                st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * (g * g)
-                mhat = st["m"] / (1.0 - self.beta1 ** t)
-                vhat = st["v"] / (1.0 - self.beta2 ** t)
-                p -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype)
+                st["m"] = ADAM_BETA1 * st["m"] + (1.0 - ADAM_BETA1) * g
+                st["v"] = ADAM_BETA2 * st["v"] + (1.0 - ADAM_BETA2) * (g * g)
+                mhat = st["m"] / (1.0 - ADAM_BETA1 ** t)
+                vhat = st["v"] / (1.0 - ADAM_BETA2 ** t)
+                p -= (self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.dtype)
             layer.zero_grad()

@@ -91,9 +91,19 @@ class ModelConfig:
     def validate(self):
         if len(self.heads) < 1:
             raise ConfigError("at least one head is required")
+        sizes = {"input_features": self.input_features, "window_epochs": self.window_epochs}
+        for i, h in enumerate(self.heads):
+            for name in ("kernel_width", "n_filters", "pool_width", "fc_width"):
+                sizes[f"heads[{i}].{name}"] = getattr(h, name)
+        for i, width in enumerate(self.trunk_widths):
+            sizes[f"trunk_widths[{i}]"] = width
+        for name, size in sizes.items():
+            if size < 1:
+                raise ConfigError(f"{name} must be >= 1, got {size}")
         for h in self.heads:
-            if h.kernel_width > self.window_epochs:
-                raise ConfigError(f"kernel width {h.kernel_width} exceeds "
+            if self.window_epochs - h.kernel_width + 1 < h.pool_width:
+                raise ConfigError(f"kernel width {h.kernel_width} and pool width "
+                                  f"{h.pool_width} leave no pooled position in a "
                                   f"window of {self.window_epochs} epochs")
             if EPOCHS_PER_MINUTE % h.pool_width:
                 # scoring takes window t's pooled features as a slice of the
@@ -101,7 +111,7 @@ class ModelConfig:
                 # per 1-minute shift
                 raise ConfigError(f"pool width {h.pool_width} does not divide the "
                                   f"{EPOCHS_PER_MINUTE}-epoch window shift")
-        if self.aux_loss_weight < 0:
+        if not self.aux_loss_weight >= 0:  # rejects NaN as well
             raise ConfigError("aux_loss_weight must be >= 0")
         if not self.trunk_widths or self.trunk_widths[-1] != 1:
             raise ConfigError("trunk must end in a single output unit")
@@ -121,15 +131,11 @@ class TrainingHyper:
     lr: float = 1e-3
     batch_size: int = 32
     n_epochs: int = 20
-    aux_loss_weight: float | None = None  # None -> model config value
-    early_stop_patience: int = 0          # 0 disables early stopping
     seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.aux_loss_weight is not None and self.aux_loss_weight < 0:
-            raise ConfigError("aux_loss_weight must be >= 0")
 
 
 @dataclass
@@ -150,14 +156,14 @@ class _Head:
         self.conv = Conv1d(f"{name}.conv", model_cfg.input_features, cfg.n_filters,
                            cfg.kernel_width, rng=rng, dtype=dtype)
         self.bn = BatchNorm1d(f"{name}.bn", cfg.n_filters, dtype=dtype)
-        self.relu1 = ReLU(f"{name}.relu1", dtype=dtype)
-        self.pool = MaxPool1d(f"{name}.pool", cfg.pool_width, dtype=dtype)
-        self.dropout = Dropout(f"{name}.dropout", cfg.dropout_rate, dropout_rng, dtype=dtype)
+        self.relu1 = ReLU(f"{name}.relu1")
+        self.pool = MaxPool1d(f"{name}.pool", cfg.pool_width)
+        self.dropout = Dropout(f"{name}.dropout", cfg.dropout_rate, dropout_rng)
         conv_len = model_cfg.window_epochs - cfg.kernel_width + 1
         self.pooled_len = (conv_len - cfg.pool_width) // cfg.pool_width + 1
         self.flat_size = cfg.n_filters * self.pooled_len
         self.fc1 = Dense(f"{name}.fc1", self.flat_size, cfg.fc_width, rng=rng, dtype=dtype)
-        self.relu2 = ReLU(f"{name}.relu2", dtype=dtype)
+        self.relu2 = ReLU(f"{name}.relu2")
         self.fc2 = Dense(f"{name}.fc2", cfg.fc_width, 1, rng=rng, dtype=dtype)
         self._pre_flat_shape = None
 
@@ -211,7 +217,7 @@ class SleepNetModel:
         for i, width in enumerate(config.trunk_widths):
             self.trunk.append(Dense(f"trunk.fc{i}", in_width, width, rng=rng, dtype=dtype))
             if i < len(config.trunk_widths) - 1:
-                self.trunk.append(ReLU(f"trunk.relu{i}", dtype=dtype))
+                self.trunk.append(ReLU(f"trunk.relu{i}"))
             in_width = width
         self.norm_stats = None
         self._cache = None
@@ -311,18 +317,6 @@ def build_model(config=None):
     return SleepNetModel(config)
 
 
-def forward(model, window, mode="infer"):
-    """Classify one FeatureWindow. Returns (p_final, p_heads)."""
-    vals = window.values if hasattr(window, "values") else np.asarray(window)
-    if hasattr(window, "normalized") and not window.normalized:
-        raise ValueError("window must be normalized before inference")
-    if vals.shape != (model.config.input_features, model.config.window_epochs):
-        raise ShapeError(f"expected ({model.config.input_features}, "
-                         f"{model.config.window_epochs}) window, got {vals.shape}")
-    p_final, p_heads = model.forward_batch(vals[None], train=(mode == "train"))
-    return float(p_final[0]), p_heads[0]
-
-
 def _prepare_xy(windows, model):
     for w in windows:
         if not w.normalized:
@@ -334,6 +328,20 @@ def _prepare_xy(windows, model):
     return x, y
 
 
+def _objective(p_final, p_heads, y, aux_weight):
+    """The training objective BCE(final) + aux_weight * sum BCE(head), each
+    BCE averaged over the batch: (loss, dL/dp_final, dL/dp_heads)."""
+    n = len(y)
+    loss, grad = bce_loss(p_final, y)
+    total = loss.sum() / n
+    if aux_weight == 0:  # the head terms add no loss, and 0 * grad would be -0.0
+        return float(total), grad / n, np.zeros_like(p_heads)
+    loss, grad_heads = bce_loss(p_heads, y[:, None])
+    for i in range(p_heads.shape[1]):
+        total += aux_weight * (loss[:, i].sum() / n)
+    return float(total), grad / n, aux_weight * grad_heads / n
+
+
 def _epoch_loss(model, x, y, aux_weight):
     # INFER_CHUNK windows per forward: at 256, the forward temporaries (1.1 MB
     # of im2col columns for the width-11 head) were mapped afresh on many
@@ -343,28 +351,19 @@ def _epoch_loss(model, x, y, aux_weight):
     for s in range(0, len(x), INFER_CHUNK):
         xb, yb = x[s:s + INFER_CHUNK], y[s:s + INFER_CHUNK]
         p_final, p_heads = model.forward_batch(xb, train=False)
-        loss, _ = bce_loss(p_final, yb)
-        total = loss.mean()
-        for i in range(p_heads.shape[1]):
-            lh, _ = bce_loss(p_heads[:, i], yb)
-            total += aux_weight * lh.mean()
-        losses.append(float(total) * len(xb))
+        losses.append(_objective(p_final, p_heads, yb, aux_weight)[0] * len(xb))
         correct += int(np.sum((p_final >= 0.5) == yb))
     return sum(losses) / len(x), correct / len(x)
 
 
 def _fit(model, x, y, hyper, train_mode=True, skip_heads=False,
          x_val=None, y_val=None, report=None):
-    aux_weight = (model.config.aux_loss_weight if hyper.aux_loss_weight is None
-                  else hyper.aux_loss_weight)
-    if skip_heads:
-        aux_weight = 0.0
+    aux_weight = 0.0 if skip_heads else model.config.aux_loss_weight
     adam = Adam(lr=hyper.lr)
     rng = np.random.default_rng(hyper.seed)
     layers = model.param_layers()
     best = None
     best_loss = np.inf
-    since_best = 0
     n = len(x)
     for _ in range(hyper.n_epochs):
         perm = rng.permutation(n)
@@ -372,13 +371,7 @@ def _fit(model, x, y, hyper, train_mode=True, skip_heads=False,
             idx = perm[s:s + hyper.batch_size]
             xb, yb = x[idx], y[idx]
             p_final, p_heads = model.forward_batch(xb, train=train_mode)
-            _, g_final = bce_loss(p_final, yb)
-            dLdp_final = g_final / len(xb)
-            dLdp_heads = np.zeros_like(p_heads)
-            if aux_weight > 0:
-                for i in range(p_heads.shape[1]):
-                    _, gh = bce_loss(p_heads[:, i], yb)
-                    dLdp_heads[:, i] = aux_weight * gh / len(xb)
+            _, dLdp_final, dLdp_heads = _objective(p_final, p_heads, yb, aux_weight)
             model.backward(dLdp_final, dLdp_heads, skip_heads=skip_heads)
             adam.step(layers)
             model.zero_grad()
@@ -394,11 +387,6 @@ def _fit(model, x, y, hyper, train_mode=True, skip_heads=False,
             if v_loss < best_loss:
                 best_loss = v_loss
                 best = model.snapshot()
-                since_best = 0
-            else:
-                since_best += 1
-                if hyper.early_stop_patience and since_best >= hyper.early_stop_patience:
-                    break
     if best is not None:
         model.restore(best)
 

@@ -36,7 +36,7 @@ def corrupt_header(path, case):
     payload stay valid): drop one key (`missing-<key>`), empty the tensor
     manifest, give a value the wrong type (an empty config, a manifest entry
     without its offset, a JSON array of frozen flags, a string or a number
-    as a frozen flag), give head 0 a pool width of 3, or make the header
+    as a frozen flag), give head 0 a pool width of 3 or 0, or make the header
     invalid JSON, invalid UTF-8 or a JSON array."""
     blob = path.read_bytes()
     n = struct.unpack("<Q", blob[5:13])[0]
@@ -56,8 +56,8 @@ def corrupt_header(path, case):
     elif case in ("frozen-string", "frozen-number"):
         header["frozen"]["head0.conv"] = "no" if case == "frozen-string" else 0
         raw = json.dumps(header).encode()
-    elif case == "pool-width-3":
-        header["config"]["heads"][0]["pool_width"] = 3
+    elif case.startswith("pool-width-"):
+        header["config"]["heads"][0]["pool_width"] = int(case[len("pool-width-"):])
         raw = json.dumps(header).encode()
     else:
         raw = {"not-json": b"{not json", "not-utf8": b'{"\xff": 1}',

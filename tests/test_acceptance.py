@@ -99,7 +99,7 @@ def test_criterion_1_gradient_correctness(verdict):
         conv = Conv1d("c", 2, 2, 3, rng=rng, dtype=np.float64)
         bn = BatchNorm1d("bn", 2, dtype=np.float64)
         bn.params["gamma"][...] = rng.uniform(0.5, 1.5, 2)
-        pool = MaxPool1d("p", 2, dtype=np.float64)
+        pool = MaxPool1d("p", 2)
         dense = Dense("d", 6, 2, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, 2, 8))
         dy = rng.standard_normal((2, 2))

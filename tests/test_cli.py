@@ -163,6 +163,18 @@ class TestPipelineChain:
         assert kinds.count("wake_time") <= 1
         assert trace.exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        (["60,0.1", "120,nan", "180,0.2"], "row 3: probability nan outside [0,1]"),
+        (["60,0.1", "180,0.2", "120,0.3"], "row 3: timestamp 180, expected 120"),
+    ], ids=["nan-probability", "rows-out-of-order"])
+    def test_events_rejects_bad_hypnogram_row(self, tmp_path, capsys, rows, message):
+        hyp = tmp_path / "hyp.csv"
+        hyp.write_text("timestamp,probability\n" + "\n".join(rows) + "\n")
+        assert run(["events", "--hypnogram", str(hyp)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_eval_prints_metrics(self, workdir, tmp_path, capsys):
         csv_out = tmp_path / "metrics.csv"
         assert run(["eval", "--model", str(workdir / "model.slpn"),

@@ -112,11 +112,11 @@ class TestMakeWindows:
         with pytest.warns(UserWarning):
             assert make_windows(make_series(29)) == []
 
-    @given(st.integers(min_value=30, max_value=200), st.integers(min_value=1, max_value=8))
+    @given(st.integers(min_value=30, max_value=200))
     @settings(max_examples=60)
-    def test_count_formula(self, n, stride):
-        windows = make_windows(make_series(n), stride_epochs=stride)
-        assert len(windows) == (n - 30) // stride + 1
+    def test_count_formula(self, n):
+        windows = make_windows(make_series(n))
+        assert len(windows) == (n - 30) // 2 + 1
 
     def test_values_are_exact_copies(self):
         series = make_series(40)
@@ -161,8 +161,10 @@ class TestNormalizer:
     def test_constant_feature(self):
         vals = np.ones((5, 30))
         vals[2] = 5.0
-        with pytest.warns(UserWarning, match="hr_conf"):
+        with pytest.warns(UserWarning) as caught:
             stats = fit_normalizer([datapipe.FeatureWindow(vals, 0, 0, 1)] * 3)
+        # every row is constant, so each of the five features warns
+        assert [str(w.message).split("'")[1] for w in caught] == list(datapipe.FEATURE_NAMES)
         assert stats.mean[2] == 5.0
         assert stats.std[2] == 1.0
         out = apply_normalizer(datapipe.FeatureWindow(vals, 0, 0, 1), stats)

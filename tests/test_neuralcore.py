@@ -5,7 +5,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from somnoflow.neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense,
                                   Dropout, MaxPool1d, NonFiniteGradientError,
-                                  ReLU, ShapeError, bce_loss, relu, sigmoid)
+                                  ReLU, ShapeError, bce_loss, sigmoid)
 
 
 def naive_conv1d(x, w, b):
@@ -296,7 +296,7 @@ class TestMaxPoolDefinition:
         for dtype in (np.float32, np.float64):
             for length in range(p, p + 12):
                 x = pool_input(kind, rng, (3, 2, length), dtype)
-                pool = MaxPool1d("p", p, stride, dtype=dtype)
+                pool = MaxPool1d("p", p, stride)
                 out = pool.forward(x)
                 want, want_arg = argmax_maxpool1d(x, p, pool.stride)
                 np.testing.assert_array_equal(bits(out), bits(want))
@@ -324,7 +324,8 @@ class TestDenseAndActivations:
         assert out[0] < 1e-10 and out[1] > 1 - 1e-10
 
     def test_relu(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        out = ReLU("r").forward(np.array([[-1.0, 0.0, 2.0]]))
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_dense_backward_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -449,7 +450,7 @@ class TestMaxPoolBackward:
         for dtype in (np.float32, np.float64):
             for length in range(p, p + 9):
                 x = pool_input("tied", rng, (3, 2, length), dtype)
-                pool = MaxPool1d("p", p, p if stride == "width" else stride, dtype=dtype)
+                pool = MaxPool1d("p", p, p if stride == "width" else stride)
                 out = pool.forward(x)
                 dy = rng.standard_normal(out.shape).astype(dtype)
                 if grad == "signed-zero":
@@ -474,7 +475,7 @@ def test_all_layers_gradcheck(seed):
     conv = Conv1d("c", 2, 2, 3, rng=rng, dtype=np.float64)
     bn = BatchNorm1d("bn", 2, dtype=np.float64)
     bn.params["gamma"][...] = rng.uniform(0.5, 1.5, 2)
-    pool = MaxPool1d("p", 2, dtype=np.float64)
+    pool = MaxPool1d("p", 2)
     dense = Dense("d", 6, 2, rng=rng, dtype=np.float64)
     x = rng.standard_normal((2, 2, 8))
     dy_final = rng.standard_normal((2, 2))

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -11,12 +13,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import somnoflow as sf
 from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate, zscore
-from somnoflow.neuralcore import ConfigError, ShapeError
+from somnoflow.neuralcore import BN_EPS, ConfigError, ShapeError
 from somnoflow.sleepnet import (HEADER_KEYS, TILE, DigestMismatchError, HeadConfig,
                                 ModelConfig, ModelFormatError, RecordScorer,
                                 TrainingHyper, TruncatedFileError,
                                 VersionMismatchError, build_model, finetune_transfer,
-                                forward, infer_hypnogram, load_model, save_model, train)
+                                infer_hypnogram, load_model, save_model, train)
 from conftest import (corrupt_header, make_training_windows, tiled_probs,
                       train_small_model)
 
@@ -65,6 +67,29 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_model(cfg)
 
+    def test_kernel_leaving_no_pooled_position_rejected(self):
+        # one conv position, fewer than the pool width of 2
+        with pytest.raises(ConfigError, match="no pooled position"):
+            build_model(ModelConfig(heads=[HeadConfig(kernel_width=30)]))
+
+    @pytest.mark.parametrize("field", ["input_features", "window_epochs", "trunk_widths",
+                                       "kernel_width", "n_filters", "pool_width",
+                                       "fc_width"])
+    def test_size_below_one_rejected(self, field):
+        if field == "trunk_widths":
+            config = ModelConfig(trunk_widths=[0, 1])
+        elif field in ("input_features", "window_epochs"):
+            config = ModelConfig(**{field: 0})
+        else:
+            config = ModelConfig(heads=[HeadConfig(**{field: 0})])
+        with pytest.raises(ConfigError, match=f"{field}.* must be >= 1, got 0"):
+            build_model(config)
+
+    @pytest.mark.parametrize("weight", [-0.1, float("nan")])
+    def test_bad_aux_loss_weight_rejected(self, weight):
+        with pytest.raises(ConfigError, match="aux_loss_weight"):
+            build_model(ModelConfig(aux_loss_weight=weight))
+
     def test_trunk_must_end_in_one(self):
         with pytest.raises(ConfigError):
             build_model(ModelConfig(trunk_widths=[8, 4]))
@@ -85,23 +110,17 @@ class TestBuild:
 class TestForward:
     def test_outputs_in_range(self):
         model = build_model(tiny_config())
-        p_final, p_heads = forward(model, random_window())
-        assert 0.0 <= p_final <= 1.0
+        p_final, p_heads = model.forward_batch(random_window().values[None])
+        assert p_final.shape == (1,) and p_heads.shape == (1, 2)
+        assert 0.0 <= p_final[0] <= 1.0
         assert np.all((p_heads >= 0.0) & (p_heads <= 1.0))
 
     def test_zero_final_weights_give_half(self):
         model = build_model(tiny_config())
         model.trunk[-1].params["w"][...] = 0.0
         model.trunk[-1].params["b"][...] = 0.0
-        p_final, _ = forward(model, random_window())
-        assert p_final == 0.5
-
-    def test_unnormalized_window_rejected(self):
-        model = build_model(tiny_config())
-        w = random_window()
-        w.normalized = False
-        with pytest.raises(ValueError, match="normalized"):
-            forward(model, w)
+        p_final, _ = model.forward_batch(random_window().values[None])
+        assert p_final[0] == 0.5
 
     def test_wrong_shape_rejected(self):
         model = build_model(tiny_config())
@@ -300,13 +319,34 @@ class TestPersistence:
                                       "empty-manifest", "not-json", "not-utf8",
                                       "not-object", "empty-config",
                                       "manifest-entry-without-offset", "frozen-array",
-                                      "frozen-string", "frozen-number", "pool-width-3"])
+                                      "frozen-string", "frozen-number", "pool-width-3",
+                                      "pool-width-0"])
     def test_malformed_header(self, tmp_path, case):
         path = tmp_path / "m.slpn"
         save_model(self.make_model(), path)
         corrupt_header(path, case)
         with pytest.raises(ModelFormatError, match="header"):
             load_model(path)
+
+    def test_digit_changes_and_truncations_load_or_raise_format_error(self, tmp_path):
+        # every one-digit change inside the header's config (the payload
+        # stays valid) and every 97th cut of the file
+        path = tmp_path / "m.slpn"
+        save_model(build_model(), path)
+        blob = path.read_bytes()
+        n = struct.unpack("<Q", blob[5:13])[0]
+        config = json.dumps(json.loads(blob[13:13 + n])["config"], sort_keys=True).encode()
+        start = blob.index(config, 13)
+        digits = [i for i in range(start, start + len(config)) if blob[i:i + 1].isdigit()]
+        assert len(digits) == 44
+        variants = [blob[:i] + bytes([d]) + blob[i + 1:] for i in digits for d in b"0123456789"]
+        variants += [blob[:cut] for cut in range(0, len(blob), 97)]
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                load_model(path)
+            except ModelFormatError:
+                pass
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.slpn"
@@ -466,7 +506,7 @@ def rounding_bound(model, x):
         gap = 2 * (w.shape[1] * w.shape[2] + 1) * eps * einsum_conv(np.abs(x), np.abs(w),
                                                                      np.abs(b))
         # (a - mean) * inv_std * gamma + beta: four roundings on each side
-        scale = (f64(bn, "gamma") * (1.0 / np.sqrt(bn.running_var + bn.eps)))[:, None]
+        scale = (f64(bn, "gamma") * (1.0 / np.sqrt(bn.running_var + BN_EPS)))[:, None]
         beta = f64(bn, "beta")[:, None]
         centred = np.abs(a - bn.running_mean[:, None]) + gap
         a = (a - bn.running_mean[:, None]) * scale + beta
