@@ -32,8 +32,9 @@ class Hypnogram:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.size and (self.probs.min() < 0.0 or self.probs.max() > 1.0):
-            raise ValueError("probabilities must lie in [0,1]")
+        # NaN fails both comparisons
+        if self.probs.size and not (self.probs.min() >= 0.0 and self.probs.max() <= 1.0):
+            raise ValueError("probabilities must be finite and lie in [0,1]")
 
     def __len__(self):
         return len(self.probs)
@@ -109,12 +110,14 @@ def smooth_probs(h, median_width):
     half = median_width // 2
     p = h.probs
     out = np.empty_like(p)
-    # an odd-width median is one of its inputs, so the batched interior is
-    # bit-identical to one np.median call per minute
-    out[half:n - half] = np.median(sliding_window_view(p, median_width), axis=1)
+    # an odd-width median is its window's middle order statistic, one of its
+    # inputs, so partitioned interior windows and sorted edge windows are
+    # bit-identical to one np.median call per minute (a Hypnogram holds no NaN)
+    out[half:n - half] = np.partition(sliding_window_view(p, median_width), half,
+                                      axis=1)[:, half]
     for i in (*range(half), *range(n - half, n)):
         k = min(i, n - 1 - i)
-        out[i] = np.median(p[i - k:i + k + 1])
+        out[i] = sorted(p[i - k:i + k + 1].tolist())[k]
     return Hypnogram(start=h.start, probs=out)
 
 
@@ -242,6 +245,76 @@ def predict_events(h, cfg=None):
         if wake_idx is not None:
             events.wake_time = h.start + wake_idx * MINUTE_SECONDS
     return events
+
+
+class OnsetWatch:
+    """The sleep onset of a hypnogram that grows one minute at a time.
+
+    After each minute the onset is what `predict_events` accepts on the
+    stable prefix: every minute but the last `median_width // 2 + min_run`,
+    whose smoothed or suppressed states can still change as minutes arrive.
+    The stream emits an onset accepted there at once. `predict_events` is
+    skipped on a prefix that provably holds none.
+
+    In a stable prefix of s >= median_width minutes, minute i is settled once
+    i + median_width // 2 <= s - 1: its median window lies in the prefix and
+    stays the same in every longer one, so it is sleep iff at least k + 1 of
+    the 2k + 1 probabilities there reach the threshold (k = min(i,
+    median_width // 2)). Suppression never flips a run of min_run minutes or
+    more, so a settled awake run of max(awake_break, min_run) minutes is an
+    awake break in this prefix and every longer one, and the bouts before it
+    never change. Let b be one past its newest settled minute: the bout after
+    the break holds at most s - b sleep minutes. The bout just before it
+    holds fewer than sleep_confirm, or the prefix one minute shorter, which
+    holds that bout with the same states and so was not skipped, would have
+    accepted an onset (if that prefix was too short to settle any minute, the
+    bout has at most median_width // 2 minutes, and a skip needs
+    sleep_confirm > s - b >= median_width // 2); older bouts lie before the
+    previous break. So no onset is possible while s - b < sleep_confirm.
+    """
+
+    def __init__(self, start, cfg):
+        self.start = start
+        self.cfg = cfg
+        self.probs = []
+        self.onset = None               # timestamp, once accepted
+        self._half = cfg.median_width // 2
+        self._margin = self._half + cfg.min_run
+        self._break_len = max(cfg.awake_break, cfg.min_run)
+        self._sleep = []                # probs[i] >= threshold
+        self._settled = 0               # minutes [0, _settled) are settled
+        self._awake_run = 0             # settled awake minutes ending there
+        self._break_end = None          # b of the newest settled break
+
+    def push(self, p):
+        """Add one minute's probability; returns the onset timestamp on the
+        minute it is accepted, else None."""
+        self.probs.append(p)
+        self._sleep.append(p >= self.cfg.threshold)
+        stable = len(self.probs) - self._margin
+        if self.onset is not None or stable < 1:
+            return None
+        if stable >= self.cfg.median_width:
+            self._settle(stable - self._half)
+        if self._break_end is not None and stable - self._break_end < self.cfg.sleep_confirm:
+            return None
+        hyp = Hypnogram(start=self.start,
+                        probs=np.asarray(self.probs[:stable], dtype=np.float64))
+        self.onset = predict_events(hyp, self.cfg).sleep_onset
+        return self.onset
+
+    def _settle(self, stop):
+        """Settle minutes [_settled, stop) and track their awake runs."""
+        half, sleep = self._half, self._sleep
+        for i in range(self._settled, stop):
+            k = min(i, half)
+            if sum(sleep[i - k:i + k + 1]) > k:
+                self._awake_run = 0
+                continue
+            self._awake_run += 1
+            if self._awake_run >= self._break_len:
+                self._break_end = i + 1
+        self._settled = stop
 
 
 def write_events(events, dest, trace_ref=""):

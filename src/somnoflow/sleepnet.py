@@ -34,7 +34,7 @@ from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
                          MaxPool1d, ReLU, ShapeError, bce_loss, sigmoid)
 
 MODEL_MAGIC = b"SLPN"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 # windows per forward call in _epoch_loss: layers keep their forward caches
 # (batchnorm xhat, pool argmax, relu masks), so a whole training set as one
 # batch would hold several MB more at peak
@@ -434,8 +434,9 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
 
 def save_model(model, path):
     """Container: magic `SLPN`, version byte, 8-byte LE header length, JSON
-    header (config, frozen flags, NormStats, tensor manifest, payload digest),
-    then raw little-endian float32 tensors in manifest order."""
+    header (config, frozen flags, NormStats, tensor manifest, digest), then
+    raw little-endian float32 tensors in manifest order. The digest covers
+    the rest of the header and the payload (`_file_digest`)."""
     tensors = model.named_tensors()
     payload = bytearray()
     manifest = []
@@ -450,8 +451,8 @@ def save_model(model, path):
         "frozen": {l.name: l.frozen for l in model.param_layers()},
         "norm_stats": model.norm_stats.to_dict() if model.norm_stats else None,
         "manifest": manifest,
-        "digest": hashlib.sha256(payload).hexdigest(),
     }
+    header["digest"] = _file_digest(header, payload)
     header_bytes = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -495,17 +496,21 @@ def load_model(path):
         raise ModelFormatError(f"model header has a malformed value: {exc!r}") from exc
 
 
+def _file_digest(header, payload):
+    """SHA-256 of the header's canonical JSON without its digest, then the
+    payload: a changed config value fails it as a changed weight does."""
+    rest = {key: value for key, value in header.items() if key != "digest"}
+    h = hashlib.sha256(json.dumps(rest, sort_keys=True).encode())
+    h.update(payload)
+    return h.hexdigest()
+
+
 def _model_from_header(header, payload):
     expected = max((m["offset"] + 4 * int(np.prod(m["shape"] or [1])))
                    for m in header["manifest"]) if header["manifest"] else 0
     if len(payload) < expected:
         raise TruncatedFileError(
             f"payload of {len(payload)} bytes, manifest requires {expected}")
-    actual_digest = hashlib.sha256(payload).hexdigest()
-    if actual_digest != header["digest"]:
-        raise DigestMismatchError(
-            f"payload digest {actual_digest[:12]}... does not match header "
-            f"{header['digest'][:12]}...")
 
     model = SleepNetModel(ModelConfig.from_dict(header["config"]))
     by_name = {m["name"]: m for m in header["manifest"]}
@@ -524,6 +529,12 @@ def _model_from_header(header, payload):
         layer.frozen = frozen
     if header["norm_stats"] is not None:
         model.norm_stats = NormStats.from_dict(header["norm_stats"])
+    # last, so that a malformed header gets its own error
+    actual_digest = _file_digest(header, payload)
+    if actual_digest != header["digest"]:
+        raise DigestMismatchError(
+            f"file digest {actual_digest[:12]}... does not match header "
+            f"{str(header['digest'])[:12]}...")
     return model
 
 

@@ -8,17 +8,17 @@ accepted record is pushed into the batch scorer, `sleepnet.RecordScorer`,
 which scores a window as soon as its final epoch arrives by re-running the
 conv tile that holds the newest epochs, zero-padded past them. A column of
 that fixed-shape product is the same as in a whole-night pass, so every
-probability equals the batch one bit for bit. The stream grows the
-per-minute hypnogram and re-runs the event rules after each prediction. A
-class record is emitted per prediction; each event kind is emitted at most
-once and never retracted, so an event only fires once no future data can
-overturn it:
+probability equals the batch one bit for bit. A class record is emitted per
+prediction; each event kind is emitted at most once and never retracted:
 
 - sleep_onset is emitted as soon as the batch rules accept it on the prefix
   minus a short stability margin (the tail minutes whose smoothed/suppressed
-  states can still change as data arrives); an acceptance that completes
-  inside the stable region is final, so the emission always equals the batch
-  result.
+  states can still change as data arrives). On the synthetic nights tested
+  the emission equals the batch result; on noisy probabilities it can
+  differ, because the prefix's last run is exempt from suppression.
+  `events.OnsetWatch` keeps that decision: it settles one minute's state per
+  prediction and runs the batch rules on the stable prefix only when the
+  prefix can hold an onset, so hours awake before onset cost no rule runs.
 - wake_time depends on there being no later sleep re-entry anywhere in the
   record, which no prefix can guarantee; it is emitted at finalize() only.
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import sleepnet
 from .datapipe import EPOCH_SECONDS, parse_record, vitals_error, zscore
-from .events import EventRuleConfig, Hypnogram, SleepEvents, predict_events
+from .events import EventRuleConfig, Hypnogram, OnsetWatch, SleepEvents, predict_events
 
 
 @dataclass
@@ -68,8 +68,7 @@ class SleepStream:
         self._scorer = sleepnet.RecordScorer(model)
         self._last_ts = None
         self._last_hr = None
-        self._probs = []
-        self._hyp_start = None
+        self._watch = None  # OnsetWatch, from the first prediction on
         self._emitted = set()
         self._finalized = False
 
@@ -104,34 +103,20 @@ class SleepStream:
         out = []
         for p in self._scorer.push(z).tolist():  # at most one window ends per record
             minute_ts = timestamp - EPOCH_SECONDS  # start of the window's final minute
-            if self._hyp_start is None:
-                self._hyp_start = minute_ts
-            self._probs.append(p)
+            if self._watch is None:
+                self._watch = OnsetWatch(minute_ts, self.rule_config)
             out.append(Emission("class", (minute_ts, p)))
-            out.extend(self._check_events())
+            onset = self._watch.push(p)
+            if onset is not None:
+                self._emitted.add("sleep_onset")
+                out.append(Emission("event", ("sleep_onset", onset)))
         return out
 
     def hypnogram(self):
-        start = self._hyp_start if self._hyp_start is not None else (self._last_ts or 0)
-        return Hypnogram(start=start, probs=np.asarray(self._probs, dtype=np.float64))
-
-    def _check_events(self):
-        if "sleep_onset" in self._emitted:
-            return []
-        # drop the tail minutes whose smoothed / run-suppressed states can
-        # still change with future data; an onset accepted before that point
-        # is final, so emitting it can never disagree with the batch rules
-        margin = self.rule_config.median_width // 2 + self.rule_config.min_run
-        stable = len(self._probs) - margin
-        if stable < 1:
-            return []
-        hyp = Hypnogram(start=self._hyp_start,
-                        probs=np.asarray(self._probs[:stable], dtype=np.float64))
-        events = predict_events(hyp, self.rule_config)
-        if events.sleep_onset is None:
-            return []
-        self._emitted.add("sleep_onset")
-        return [Emission("event", ("sleep_onset", events.sleep_onset))]
+        if self._watch is None:
+            return Hypnogram(start=self._last_ts or 0, probs=np.empty(0))
+        return Hypnogram(start=self._watch.start,
+                         probs=np.asarray(self._watch.probs, dtype=np.float64))
 
     def finalize(self):
         """Flush pending decisions; returns (emissions, SleepEvents).
@@ -139,7 +124,7 @@ class SleepStream:
         The returned events are the batch-rule result on the full hypnogram.
         """
         self._finalized = True
-        if not self._probs:
+        if self._watch is None:
             return [], SleepEvents()
         events = predict_events(self.hypnogram(), self.rule_config)
         pending = [pair for pair in events.pairs() if pair[0] not in self._emitted]

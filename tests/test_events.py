@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from somnoflow import reference
+from somnoflow import events, reference
 from somnoflow.events import (BinaryHypnogram, EventRuleConfig, Hypnogram,
-                              TraceEntry, binarize, detect_sleep_time,
+                              OnsetWatch, TraceEntry, binarize, detect_sleep_time,
                               detect_wake_time, format_trace, predict_events,
                               smooth_probs, suppress_short_runs)
 
@@ -27,6 +27,12 @@ class TestTypes:
     def test_probability_out_of_range(self):
         with pytest.raises(ValueError):
             hyp([0.2, 1.2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        # NaN compares false to both bounds, so a range check alone lets it in
+        with pytest.raises(ValueError, match="finite"):
+            Hypnogram(0, [0.1, bad, 0.9])
 
     def test_even_median_width_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -87,12 +93,11 @@ class TestSmooth:
     @pytest.mark.parametrize("n", [*range(1, 40), 466, 1426])
     def test_matches_per_minute_definition_bit_for_bit(self, n):
         # the definition: minute i is the median of the 2k+1 minutes around
-        # it, k = min(width // 2, i, n - 1 - i)
+        # it, k = min(width // 2, i, n - 1 - i); smooth_probs sorts edge
+        # windows and partitions interior ones
         rng = np.random.default_rng(n)
-        inputs = [rng.random(n), np.round(rng.random(n), 1)]  # the second has ties
-        with_nan = rng.random(n)
-        with_nan[rng.random(n) < 0.1] = np.nan
-        inputs.append(with_nan)
+        inputs = [rng.random(n), np.round(rng.random(n), 1),  # the second has ties
+                  rng.choice([0.0, 0.5, 1.0], n)]             # the third is all ties
         for p in inputs:
             for width in range(1, min(n, 11) + 1, 2):
                 k = [min(width // 2, i, n - 1 - i) for i in range(n)]
@@ -376,6 +381,94 @@ class TestPredictEvents:
         probs[:20] = 0.1
         ev = predict_events(hyp(probs, start=5000))
         assert ev.sleep_onset == 5000 + 20 * 60
+
+
+def first_onset_by_rerun(probs, cfg):
+    """The stream's onset rule as an oracle: after minute n arrives, run
+    predict_events on all but the last median_width // 2 + min_run minutes.
+    Returns the first n with an onset and that onset, or None."""
+    margin = cfg.median_width // 2 + cfg.min_run
+    for n in range(margin + 1, len(probs) + 1):
+        onset = predict_events(hyp(probs[:n - margin]), cfg).sleep_onset
+        if onset is not None:
+            return n, onset
+    return None
+
+
+def first_onset_by_watch(probs, cfg):
+    watch = OnsetWatch(0, cfg)
+    for n, p in enumerate(probs, 1):
+        onset = watch.push(p)
+        if onset is not None:
+            return n, onset
+    return None
+
+
+def sticky_probs(rng, n, threshold):
+    """A two-state chain that stays put with a random probability, blurred by
+    random noise; about a tenth of the minutes sit exactly on the threshold."""
+    stay, noise = rng.uniform(0.5, 0.99), rng.uniform(0.0, 0.5)
+    asleep = (rng.random() < 0.3) ^ (np.cumsum(rng.random(n) > stay) % 2 == 1)
+    p = np.clip(np.where(asleep, 0.8, 0.2) + rng.normal(0.0, noise, n), 0.0, 1.0)
+    p[rng.random(n) < 0.1] = threshold
+    return p.tolist()
+
+
+@pytest.fixture()
+def rule_runs(monkeypatch):
+    """Lengths of the hypnograms that OnsetWatch passes to predict_events."""
+    runs = []
+    monkeypatch.setattr(events, "predict_events",
+                        lambda h, cfg: runs.append(len(h)) or predict_events(h, cfg))
+    return runs
+
+
+class TestOnsetWatch:
+    def test_matches_per_prefix_rerun(self, rule_runs):
+        rng = np.random.default_rng(11)
+        seen = {"width 1": 0, "width 9": 0, "break < min_run": 0, "confirm 1": 0,
+                "onset": 0, "no onset": 0}
+        rerun_calls = 0
+        for _ in range(5000):
+            cfg = EventRuleConfig(
+                threshold=float(rng.choice([0.5, 0.3, 0.7, rng.uniform(0.05, 0.95)])),
+                median_width=int(rng.choice([1, 3, 5, 7, 9])),
+                min_run=int(rng.integers(1, 6)), sleep_confirm=int(rng.integers(1, 16)),
+                awake_break=int(rng.integers(1, 10)), wake_confirm=int(rng.integers(1, 6)),
+                reentry_run=int(rng.integers(1, 6)))
+            probs = sticky_probs(rng, int(rng.integers(1, 64)), cfg.threshold)
+            want = first_onset_by_rerun(probs, cfg)
+            assert first_onset_by_watch(probs, cfg) == want, (cfg, probs)
+            margin = cfg.median_width // 2 + cfg.min_run
+            rerun_calls += max(0, (want[0] if want else len(probs)) - margin)
+            seen["width 1"] += cfg.median_width == 1
+            seen["width 9"] += cfg.median_width == 9
+            seen["break < min_run"] += cfg.awake_break < cfg.min_run
+            seen["confirm 1"] += cfg.sleep_confirm == 1
+            seen["onset" if want else "no onset"] += 1
+        assert min(seen.values()) >= 200, seen
+        assert len(rule_runs) < 0.7 * rerun_calls  # the gate skipped some runs
+
+    def test_awake_day_runs_rules_only_at_its_ends(self, rule_runs):
+        # 16 h awake with a 3-minute nap every 97 minutes, then asleep: the
+        # rules run until the first awake break settles, then once more when
+        # the onset can be confirmed
+        probs = np.full(24 * 60, 0.1)
+        for nap in range(50, 16 * 60, 97):
+            probs[nap:nap + 3] = 0.9
+        probs[16 * 60:] = 0.9
+        cfg = EventRuleConfig()
+        margin = cfg.median_width // 2 + cfg.min_run
+        assert first_onset_by_watch(probs.tolist(), cfg) == \
+            (16 * 60 + cfg.sleep_confirm + margin, 16 * 60 * 60)
+        assert rule_runs == [*range(1, len(rule_runs)), 16 * 60 + cfg.sleep_confirm]
+        assert len(rule_runs) <= 15
+
+    def test_no_rule_runs_after_the_onset(self, rule_runs):
+        watch = OnsetWatch(600, SCALED)
+        pushed = [watch.push(p) for p in [0.9] * 10]
+        assert pushed == [None] * 4 + [600] + [None] * 5
+        assert rule_runs == [1, 2, 3, 4] and watch.onset == 600
 
 
 class TestEventsCsv:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from somnoflow.datapipe import NormStats, SynthConfig, synth_generate
+from somnoflow.events import EventRuleConfig, Hypnogram, predict_events
+from somnoflow.sleepnet import infer_hypnogram
 
 
 def truncate(series, n):
@@ -97,9 +99,9 @@ def record_lines(series):
 
 def state(stream):
     scorer = stream._scorer
+    watch = None if stream._watch is None else repr(vars(stream._watch))
     return (scorer.n_epochs, scorer.n_windows, scorer._z.data.tobytes(), stream._last_ts,
-            stream._last_hr, list(stream._probs), stream._hyp_start, set(stream._emitted),
-            stream._finalized)
+            stream._last_hr, watch, set(stream._emitted), stream._finalized)
 
 
 def feed_lines(stream, lines):
@@ -235,3 +237,43 @@ class TestBatchEquivalence:
         s = [e.payload for e in stream_out if e.kind == "class"]
         b = [e.payload for e in batch_out if e.kind == "class"]
         assert s == b  # exact float equality, not formatted
+
+
+def rerun_frames(model, series, cfg):
+    """A replay's frames in order, with the onset decided the literal way:
+    after each prediction, predict_events on every minute but the last
+    median_width // 2 + min_run; the first acceptance follows its class frame."""
+    hyp = infer_hypnogram(model, series)
+    margin = cfg.median_width // 2 + cfg.min_run
+    frames, onset = [], None
+    for n in range(1, len(hyp) + 1):
+        frames.append(f"class,{hyp.start + (n - 1) * 60},{hyp.probs[n - 1]:.6f}")
+        if onset is None and n > margin:
+            onset = predict_events(Hypnogram(hyp.start, hyp.probs[:n - margin]),
+                                   cfg).sleep_onset
+            if onset is not None:
+                frames.append(f"event,sleep_onset,{onset}")
+    final = predict_events(hyp, cfg)
+    frames += [f"event,{kind},{ts}" for kind, ts in final.pairs()
+               if kind != "sleep_onset" or onset is None]
+    return frames
+
+
+class TestFrameOrder:
+    @pytest.mark.parametrize("cfg", [
+        EventRuleConfig(),
+        EventRuleConfig(median_width=9, min_run=1, sleep_confirm=20, awake_break=2),
+        EventRuleConfig(median_width=1, min_run=5, sleep_confirm=1, awake_break=3,
+                        threshold=0.3)], ids=["default", "wide", "narrow"])
+    def test_replay_frames_in_order_match_rerun(self, small_trained, cfg):
+        # 2 h awake before onset, the same cut 30 minutes into sleep, and
+        # short records with several sleep periods
+        night = synth_generate(SynthConfig(seed=80, hours=5, mean_wake_min=120,
+                                           single_sleep_period=True))
+        asleep = next(i for i in range(len(night)) if night.labels[i] == 1)
+        cases = [night, truncate(night, asleep + 60)]
+        cases += [synth_generate(SynthConfig(seed=81 + i, hours=2, mean_sleep_min=40,
+                                             mean_wake_min=20)) for i in range(3)]
+        for series in cases:
+            out, _ = replay_series(small_trained[0], series, cfg)
+            assert [e.format() for e in out] == rerun_frames(small_trained[0], series, cfg)
