@@ -8,7 +8,9 @@ shallow FC trunk into the final probability. Training minimizes BCE on the
 final output plus a weighted BCE on every head output (deep supervision).
 
 Transfer learning freezes everything except the trunk (optionally also the
-heads' FC stacks) and retrains on a cohort's windows.
+heads' FC stacks) and retrains on a cohort's windows. The frozen part runs
+once per call, over the whole cohort; each step runs only the trainable
+layers above it, and backward stops at the lowest trainable layer.
 
 Training runs windows through `SleepNetModel.forward_batch`. Inference runs
 a record through `RecordScorer`, which computes each head's conv, batchnorm,
@@ -136,6 +138,10 @@ class TrainingHyper:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.n_epochs < 0:
+            raise ConfigError(f"n_epochs must be >= 0, got {self.n_epochs}")
+        if not 0.0 < self.lr < float("inf"):  # rejects NaN as well
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -190,15 +196,22 @@ class _Head:
         return self.classify(self.features(x, train), train)
 
     def backward(self, dlogit):
+        """Backward from the (N, 1) logit down to the lowest trainable layer:
+        a head whose layers are all frozen gets none, and one with frozen conv
+        and bn stops at fc1."""
+        if all(layer.frozen for layer in self.param_layers()):
+            return
         dh = self.fc2.backward(dlogit)
         dh = self.relu2.backward(dh)
         dflat = self.fc1.backward(dh)
+        if self.conv.frozen and self.bn.frozen:
+            return
         dz = dflat.reshape(self._pre_flat_shape)
         dz = self.dropout.backward(dz)
         dz = self.pool.backward(dz)
         dz = self.relu1.backward(dz)
         dz = self.bn.backward(dz)
-        return self.conv.backward(dz)
+        self.conv.backward(dz)
 
 
 class SleepNetModel:
@@ -267,33 +280,41 @@ class SleepNetModel:
 
     def forward_batch(self, x, train=False):
         """x: (N, 5, 30) normalized. Returns (p_final (N,), p_heads (N, H))."""
+        x = self.check_input(x)
+        return self.fuse([h.forward(x, train) for h in self.heads], train)
+
+    def check_input(self, x):
+        """x as the heads' dtype; ShapeError unless it is (N, 5, 30)."""
         x = np.asarray(x, dtype=self.heads[0].conv.dtype)
         if x.ndim != 3 or x.shape[1] != self.config.input_features \
                 or x.shape[2] != self.config.window_epochs:
             raise ShapeError(f"expected (N, {self.config.input_features}, "
                              f"{self.config.window_epochs}) input, got {x.shape}")
-        logits = [h.forward(x, train) for h in self.heads]   # each (N,1)
-        p_final, p_heads = self.fuse(logits, train)
-        self._cache = (p_heads, p_final)
-        return p_final, p_heads
+        return x
 
     def fuse(self, logits, train=False):
         """The trunk over the heads' (N, 1) logits: (p_final (N,), p_heads (N, H))."""
         p_heads = sigmoid(np.concatenate(logits, axis=1))
+        return self.trunk_forward(p_heads, train), p_heads
+
+    def trunk_forward(self, p_heads, train=False):
+        """The trunk over the heads' (N, H) probabilities: p_final (N,)."""
         t = p_heads
         for layer in self.trunk:
             t = layer.forward(t, train)
-        return sigmoid(t[:, 0]), p_heads
+        p_final = sigmoid(t[:, 0])
+        self._cache = (p_heads, p_final)
+        return p_final
 
-    def backward(self, dLdp_final, dLdp_heads, skip_heads=False):
+    def backward(self, dLdp_final, dLdp_heads):
+        """Backward from the losses' gradients wrt the last forward's p_final
+        and p_heads, through the trunk and into each head as far down as it
+        has a trainable layer (`_Head.backward`)."""
         p_heads, p_final = self._cache
-        d_logit = (dLdp_final * p_final * (1.0 - p_final))[:, None]
-        dt = d_logit
+        dt = (dLdp_final * p_final * (1.0 - p_final))[:, None]
         for layer in reversed(self.trunk):
             dt = layer.backward(dt)
         dp_heads = dt + dLdp_heads
-        if skip_heads:
-            return
         d_head_logits = dp_heads * p_heads * (1.0 - p_heads)
         for i, head in enumerate(self.heads):
             head.backward(d_head_logits[:, i:i + 1])
@@ -356,49 +377,25 @@ def _epoch_loss(model, x, y, aux_weight):
     return sum(losses) / len(x), correct / len(x)
 
 
-def _fit(model, x, y, hyper, train_mode=True, skip_heads=False,
-         x_val=None, y_val=None, report=None):
-    aux_weight = 0.0 if skip_heads else model.config.aux_loss_weight
-    adam = Adam(lr=hyper.lr)
+def _epochs(n, hyper):
+    """Each epoch's mini-batches: arrays of indices into the n examples, in
+    an order shuffled by a generator seeded with hyper.seed."""
     rng = np.random.default_rng(hyper.seed)
-    layers = model.param_layers()
-    best = None
-    best_loss = np.inf
-    n = len(x)
     for _ in range(hyper.n_epochs):
         perm = rng.permutation(n)
-        for s in range(0, n, hyper.batch_size):
-            idx = perm[s:s + hyper.batch_size]
-            xb, yb = x[idx], y[idx]
-            p_final, p_heads = model.forward_batch(xb, train=train_mode)
-            _, dLdp_final, dLdp_heads = _objective(p_final, p_heads, yb, aux_weight)
-            model.backward(dLdp_final, dLdp_heads, skip_heads=skip_heads)
-            adam.step(layers)
-            model.zero_grad()
-        if report is not None:
-            tr_loss, tr_acc = _epoch_loss(model, x, y, aux_weight)
-            report.train_loss.append(tr_loss)
-            report.train_accuracy.append(tr_acc)
-        if x_val is not None:
-            v_loss, v_acc = _epoch_loss(model, x_val, y_val, aux_weight)
-            if report is not None:
-                report.val_loss.append(v_loss)
-                report.val_accuracy.append(v_acc)
-            if v_loss < best_loss:
-                best_loss = v_loss
-                best = model.snapshot()
-    if best is not None:
-        model.restore(best)
+        yield [perm[s:s + hyper.batch_size] for s in range(0, n, hyper.batch_size)]
 
 
 def train(model, train_windows, val_windows=None, hyper=None):
     """Mini-batch Adam on BCE(final) + aux_weight * sum BCE(head).
 
     Keeps the best-validation-loss parameters when a validation set is given.
-    Raises on a single-class training set.
+    Raises on a single-class training set and on fewer than one epoch.
     """
     if hyper is None:
         hyper = TrainingHyper()
+    if hyper.n_epochs < 1:
+        raise ConfigError(f"training needs n_epochs >= 1, got {hyper.n_epochs}")
     x, y = _prepare_xy(train_windows, model)
     if len(np.unique(y)) < 2:
         raise ValueError("training set contains a single class only")
@@ -407,7 +404,30 @@ def train(model, train_windows, val_windows=None, hyper=None):
         x_val, y_val = _prepare_xy(val_windows, model)
     report = TrainReport()
     t0 = time.perf_counter()
-    _fit(model, x, y, hyper, train_mode=True, x_val=x_val, y_val=y_val, report=report)
+    aux_weight = model.config.aux_loss_weight
+    adam = Adam(lr=hyper.lr)
+    layers = model.param_layers()
+    best = None
+    best_loss = np.inf
+    for batches in _epochs(len(x), hyper):
+        for idx in batches:
+            p_final, p_heads = model.forward_batch(x[idx], train=True)
+            _, dLdp_final, dLdp_heads = _objective(p_final, p_heads, y[idx], aux_weight)
+            model.backward(dLdp_final, dLdp_heads)
+            adam.step(layers)
+            model.zero_grad()
+        tr_loss, tr_acc = _epoch_loss(model, x, y, aux_weight)
+        report.train_loss.append(tr_loss)
+        report.train_accuracy.append(tr_acc)
+        if x_val is not None:
+            v_loss, v_acc = _epoch_loss(model, x_val, y_val, aux_weight)
+            report.val_loss.append(v_loss)
+            report.val_accuracy.append(v_acc)
+            if v_loss < best_loss:
+                best_loss = v_loss
+                best = model.snapshot()
+    if best is not None:
+        model.restore(best)
     report.wall_time = time.perf_counter() - t0
     report.digest = model.digest()
     return model, report
@@ -418,6 +438,11 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
 
     Heads run in inference mode (running batchnorm stats, no dropout) so every
     frozen tensor, running statistics included, is bit-identical afterwards.
+    A window's output does not depend on its batch, so the frozen part runs
+    once per call, INFER_CHUNK windows at a time, not once per epoch: it
+    gives the heads' probabilities, or with include_intermediate_fc each
+    head's pooled features. Each step then runs the trainable layers above
+    them on its mini-batch, and Adam updates only those layers.
     """
     if not cohort_windows:
         raise ValueError("cohort set is empty")
@@ -425,8 +450,32 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
         hyper = TrainingHyper(n_epochs=5)
     model.set_transfer_freeze(include_intermediate_fc)
     x, y = _prepare_xy(cohort_windows, model)
-    skip = not include_intermediate_fc
-    _fit(model, x, y, hyper, train_mode=False, skip_heads=skip)
+    starts = range(0, len(x), INFER_CHUNK)
+    if include_intermediate_fc:
+        x = model.check_input(x)
+        pooled = [np.concatenate([h.features(x[s:s + INFER_CHUNK], train=False) for s in starts])
+                  for h in model.heads]
+        aux_weight = model.config.aux_loss_weight
+
+        def forward(idx):
+            return model.fuse([h.classify(z[idx], train=False)
+                               for h, z in zip(model.heads, pooled)])
+    else:
+        cohort_p_heads = np.concatenate([model.forward_batch(x[s:s + INFER_CHUNK])[1]
+                                         for s in starts])
+        aux_weight = 0.0  # no head layer is trainable
+
+        def forward(idx):
+            p_heads = cohort_p_heads[idx]
+            return model.trunk_forward(p_heads), p_heads
+    adam = Adam(lr=hyper.lr)
+    trainable = [layer for layer in model.param_layers() if not layer.frozen]
+    for batches in _epochs(len(x), hyper):
+        for idx in batches:
+            p_final, p_heads = forward(idx)
+            _, dLdp_final, dLdp_heads = _objective(p_final, p_heads, y[idx], aux_weight)
+            model.backward(dLdp_final, dLdp_heads)
+            adam.step(trainable)
     return model
 
 
@@ -487,13 +536,18 @@ def load_model(path):
     if missing:
         raise ModelFormatError(f"model header lacks {', '.join(missing)}")
     try:
-        return _model_from_header(header, blob[13 + header_len:])
+        model = _model_from_header(header, blob[13 + header_len:])
     except ModelFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # a header value of the wrong type, e.g. `"frozen": []` or a config
         # without `heads`
         raise ModelFormatError(f"model header has a malformed value: {exc!r}") from exc
+    # the digest covers the header's values; this covers its bytes, e.g. a
+    # 17th significant digit changed by one that parses to the same float
+    if blob[13:13 + header_len] != json.dumps(header, sort_keys=True).encode():
+        raise ModelFormatError("model header is not in the canonical form save_model writes")
+    return model
 
 
 def _file_digest(header, payload):

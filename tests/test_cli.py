@@ -201,6 +201,26 @@ class TestPipelineChain:
                 import numpy as np
                 np.testing.assert_array_equal(a, base_heads[n])
 
+    def test_train_zero_epochs_rejected(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.slpn"
+        assert run(["train", "--data", str(workdir / "night0.csv"), "--model", str(out),
+                    "--epochs", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "n_epochs" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [("--epochs", "-3", "n_epochs"),
+                                                    ("--lr", "-1", "lr"),
+                                                    ("--lr", "nan", "lr")])
+    def test_finetune_rejects_bad_hyperparameter(self, workdir, tmp_path, capsys,
+                                                 flag, value, field):
+        out = tmp_path / "tuned.slpn"
+        assert run(["finetune", "--model", str(workdir / "model.slpn"),
+                    "--data", str(workdir / "night2.csv"), "--out", str(out),
+                    flag, value]) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plotdata(self, workdir, tmp_path, capsys):
         out = tmp_path / "plot.csv"
         assert run(["plotdata", "--model", str(workdir / "model.slpn"),

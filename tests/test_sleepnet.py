@@ -13,12 +13,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import somnoflow as sf
 from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate, zscore
-from somnoflow.neuralcore import BN_EPS, ConfigError, ShapeError
-from somnoflow.sleepnet import (HEADER_KEYS, MODEL_FORMAT_VERSION, TILE, DigestMismatchError,
+from somnoflow.neuralcore import BN_EPS, Adam, ConfigError, Conv1d, ShapeError
+from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, TILE,
+                                DigestMismatchError,
                                 HeadConfig, ModelConfig, ModelFormatError, RecordScorer,
                                 TrainingHyper, TruncatedFileError,
                                 VersionMismatchError, build_model, finetune_transfer,
-                                infer_hypnogram, load_model, save_model, train)
+                                infer_hypnogram, load_model, save_model, train,
+                                _objective)
 from conftest import (corrupt_header, make_training_windows, tiled_probs,
                       train_small_model)
 
@@ -36,6 +38,50 @@ def random_window(seed=0):
     return FeatureWindow(rng.standard_normal((5, 30)).astype(np.float32),
                          end_timestamp=900, label_timestamp=840, label=1,
                          normalized=True)
+
+
+def cohort(n, seed=0, shape=(5, 30)):
+    """n normalized windows of random values, labels alternating 0 and 1."""
+    rng = np.random.default_rng(seed)
+    return [FeatureWindow(rng.standard_normal(shape).astype(np.float32), end_timestamp=900,
+                          label_timestamp=840, label=i % 2, normalized=True)
+            for i in range(n)]
+
+
+@functools.lru_cache(maxsize=2)
+def finetune_base(aux_loss_weight):
+    """A default-shaped model (dropout 0.3) whose batchnorm running
+    statistics have moved off their initial values, as a saved model."""
+    model = build_model(ModelConfig(seed=4, aux_loss_weight=aux_loss_weight))
+    model.forward_batch(np.stack([w.values for w in cohort(64, seed=1)]), train=True)
+    return model.snapshot()
+
+
+def fresh_finetune_base(aux_loss_weight):
+    model = build_model(ModelConfig(seed=4, aux_loss_weight=aux_loss_weight))
+    model.restore(finetune_base(aux_loss_weight))
+    return model
+
+
+def reference_finetune(model, windows, hyper, include_intermediate_fc):
+    """Fine-tuning as it ran before the frozen part was computed once: every
+    mini-batch runs the whole network in inference mode, then backward, then
+    Adam over every parameter layer."""
+    model.set_transfer_freeze(include_intermediate_fc)
+    x = np.stack([w.values for w in windows])
+    y = np.array([w.label for w in windows], dtype=np.float64)
+    aux_weight = model.config.aux_loss_weight if include_intermediate_fc else 0.0
+    adam = Adam(lr=hyper.lr)
+    rng = np.random.default_rng(hyper.seed)
+    for _ in range(hyper.n_epochs):
+        perm = rng.permutation(len(x))
+        for s in range(0, len(x), hyper.batch_size):
+            idx = perm[s:s + hyper.batch_size]
+            p_final, p_heads = model.forward_batch(x[idx], train=False)
+            _, d_final, d_heads = _objective(p_final, p_heads, y[idx], aux_weight)
+            model.backward(d_final, d_heads)
+            adam.step(model.param_layers())
+            model.zero_grad()
 
 
 def first_epochs(series, n):
@@ -148,7 +194,27 @@ class TestForward:
         assert not changed[2:].any()
 
 
+class TestTrainingHyper:
+    @pytest.mark.parametrize("field, value", [("n_epochs", -1), ("n_epochs", -3),
+                                              ("lr", -1.0), ("lr", 0.0),
+                                              ("lr", float("nan")), ("lr", float("inf")),
+                                              ("batch_size", 0)])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainingHyper(**{field: value})
+
+    def test_zero_epochs_allowed(self):
+        assert TrainingHyper(n_epochs=0).n_epochs == 0
+
+
 class TestTrain:
+    def test_zero_epochs_rejected_before_touching_model(self):
+        model = build_model(tiny_config())
+        before = model.digest()
+        with pytest.raises(ConfigError, match="n_epochs"):
+            train(model, [random_window(s) for s in range(8)], None, TrainingHyper(n_epochs=0))
+        assert model.digest() == before
+
     def test_single_class_rejected(self):
         windows = [random_window(s) for s in range(8)]
         model = build_model(tiny_config())
@@ -257,6 +323,53 @@ class TestFinetune:
         with pytest.raises(ValueError, match="empty"):
             finetune_transfer(model, [])
 
+    @pytest.mark.parametrize("n_windows", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("aux_loss_weight", [0.25, 0.0])
+    @pytest.mark.parametrize("include_intermediate_fc", [False, True])
+    def test_equals_per_batch_reference(self, include_intermediate_fc, aux_loss_weight,
+                                        n_windows):
+        windows = cohort(n_windows, seed=n_windows)
+        for batch_size in (1, 7, 32):
+            hyper = TrainingHyper(lr=0.01, batch_size=batch_size, n_epochs=2, seed=batch_size)
+            expected = fresh_finetune_base(aux_loss_weight)
+            reference_finetune(expected, windows, hyper, include_intermediate_fc)
+            model = fresh_finetune_base(aux_loss_weight)
+            rng_state = model.dropout_rng.bit_generator.state
+            frozen = [(n, a.copy()) for n, a in model.named_tensors()
+                      if not n.startswith("trunk.") and not (include_intermediate_fc
+                                                             and ".fc" in n)]
+            finetune_transfer(model, windows, hyper, include_intermediate_fc)
+            assert model.digest() == expected.digest(), batch_size
+            assert model.digest() != fresh_finetune_base(aux_loss_weight).digest()
+            assert model.dropout_rng.bit_generator.state == rng_state
+            after = dict(model.named_tensors())
+            assert frozen and all(np.array_equal(a, after[n]) for n, a in frozen)
+
+    @pytest.mark.parametrize("shape", [(5, 29), (4, 30)])
+    @pytest.mark.parametrize("include_intermediate_fc", [False, True])
+    def test_wrong_window_shape_rejected(self, include_intermediate_fc, shape):
+        model = fresh_finetune_base(0.25)
+        with pytest.raises(ShapeError, match="expected"):
+            finetune_transfer(model, cohort(10, shape=shape), TrainingHyper(n_epochs=1),
+                              include_intermediate_fc)
+
+    @pytest.mark.parametrize("n_epochs", [0, 1, 3])
+    @pytest.mark.parametrize("include_intermediate_fc", [False, True])
+    def test_heads_run_once_per_call(self, monkeypatch, include_intermediate_fc, n_epochs):
+        calls = {}
+        forward = Conv1d.forward
+
+        def counting(conv, x, train=False):
+            calls[conv.name] = calls.get(conv.name, 0) + 1
+            return forward(conv, x, train)
+
+        monkeypatch.setattr(Conv1d, "forward", counting)
+        model = fresh_finetune_base(0.25)
+        finetune_transfer(model, cohort(130), TrainingHyper(n_epochs=n_epochs),
+                          include_intermediate_fc)
+        chunks = -(-130 // INFER_CHUNK)
+        assert calls == {head.conv.name: chunks for head in model.heads}
+
 
 class TestPersistence:
     def make_model(self):
@@ -346,6 +459,20 @@ class TestPersistence:
             path.write_bytes(variant)
             with pytest.raises(ModelFormatError):
                 load_model(path)
+
+    def test_byte_flips_raise_format_error(self, tmp_path):
+        # each byte of the prefix and the header, and every 97th payload
+        # byte, XORed with 0x01 and with 0x80
+        path = tmp_path / "m.slpn"
+        save_model(self.make_model(), path)
+        blob = path.read_bytes()
+        payload_start = 13 + struct.unpack("<Q", blob[5:13])[0]
+        offsets = [*range(payload_start), *range(payload_start, len(blob), 97)]
+        for i in offsets:
+            for mask in (0x01, 0x80):
+                path.write_bytes(blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:])
+                with pytest.raises(ModelFormatError):
+                    load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.slpn"
