@@ -19,6 +19,11 @@ accumulates each output element in the same order at any batch size.
 MaxPool1d, BatchNorm1d and the activations act per position.
 `tests/test_sleepnet.py::TestBatchInvariance` and `TestRecordScorer` check
 this contract, also with OpenBLAS on 1 and on 2 threads.
+
+A training step's cost at batch 32 is mostly numpy calls, not arithmetic,
+so Adam runs one flat update per step: the trainable layers' gradients are
+views of one buffer, and the moments are flat buffers beside it. Every op
+is elementwise, so the result is bit for bit the per-tensor update.
 """
 
 from __future__ import annotations
@@ -146,13 +151,18 @@ class Conv1d(Layer):
         view = as_strided(x, (n, c, k, lout), (sn, sc, sl, sl), writeable=False)
         return np.ascontiguousarray(view).reshape(n, c * k, lout)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
+        """Accumulate the weight and bias gradients; return the input's
+        gradient, or None with input_grad=False (an input that takes none,
+        such as the network's, saves the Wᵀ·dy product and the col2im)."""
         n, _, lout = dy.shape
         c, k = self.in_channels, self.kernel_width
         # dW: one (o, n*L') @ (n*L', c*k) GEMM; gradients need no batch-invariance
         self.grads["w"] += np.tensordot(dy, self._columns(), axes=([0, 2], [0, 2])).reshape(
             self.params["w"].shape)
         self.grads["b"] += dy.sum(axis=(0, 2))
+        if not input_grad:
+            return None
         # col2im: column entry (c, j, l) was read from x[:, c, l + j]
         dcols = np.matmul(self.params["w"].reshape(self.out_channels, -1).T, dy)
         dcols = dcols.reshape(n, c, k, lout)
@@ -188,21 +198,24 @@ class BatchNorm1d(Layer):
         n, c, length = x.shape
         if c != self.channels:
             raise ShapeError(f"{self.name}: expected {self.channels} channels, got {c}")
+        m = n * length
         if train:
-            if n * length < 2:
+            if m < 2:
                 raise ShapeError(f"{self.name}: need at least 2 samples per channel in train mode")
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
+            # x.mean and x.var's own steps, with x - mean computed once
+            mean = x.sum(axis=(0, 2)) / m
+            centered = x - mean[None, :, None]
+            var = (centered * centered).sum(axis=(0, 2)) / m
             self.running_mean[...] = ((1.0 - BN_MOMENTUM) * self.running_mean
                                       + BN_MOMENTUM * mean).astype(self.dtype)
             self.running_var[...] = ((1.0 - BN_MOMENTUM) * self.running_var
                                      + BN_MOMENTUM * var).astype(self.dtype)
         else:
-            mean = self.running_mean
+            centered = x - self.running_mean[None, :, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        self._cache = (xhat, inv_std, train, n * length)
+        xhat = centered * inv_std[None, :, None]
+        self._cache = (xhat, inv_std, train, m)
         return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
 
     def backward(self, dy):
@@ -337,34 +350,109 @@ class Dropout(Layer):
         return dy * self._mask
 
 
+def _trainable(layers):
+    """(layer, param name, param, gradient) of every non-frozen layer, in order."""
+    return [(layer, pname, p, layer.grads[pname])
+            for layer in layers if not layer.frozen for pname, p in layer.params.items()]
+
+
+def _same_arrays(a, b):
+    """Whether two _trainable lists hold the same parameter and gradient arrays."""
+    return len(a) == len(b) and all(x[2] is y[2] and x[3] is y[3] for x, y in zip(a, b))
+
+
+def _check_finite(tensors):
+    for layer, pname, _, g in tensors:
+        if not np.isfinite(g).all():
+            raise NonFiniteGradientError(
+                f"non-finite gradient in layer '{layer.name}' parameter '{pname}'")
+
+
+class _FlatGroup:
+    """Tensors of one dtype that have taken the same number of Adam steps:
+    their moments and gradients as one flat buffer each, the layers'
+    gradient arrays rebound to views of it."""
+
+    def __init__(self, dtype, step, members, state):
+        total = sum(p.size for _, _, p, _ in members)
+        self.step = step
+        self.m, self.v, self.g, self.upd = (np.zeros(total, dtype=dtype) for _ in range(4))
+        self.params = []  # (parameter, its slice of upd shaped like it)
+        start = 0
+        for layer, pname, p, g in members:
+            sl = slice(start, start + p.size)
+            start += p.size
+            key = (layer.name, pname)
+            if key in state:
+                old, old_sl = state[key]
+                self.m[sl], self.v[sl] = old.m[old_sl], old.v[old_sl]
+            self.g[sl] = g.reshape(-1)
+            layer.grads[pname] = self.g[sl].reshape(g.shape)
+            self.params.append((p, self.upd[sl].reshape(p.shape)))
+            state[key] = (self, sl)
+
+    def update(self, lr):
+        # the per-tensor update's float ops, elementwise, in the same order
+        self.step += 1
+        t = self.step
+        m, v, g = self.m, self.v, self.g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        mhat = m / (1.0 - ADAM_BETA1 ** t)
+        vhat = v / (1.0 - ADAM_BETA2 ** t)
+        # out= rounds to the parameters' dtype, as the per-tensor astype did
+        np.divide(lr * mhat, np.sqrt(vhat) + ADAM_EPS, out=self.upd)
+        for p, upd in self.params:
+            p -= upd
+        g[...] = 0
+
+
 class Adam:
-    """Adam with bias correction. Frozen layers are skipped entirely: their
-    parameters, moments and step counters stay untouched. Gradients of updated
-    layers are zeroed after each step."""
+    """Adam with bias correction, as one flat update per step.
+
+    Frozen layers are skipped entirely: their parameters, gradients, moments
+    and step counters stay untouched, and they get no state. State is kept
+    per (layer name, parameter name), so one Adam can step different layer
+    lists and each tensor keeps its own moments and step count. Gradients of
+    updated layers are zeroed after each step.
+
+    The trainable tensors are grouped by dtype and step count (one group
+    unless the list changed between calls). A group's gradients become views
+    of one flat buffer, which backward accumulates into; a step checks it
+    with one isfinite, updates its flat moments with whole-buffer ops,
+    subtracts each parameter's slice and zeroes the gradients in one fill.
+    A new layer list, a changed frozen flag or a rebound array regroups.
+
+    A step is atomic: if any gradient holds NaN or inf, it raises
+    NonFiniteGradientError naming the first such layer and parameter in
+    list order, and changes no parameter, moment or step count.
+    """
 
     def __init__(self, lr=1e-3):
         self.lr = lr
-        self._state = {}  # (layer name, param name) -> {"m","v","step"}
+        self._state = {}  # (layer name, param name) -> (group, slice)
+        self._groups = []
+        self._tensors = []  # the last list's trainable tensors, as _trainable gives them
 
     def step(self, layers):
-        for layer in layers:
-            if layer.frozen or not layer.params:
-                continue
-            for pname, p in layer.params.items():
-                g = layer.grads[pname]
-                if not np.all(np.isfinite(g)):
-                    raise NonFiniteGradientError(
-                        f"non-finite gradient in layer '{layer.name}' parameter '{pname}'")
-                key = (layer.name, pname)
-                st = self._state.get(key)
-                if st is None:
-                    st = {"m": np.zeros_like(p), "v": np.zeros_like(p), "step": 0}
-                    self._state[key] = st
-                st["step"] += 1
-                t = st["step"]
-                st["m"] = ADAM_BETA1 * st["m"] + (1.0 - ADAM_BETA1) * g
-                st["v"] = ADAM_BETA2 * st["v"] + (1.0 - ADAM_BETA2) * (g * g)
-                mhat = st["m"] / (1.0 - ADAM_BETA1 ** t)
-                vhat = st["v"] / (1.0 - ADAM_BETA2 ** t)
-                p -= (self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.dtype)
-            layer.zero_grad()
+        tensors = _trainable(layers)
+        if not _same_arrays(tensors, self._tensors):
+            _check_finite(tensors)
+            self._regroup(tensors)
+        elif not all(np.isfinite(grp.g).all() for grp in self._groups):
+            _check_finite(tensors)
+        for grp in self._groups:
+            grp.update(self.lr)
+
+    def _regroup(self, tensors):
+        by_kind = {}
+        for t in tensors:
+            layer, pname, p, _ = t
+            old = self._state.get((layer.name, pname))
+            step = old[0].step if old else 0
+            by_kind.setdefault((p.dtype, step), []).append(t)
+        self._groups = [_FlatGroup(dtype, step, members, self._state)
+                        for (dtype, step), members in by_kind.items()]
+        self._tensors = [(layer, pname, p, layer.grads[pname]) for layer, pname, p, _ in tensors]

@@ -211,7 +211,7 @@ class _Head:
         dz = self.pool.backward(dz)
         dz = self.relu1.backward(dz)
         dz = self.bn.backward(dz)
-        self.conv.backward(dz)
+        self.conv.backward(dz, input_grad=False)  # the network input takes no gradient
 
 
 class SleepNetModel:

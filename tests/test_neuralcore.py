@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from somnoflow.neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense,
-                                  Dropout, MaxPool1d, NonFiniteGradientError,
-                                  ReLU, ShapeError, bce_loss, sigmoid)
+from somnoflow import sleepnet
+from somnoflow.neuralcore import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, BN_MOMENTUM, Adam,
+                                  BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
+                                  MaxPool1d, NonFiniteGradientError, ReLU, ShapeError,
+                                  bce_loss, sigmoid)
 
 
 def naive_conv1d(x, w, b):
@@ -130,6 +132,24 @@ class TestConv1d:
         assert max_rel_err(conv.grads["b"], fd_grad(loss, conv.params["b"])) < 1e-4
         assert max_rel_err(dx, fd_grad(loss, x)) < 1e-4
 
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_no_input_grad_same_weight_grads(self, k):
+        """input_grad=False returns None and accumulates the same weight and
+        bias gradients as the full backward, bit for bit."""
+        rng = np.random.default_rng(k)
+        full, weights_only = (Conv1d("c", 5, 4, k, rng=np.random.default_rng(k))
+                              for _ in range(2))
+        for n in (1, 32):
+            x = rng.standard_normal((n, 5, 30)).astype(np.float32)
+            dy = rng.standard_normal((n, 4, 31 - k)).astype(np.float32)
+            full.forward(x, train=True)
+            assert full.backward(dy).shape == x.shape
+            weights_only.forward(x, train=True)
+            assert weights_only.backward(dy, input_grad=False) is None
+            for pname in ("w", "b"):
+                np.testing.assert_array_equal(bits(weights_only.grads[pname]),
+                                              bits(full.grads[pname]))
+
 
 class TestConv1dMatmul:
     """Conv1d runs one fixed-shape matmul per window: a window's output must
@@ -237,6 +257,41 @@ class TestBatchNorm:
         assert max_rel_err(dx, fd_grad(loss, x)) < 1e-4
         assert max_rel_err(bn.grads["gamma"], fd_grad(loss, bn.params["gamma"])) < 1e-4
         assert max_rel_err(bn.grads["beta"], fd_grad(loss, bn.params["beta"])) < 1e-4
+
+
+def mean_var_batchnorm_train(x, gamma, beta, running_mean, running_var):
+    """Train-mode batchnorm written with np.mean and np.var: (output, new
+    running mean, new running var)."""
+    mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+    new_mean = ((1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean).astype(x.dtype)
+    new_var = ((1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var).astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+    return gamma[None, :, None] * xhat + beta[None, :, None], new_mean, new_var
+
+
+class TestBatchNormMeanVar:
+    """The one-pass train-mode statistics equal np.mean/np.var bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("offset", [0.0, 1e4, -9999.7])
+    def test_matches_mean_var(self, offset, dtype):
+        rng = np.random.default_rng(int(abs(offset)) + np.dtype(dtype).itemsize)
+        for n in (1, 2, 3, 7, 32, 63, 64):
+            for length in (2, 3, 5, 11, 26, 40):
+                bn = BatchNorm1d("bn", 3, dtype=dtype)
+                bn.params["gamma"][...] = rng.uniform(0.5, 1.5, 3)
+                bn.params["beta"][...] = rng.standard_normal(3)
+                bn.running_mean[...] = rng.standard_normal(3)
+                bn.running_var[...] = rng.uniform(0.5, 2.0, 3)
+                # channel 1 constant, channel 2 a tiny spread about the offset
+                x = (offset + rng.standard_normal((n, 3, length)) * [[[1.0], [0.0], [1e-3]]]
+                     ).astype(dtype)
+                want = mean_var_batchnorm_train(x, bn.params["gamma"], bn.params["beta"],
+                                                bn.running_mean, bn.running_var)
+                got = (bn.forward(x, train=True), bn.running_mean, bn.running_var)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(bits(g), bits(w))
 
 
 class TestMaxPool:
@@ -435,6 +490,142 @@ class TestAdam:
         dense.grads["w"][...] = np.nan
         with pytest.raises(NonFiniteGradientError, match="'d'"):
             Adam().step([dense])
+
+    @pytest.mark.parametrize("steps_before", [0, 3])
+    def test_non_finite_gradient_changes_nothing(self, steps_before):
+        """NaN in the last layer of two: the step raises naming it and leaves
+        every parameter, gradient, moment and step count as it was."""
+        rng = np.random.default_rng(steps_before)
+        layers, ref_layers = ([Dense(name, 3, 2, rng=np.random.default_rng(1)) for name in "ab"]
+                              for _ in range(2))
+        adam, ref_state = Adam(), {}
+        for _ in range(steps_before):
+            set_random_grads(rng, layers, ref_layers)
+            adam.step(layers)
+            reference_adam_step(ref_state, adam.lr, ref_layers)
+        set_random_grads(rng, layers, ref_layers)
+        layers[1].grads["b"][1] = np.nan
+        layers[1].grads["w"][0, 2] = np.inf
+        before = [(layer.params[k].copy(), layer.grads[k].copy())
+                  for layer in layers for k in layer.params]
+        with pytest.raises(NonFiniteGradientError, match="layer 'b' parameter 'w'"):
+            adam.step(layers)
+        after = [(layer.params[k], layer.grads[k]) for layer in layers for k in layer.params]
+        for (p0, g0), (p1, g1) in zip(before, after):
+            np.testing.assert_array_equal(bits(p1), bits(p0))
+            np.testing.assert_array_equal(bits(g1), bits(g0))
+        # the moments and step counts are those of a run that never saw the bad step
+        for layer, ref in zip(layers, ref_layers):
+            for k in layer.grads:
+                layer.grads[k][...] = ref.grads[k]
+        for _ in range(3):
+            adam.step(layers)
+            reference_adam_step(ref_state, adam.lr, ref_layers)
+            assert_same_params(layers, ref_layers)
+            set_random_grads(rng, layers, ref_layers)
+
+
+def reference_adam_step(state, lr, layers):
+    """The definition: Adam as a per-tensor loop, one update per parameter."""
+    for layer in layers:
+        if layer.frozen or not layer.params:
+            continue
+        for pname, p in layer.params.items():
+            g = layer.grads[pname]
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradientError(
+                    f"non-finite gradient in layer '{layer.name}' parameter '{pname}'")
+            key = (layer.name, pname)
+            st = state.get(key)
+            if st is None:
+                st = {"m": np.zeros_like(p), "v": np.zeros_like(p), "step": 0}
+                state[key] = st
+            st["step"] += 1
+            t = st["step"]
+            st["m"] = ADAM_BETA1 * st["m"] + (1.0 - ADAM_BETA1) * g
+            st["v"] = ADAM_BETA2 * st["v"] + (1.0 - ADAM_BETA2) * (g * g)
+            mhat = st["m"] / (1.0 - ADAM_BETA1 ** t)
+            vhat = st["v"] / (1.0 - ADAM_BETA2 ** t)
+            p -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.dtype)
+        layer.zero_grad()
+
+
+def set_random_grads(rng, layers, ref_layers):
+    """Add the same random gradient, of a random scale, to both copies, as
+    backward accumulates it."""
+    for layer, ref in zip(layers, ref_layers):
+        for pname, g in layer.grads.items():
+            dg = (rng.standard_normal(g.shape) * 10.0 ** rng.integers(-6, 3)).astype(g.dtype)
+            g += dg
+            ref.grads[pname] += dg
+
+
+def assert_same_params(layers, ref_layers):
+    for layer, ref in zip(layers, ref_layers):
+        for pname in layer.params:
+            np.testing.assert_array_equal(bits(layer.params[pname]), bits(ref.params[pname]),
+                                          err_msg=f"{layer.name}.{pname}")
+            np.testing.assert_array_equal(bits(layer.grads[pname]), bits(ref.grads[pname]),
+                                          err_msg=f"{layer.name}.{pname} gradient")
+
+
+class TestAdamReference:
+    """The flat update against the per-tensor loop, bit for bit, over 50
+    steps of random gradients."""
+
+    def run(self, make_layers, lists, lr=1e-3, steps=50, seed=0):
+        """Step both copies; lists(i, layers) gives step i's layer list."""
+        rng = np.random.default_rng(seed)
+        layers, ref_layers = make_layers(), make_layers()
+        adam, ref_state = Adam(lr), {}
+        for i in range(steps):
+            set_random_grads(rng, layers, ref_layers)
+            adam.step(lists(i, layers))
+            reference_adam_step(ref_state, lr, lists(i, ref_layers))
+            assert_same_params(layers, ref_layers)
+        return adam, ref_state
+
+    def test_default_model(self):
+        def make():
+            return sleepnet.build_model(sleepnet.ModelConfig()).param_layers()
+        self.run(make, lambda i, layers: layers)
+
+    def test_float64_dense(self):
+        def make():
+            return [Dense("d", 7, 3, rng=np.random.default_rng(0), dtype=np.float64)]
+        self.run(make, lambda i, layers: layers, lr=0.01)
+
+    def test_frozen_layer_in_list(self):
+        def make():
+            layers = [Dense(name, 4, 4, rng=np.random.default_rng(i))
+                      for i, name in enumerate("abc")]
+            layers[1].frozen = True
+            return layers
+        adam, _ = self.run(make, lambda i, layers: layers)
+        assert not any(key[0] == "b" for key in adam._state)
+
+    def test_changing_lists_keep_own_moments(self):
+        """Lists that grow, shrink, reorder and mix dtypes, a layer frozen and
+        thawed, and a gradient array the caller rebinds: each tensor keeps its
+        own moments and step count."""
+        def make():
+            return [Dense("a", 3, 2, rng=np.random.default_rng(0)),
+                    Dense("b", 2, 2, rng=np.random.default_rng(1), dtype=np.float64),
+                    BatchNorm1d("c", 3),
+                    Dense("d", 2, 5, rng=np.random.default_rng(2))]
+
+        plan = [[0, 1, 2, 3], [0], [2, 1], [3, 0, 1], [], [1, 2, 3], [0, 1, 2, 3]]
+
+        def lists(i, layers):
+            layers[2].frozen = 20 <= i < 30
+            if i == 25:
+                layers[0].grads["w"] = layers[0].grads["w"].copy()
+            return [layers[j] for j in plan[(i // 3) % len(plan)]]
+
+        adam, ref_state = self.run(make, lists)
+        steps = {key: st["step"] for key, st in ref_state.items()}
+        assert len(set(steps.values())) > 1
+        assert {key: group.step for key, (group, _) in adam._state.items()} == steps
 
 
 class TestMaxPoolBackward:
