@@ -146,7 +146,10 @@ def _parse_row(row, row_no, has_label):
         raise IngestError(f"row {row_no}: {error}")
     label = -1
     if has_label and len(row) > 5 and row[5] != "":
-        label = int(row[5])
+        try:
+            label = int(row[5])
+        except ValueError:
+            label = None
         if label not in (0, 1):
             raise IngestError(f"row {row_no}: label must be 0 or 1, got {row[5]!r}")
     return ts, hr, br, hr_conf, movement, label

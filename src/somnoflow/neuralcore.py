@@ -21,9 +21,10 @@ MaxPool1d, BatchNorm1d and the activations act per position.
 this contract, also with OpenBLAS on 1 and on 2 threads.
 
 A training step's cost at batch 32 is mostly numpy calls, not arithmetic,
-so Adam runs one flat update per step: the trainable layers' gradients are
-views of one buffer, and the moments are flat buffers beside it. Every op
-is elementwise, so the result is bit for bit the per-tensor update.
+so `Adam(layers, lr)` binds itself to its layers once: their gradients
+become views of one buffer, with the moments as flat buffers beside it, and
+each `step()` is one flat update. Every op is elementwise, so the result is
+bit for bit the per-tensor update.
 """
 
 from __future__ import annotations
@@ -350,51 +351,57 @@ class Dropout(Layer):
         return dy * self._mask
 
 
-def _trainable(layers):
-    """(layer, param name, param, gradient) of every non-frozen layer, in order."""
-    return [(layer, pname, p, layer.grads[pname])
-            for layer in layers if not layer.frozen for pname, p in layer.params.items()]
+class Adam:
+    """Adam with bias correction over a fixed set of layers, as one flat
+    update per step.
 
+    The trainable set is fixed at construction: the parameters of the
+    layers that are not frozen then, which must share one dtype. Their
+    gradients become views of one flat buffer, which backward accumulates
+    into; a gradient already accumulated is kept. Frozen layers are skipped
+    entirely: their parameters, gradients and moments stay untouched.
+    Freezing or thawing a layer, or rebinding a gradient array, needs a new
+    Adam, and only one Adam per layer list should be live at a time, since
+    each rebinds the gradients to its own buffer.
 
-def _same_arrays(a, b):
-    """Whether two _trainable lists hold the same parameter and gradient arrays."""
-    return len(a) == len(b) and all(x[2] is y[2] and x[3] is y[3] for x, y in zip(a, b))
+    A step checks the gradients with one isfinite, updates the flat moments
+    with whole-buffer ops, subtracts each parameter's slice and zeroes the
+    gradients in one fill. It is atomic: if any gradient holds NaN or inf,
+    it raises NonFiniteGradientError naming the first such layer and
+    parameter in list order, and changes no parameter, moment or step count.
+    """
 
-
-def _check_finite(tensors):
-    for layer, pname, _, g in tensors:
-        if not np.isfinite(g).all():
-            raise NonFiniteGradientError(
-                f"non-finite gradient in layer '{layer.name}' parameter '{pname}'")
-
-
-class _FlatGroup:
-    """Tensors of one dtype that have taken the same number of Adam steps:
-    their moments and gradients as one flat buffer each, the layers'
-    gradient arrays rebound to views of it."""
-
-    def __init__(self, dtype, step, members, state):
-        total = sum(p.size for _, _, p, _ in members)
-        self.step = step
+    def __init__(self, layers, lr=1e-3):
+        self.lr = lr
+        self.t = 0
+        trainable = [(layer, pname, p) for layer in layers if not layer.frozen
+                     for pname, p in layer.params.items()]
+        dtypes = {p.dtype for _, _, p in trainable}
+        if len(dtypes) > 1:
+            raise ConfigError(f"Adam needs one parameter dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else None
+        total = sum(p.size for _, _, p in trainable)
         self.m, self.v, self.g, self.upd = (np.zeros(total, dtype=dtype) for _ in range(4))
-        self.params = []  # (parameter, its slice of upd shaped like it)
+        self._grads = []  # (layer name, param name, its gradient), named on a non-finite one
+        self._params = []  # (parameter, its slice of upd shaped like it)
         start = 0
-        for layer, pname, p, g in members:
+        for layer, pname, p in trainable:
             sl = slice(start, start + p.size)
             start += p.size
-            key = (layer.name, pname)
-            if key in state:
-                old, old_sl = state[key]
-                self.m[sl], self.v[sl] = old.m[old_sl], old.v[old_sl]
-            self.g[sl] = g.reshape(-1)
-            layer.grads[pname] = self.g[sl].reshape(g.shape)
-            self.params.append((p, self.upd[sl].reshape(p.shape)))
-            state[key] = (self, sl)
+            self.g[sl] = layer.grads[pname].reshape(-1)
+            layer.grads[pname] = self.g[sl].reshape(p.shape)
+            self._grads.append((layer.name, pname, layer.grads[pname]))
+            self._params.append((p, self.upd[sl].reshape(p.shape)))
 
-    def update(self, lr):
+    def step(self):
+        if not np.isfinite(self.g).all():
+            for lname, pname, g in self._grads:
+                if not np.isfinite(g).all():
+                    raise NonFiniteGradientError(
+                        f"non-finite gradient in layer '{lname}' parameter '{pname}'")
         # the per-tensor update's float ops, elementwise, in the same order
-        self.step += 1
-        t = self.step
+        self.t += 1
+        t = self.t
         m, v, g = self.m, self.v, self.g
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
@@ -403,56 +410,7 @@ class _FlatGroup:
         mhat = m / (1.0 - ADAM_BETA1 ** t)
         vhat = v / (1.0 - ADAM_BETA2 ** t)
         # out= rounds to the parameters' dtype, as the per-tensor astype did
-        np.divide(lr * mhat, np.sqrt(vhat) + ADAM_EPS, out=self.upd)
-        for p, upd in self.params:
+        np.divide(self.lr * mhat, np.sqrt(vhat) + ADAM_EPS, out=self.upd)
+        for p, upd in self._params:
             p -= upd
         g[...] = 0
-
-
-class Adam:
-    """Adam with bias correction, as one flat update per step.
-
-    Frozen layers are skipped entirely: their parameters, gradients, moments
-    and step counters stay untouched, and they get no state. State is kept
-    per (layer name, parameter name), so one Adam can step different layer
-    lists and each tensor keeps its own moments and step count. Gradients of
-    updated layers are zeroed after each step.
-
-    The trainable tensors are grouped by dtype and step count (one group
-    unless the list changed between calls). A group's gradients become views
-    of one flat buffer, which backward accumulates into; a step checks it
-    with one isfinite, updates its flat moments with whole-buffer ops,
-    subtracts each parameter's slice and zeroes the gradients in one fill.
-    A new layer list, a changed frozen flag or a rebound array regroups.
-
-    A step is atomic: if any gradient holds NaN or inf, it raises
-    NonFiniteGradientError naming the first such layer and parameter in
-    list order, and changes no parameter, moment or step count.
-    """
-
-    def __init__(self, lr=1e-3):
-        self.lr = lr
-        self._state = {}  # (layer name, param name) -> (group, slice)
-        self._groups = []
-        self._tensors = []  # the last list's trainable tensors, as _trainable gives them
-
-    def step(self, layers):
-        tensors = _trainable(layers)
-        if not _same_arrays(tensors, self._tensors):
-            _check_finite(tensors)
-            self._regroup(tensors)
-        elif not all(np.isfinite(grp.g).all() for grp in self._groups):
-            _check_finite(tensors)
-        for grp in self._groups:
-            grp.update(self.lr)
-
-    def _regroup(self, tensors):
-        by_kind = {}
-        for t in tensors:
-            layer, pname, p, _ = t
-            old = self._state.get((layer.name, pname))
-            step = old[0].step if old else 0
-            by_kind.setdefault((p.dtype, step), []).append(t)
-        self._groups = [_FlatGroup(dtype, step, members, self._state)
-                        for (dtype, step), members in by_kind.items()]
-        self._tensors = [(layer, pname, p, layer.grads[pname]) for layer, pname, p, _ in tensors]

@@ -405,8 +405,8 @@ def train(model, train_windows, val_windows=None, hyper=None):
     report = TrainReport()
     t0 = time.perf_counter()
     aux_weight = model.config.aux_loss_weight
-    adam = Adam(lr=hyper.lr)
-    layers = model.param_layers()
+    adam = Adam(model.param_layers(), lr=hyper.lr)
+    frozen = [layer for layer in model.param_layers() if layer.frozen]
     best = None
     best_loss = np.inf
     for batches in _epochs(len(x), hyper):
@@ -414,8 +414,9 @@ def train(model, train_windows, val_windows=None, hyper=None):
             p_final, p_heads = model.forward_batch(x[idx], train=True)
             _, dLdp_final, dLdp_heads = _objective(p_final, p_heads, y[idx], aux_weight)
             model.backward(dLdp_final, dLdp_heads)
-            adam.step(layers)
-            model.zero_grad()
+            adam.step()
+            for layer in frozen:  # Adam zeroes the others' gradients
+                layer.zero_grad()
         tr_loss, tr_acc = _epoch_loss(model, x, y, aux_weight)
         report.train_loss.append(tr_loss)
         report.train_accuracy.append(tr_acc)
@@ -468,14 +469,13 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
         def forward(idx):
             p_heads = cohort_p_heads[idx]
             return model.trunk_forward(p_heads), p_heads
-    adam = Adam(lr=hyper.lr)
-    trainable = [layer for layer in model.param_layers() if not layer.frozen]
+    adam = Adam(model.param_layers(), lr=hyper.lr)
     for batches in _epochs(len(x), hyper):
         for idx in batches:
             p_final, p_heads = forward(idx)
             _, dLdp_final, dLdp_heads = _objective(p_final, p_heads, y[idx], aux_weight)
             model.backward(dLdp_final, dLdp_heads)
-            adam.step(trainable)
+            adam.step()
     return model
 
 

@@ -58,7 +58,9 @@ class Emission:
 
 
 class SleepStream:
-    """Single ordered stream; share one immutable model across streams freely."""
+    """Single ordered stream. Streams may share one model only on one thread:
+    every forward writes the layers' caches on the model, and Conv1d reads
+    its cached input back."""
 
     def __init__(self, model, rule_config=None):
         if model.norm_stats is None:

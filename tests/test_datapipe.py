@@ -90,6 +90,13 @@ class TestIngest:
         series = ingest_epochs(src)
         np.testing.assert_array_equal(series.labels, [1, 0])
 
+    @pytest.mark.parametrize("label", ["x", "1.0", "inf", "2"])
+    def test_bad_label_names_row(self, label):
+        src = make_csv(["0,60,14,0.9,0.1,1", f"30,60,14,0.9,0.1,{label}"],
+                       header="timestamp,hr,br,hr_conf,movement,label")
+        with pytest.raises(IngestError, match=f"row 3: label must be 0 or 1, got '{label}'"):
+            ingest_epochs(src)
+
     def test_roundtrip_through_csv(self):
         series = synth_generate(SynthConfig(seed=4, hours=1))
         buf = io.StringIO()

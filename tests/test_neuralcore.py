@@ -459,37 +459,43 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         dense = Dense("d", 2, 2, rng=np.random.default_rng(0))
         before = dense.params["w"].copy()
-        Adam().step([dense])
+        Adam([dense]).step()
         np.testing.assert_array_equal(dense.params["w"], before)
 
     def test_first_step_magnitude(self):
         dense = Dense("d", 1, 1, dtype=np.float64)
         dense.grads["w"][...] = 1.0
-        Adam(lr=0.001).step([dense])
+        Adam([dense], lr=0.001).step()
         assert abs(abs(dense.params["w"][0, 0]) - 0.001) < 1e-9
 
     def test_gradients_zeroed_after_step(self):
         dense = Dense("d", 2, 2, rng=np.random.default_rng(0))
         dense.grads["w"][...] = 1.0
-        Adam().step([dense])
+        Adam([dense]).step()
         assert np.all(dense.grads["w"] == 0)
 
     def test_frozen_layer_untouched(self):
         dense = Dense("d", 3, 3, rng=np.random.default_rng(1))
         dense.frozen = True
         before = dense.params["w"].copy()
-        adam = Adam()
+        grad = dense.grads["w"]
+        adam = Adam([dense])
         for _ in range(100):
             dense.grads["w"][...] = np.random.default_rng(2).standard_normal((3, 3))
-            adam.step([dense])
+            adam.step()
         np.testing.assert_array_equal(dense.params["w"], before)
-        assert ("d", "w") not in adam._state
+        assert dense.grads["w"] is grad and adam.g.size == 0
 
     def test_non_finite_gradient_names_layer(self):
         dense = Dense("d", 1, 1)
         dense.grads["w"][...] = np.nan
         with pytest.raises(NonFiniteGradientError, match="'d'"):
-            Adam().step([dense])
+            Adam([dense]).step()
+
+    def test_mixed_dtypes_rejected(self):
+        layers = [Dense("a", 2, 2), Dense("b", 2, 2, dtype=np.float64)]
+        with pytest.raises(ConfigError, match="one parameter dtype"):
+            Adam(layers)
 
     @pytest.mark.parametrize("steps_before", [0, 3])
     def test_non_finite_gradient_changes_nothing(self, steps_before):
@@ -498,10 +504,10 @@ class TestAdam:
         rng = np.random.default_rng(steps_before)
         layers, ref_layers = ([Dense(name, 3, 2, rng=np.random.default_rng(1)) for name in "ab"]
                               for _ in range(2))
-        adam, ref_state = Adam(), {}
+        adam, ref_state = Adam(layers), {}
         for _ in range(steps_before):
             set_random_grads(rng, layers, ref_layers)
-            adam.step(layers)
+            adam.step()
             reference_adam_step(ref_state, adam.lr, ref_layers)
         set_random_grads(rng, layers, ref_layers)
         layers[1].grads["b"][1] = np.nan
@@ -509,7 +515,7 @@ class TestAdam:
         before = [(layer.params[k].copy(), layer.grads[k].copy())
                   for layer in layers for k in layer.params]
         with pytest.raises(NonFiniteGradientError, match="layer 'b' parameter 'w'"):
-            adam.step(layers)
+            adam.step()
         after = [(layer.params[k], layer.grads[k]) for layer in layers for k in layer.params]
         for (p0, g0), (p1, g1) in zip(before, after):
             np.testing.assert_array_equal(bits(p1), bits(p0))
@@ -519,7 +525,7 @@ class TestAdam:
             for k in layer.grads:
                 layer.grads[k][...] = ref.grads[k]
         for _ in range(3):
-            adam.step(layers)
+            adam.step()
             reference_adam_step(ref_state, adam.lr, ref_layers)
             assert_same_params(layers, ref_layers)
             set_random_grads(rng, layers, ref_layers)
@@ -573,27 +579,24 @@ class TestAdamReference:
     """The flat update against the per-tensor loop, bit for bit, over 50
     steps of random gradients."""
 
-    def run(self, make_layers, lists, lr=1e-3, steps=50, seed=0):
-        """Step both copies; lists(i, layers) gives step i's layer list."""
+    def run(self, make_layers, lr=1e-3, steps=50, seed=0):
+        """Step both copies; returns the Adam and its layers."""
         rng = np.random.default_rng(seed)
         layers, ref_layers = make_layers(), make_layers()
-        adam, ref_state = Adam(lr), {}
-        for i in range(steps):
+        adam, ref_state = Adam(layers, lr), {}
+        for _ in range(steps):
             set_random_grads(rng, layers, ref_layers)
-            adam.step(lists(i, layers))
-            reference_adam_step(ref_state, lr, lists(i, ref_layers))
+            adam.step()
+            reference_adam_step(ref_state, lr, ref_layers)
             assert_same_params(layers, ref_layers)
-        return adam, ref_state
+        return adam, layers
 
     def test_default_model(self):
-        def make():
-            return sleepnet.build_model(sleepnet.ModelConfig()).param_layers()
-        self.run(make, lambda i, layers: layers)
+        self.run(lambda: sleepnet.build_model(sleepnet.ModelConfig()).param_layers())
 
     def test_float64_dense(self):
-        def make():
-            return [Dense("d", 7, 3, rng=np.random.default_rng(0), dtype=np.float64)]
-        self.run(make, lambda i, layers: layers, lr=0.01)
+        self.run(lambda: [Dense("d", 7, 3, rng=np.random.default_rng(0), dtype=np.float64)],
+                 lr=0.01)
 
     def test_frozen_layer_in_list(self):
         def make():
@@ -601,31 +604,9 @@ class TestAdamReference:
                       for i, name in enumerate("abc")]
             layers[1].frozen = True
             return layers
-        adam, _ = self.run(make, lambda i, layers: layers)
-        assert not any(key[0] == "b" for key in adam._state)
-
-    def test_changing_lists_keep_own_moments(self):
-        """Lists that grow, shrink, reorder and mix dtypes, a layer frozen and
-        thawed, and a gradient array the caller rebinds: each tensor keeps its
-        own moments and step count."""
-        def make():
-            return [Dense("a", 3, 2, rng=np.random.default_rng(0)),
-                    Dense("b", 2, 2, rng=np.random.default_rng(1), dtype=np.float64),
-                    BatchNorm1d("c", 3),
-                    Dense("d", 2, 5, rng=np.random.default_rng(2))]
-
-        plan = [[0, 1, 2, 3], [0], [2, 1], [3, 0, 1], [], [1, 2, 3], [0, 1, 2, 3]]
-
-        def lists(i, layers):
-            layers[2].frozen = 20 <= i < 30
-            if i == 25:
-                layers[0].grads["w"] = layers[0].grads["w"].copy()
-            return [layers[j] for j in plan[(i // 3) % len(plan)]]
-
-        adam, ref_state = self.run(make, lists)
-        steps = {key: st["step"] for key, st in ref_state.items()}
-        assert len(set(steps.values())) > 1
-        assert {key: group.step for key, (group, _) in adam._state.items()} == steps
+        adam, layers = self.run(make)
+        assert adam.g.size == 2 * (16 + 4)
+        assert not any(np.shares_memory(g, adam.g) for g in layers[1].grads.values())
 
 
 class TestMaxPoolBackward:

@@ -71,7 +71,7 @@ def reference_finetune(model, windows, hyper, include_intermediate_fc):
     x = np.stack([w.values for w in windows])
     y = np.array([w.label for w in windows], dtype=np.float64)
     aux_weight = model.config.aux_loss_weight if include_intermediate_fc else 0.0
-    adam = Adam(lr=hyper.lr)
+    adam = Adam(model.param_layers(), lr=hyper.lr)
     rng = np.random.default_rng(hyper.seed)
     for _ in range(hyper.n_epochs):
         perm = rng.permutation(len(x))
@@ -80,7 +80,7 @@ def reference_finetune(model, windows, hyper, include_intermediate_fc):
             p_final, p_heads = model.forward_batch(x[idx], train=False)
             _, d_final, d_heads = _objective(p_final, p_heads, y[idx], aux_weight)
             model.backward(d_final, d_heads)
-            adam.step(model.param_layers())
+            adam.step()
             model.zero_grad()
 
 
@@ -239,6 +239,18 @@ class TestTrain:
         _, report, _ = small_trained
         assert report.train_accuracy[-1] >= 0.85
         assert report.train_loss[-1] < report.train_loss[0]
+
+    def test_frozen_layer_untouched(self):
+        model = build_model(tiny_config())
+        fc = model.trunk[0]
+        fc.frozen = True
+        before = {k: p.copy() for k, p in fc.params.items()}
+        trained = {k: p.copy() for k, p in model.trunk[-1].params.items()}
+        train(model, cohort(40), None, TrainingHyper(n_epochs=2, batch_size=8))
+        for k, p in fc.params.items():
+            np.testing.assert_array_equal(_bits(p), _bits(before[k]))
+            assert np.all(fc.grads[k] == 0)
+        assert not np.array_equal(model.trunk[-1].params["w"], trained["w"])
 
     def test_zero_aux_weight_blocks_direct_head_gradient(self):
         # with aux weight 0 the only path to head i is through trunk column i;
