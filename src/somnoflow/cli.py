@@ -78,23 +78,51 @@ def _env_seed():
         raise ValueError(f"SOMNOFLOW_SEED must be an integer, got {raw!r}")
 
 
+def _explicit_options(parser, argv):
+    """The dests argv sets, as argparse reads them: `--key=value` and an
+    abbreviated `--ke value` count as `--key value` does. Re-parses argv
+    with every default suppressed, so `parser`'s defaults are gone after."""
+    parsers = [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            else:
+                action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _cast(action, raw):
+    """A config-file string as the command line would give it: a flag's
+    true/false word, -v's count, or `action.type` applied to it, or to each
+    of its whitespace-separated words for an option that takes a list."""
+    if action.nargs == 0:
+        if not isinstance(action.const, bool):  # -v/--verbose
+            return int(raw)
+        word = raw.lower()
+        if word not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"expected true or false, got {raw!r}")
+        return word in ("1", "true", "yes")
+    cast = action.type or str
+    return [cast(word) for word in raw.split()] if action.nargs in ("*", "+") else cast(raw)
+
+
 def _merge(args, parser, argv):
     """Apply config-file values and the env seed for options the command line
-    left at their defaults."""
+    did not set."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     env_seed = _env_seed()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
+    explicit = _explicit_options(parser, argv)
     for key, raw in file_values.items():
-        if not hasattr(args, key) or key in ("config", "command"):
+        if not hasattr(args, key) or key in ("config", "command") or key in explicit:
             continue
-        if f"--{key.replace('_', '-')}" in argv or f"--{key}" in argv:
-            continue  # explicit flag wins
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        else:
-            caster = type(current) if current is not None else str
-            setattr(args, key, caster(raw))
-    if env_seed is not None and hasattr(args, "seed") and "--seed" not in argv \
+        try:
+            setattr(args, key, _cast(actions[key], raw))
+        except ValueError as exc:
+            raise ValueError(f"config file {args.config}: {key} = {raw!r}: {exc}") from exc
+    if env_seed is not None and hasattr(args, "seed") and "seed" not in explicit \
             and "seed" not in file_values:
         args.seed = env_seed
     return args

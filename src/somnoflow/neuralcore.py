@@ -5,18 +5,24 @@ Layers operate on batched arrays: convolution-path tensors are shaped
 owns its parameters and gradient buffers; a forward call caches what the
 matching backward call needs. Everything is numpy; no autograd.
 
+The forward math is written once, as functions on arrays: `conv1d` (im2col
+and one stacked matmul), `batchnorm`, `relu`, `maxpool1d` (which also
+returns the argmax) and `dense`. Each layer's forward calls its function and
+caches what backward needs; `sleepnet.RecordScorer` calls the same functions
+on its own stacked weights and caches nothing on a layer.
+
 A result must not depend on the batch or the neighbours it is computed
 with: `sleepnet.RecordScorer` runs a night's conv positions as tiles of a
-fixed width in one call, and the stream runs the one tile that holds its
-newest positions with the epochs past them zero-padded; the two must agree
-bit for bit. Conv1d copies each input (a tile, or a training window) into
+fixed width, and the stream runs the one tile that holds its newest
+positions with the epochs past them zero-padded; the two must agree bit for
+bit. `conv1d` copies each input (a tile, or a training window) into
 C-contiguous im2col columns and runs one stacked matmul, which numpy executes
 as one fixed-shape BLAS product per input. So the shape, and with it each
 column's summation order, is the same whatever the batch size or input
 layout, and a column does not depend on the values in the other columns.
-Dense contracts with np.einsum on its default (non-optimized) path, which
+`dense` contracts with np.einsum on its default (non-optimized) path, which
 accumulates each output element in the same order at any batch size.
-MaxPool1d, BatchNorm1d and the activations act per position.
+Max-pooling, batchnorm and the activations act per channel and position.
 `tests/test_sleepnet.py::TestBatchInvariance` and `TestRecordScorer` check
 this contract, also with OpenBLAS on 1 and on 2 threads.
 
@@ -58,6 +64,72 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def im2col(x, k):
+    """(n, c*k, L-k+1) im2col columns of x (n, c, L), ordered (c, j) and
+    C-contiguous whatever the layout of x: column entry (c, j, l) is
+    x[:, c, l + j]."""
+    n, c, length = x.shape
+    lout = length - k + 1
+    sn, sc, sl = x.strides
+    # as_strided skips sliding_window_view's checks, most of a batch-1 call's cost
+    view = as_strided(x, (n, c, k, lout), (sn, sc, sl, sl), writeable=False)
+    return np.ascontiguousarray(view).reshape(n, c * k, lout)
+
+
+def conv1d(x, w, b):
+    """Valid convolution of x (n, c, L) with w (o, c, k) plus b (o,):
+    (n, o, L-k+1)."""
+    # a stacked matmul runs one fixed-shape BLAS product per input, so an
+    # input's output cannot depend on its batch; one flattened
+    # (n*L', c*k) @ (c*k, o) GEMM would round differently as n changes
+    y = np.matmul(w.reshape(w.shape[0], -1), im2col(x, w.shape[2]))
+    y += b[None, :, None]
+    return y
+
+
+def bn_inv_std(var):
+    """1 / sqrt(var + BN_EPS): batchnorm's scale, from batch or running variances."""
+    return 1.0 / np.sqrt(var + BN_EPS)
+
+
+def batchnorm(centered, inv_std, gamma, beta):
+    """Batchnorm of (n, c, L) activations already centred on their channel
+    means: (xhat, gamma * xhat + beta)."""
+    xhat = centered * inv_std[None, :, None]
+    return xhat, gamma[None, :, None] * xhat + beta[None, :, None]
+
+
+def relu(x):
+    """(mask, x * mask) with mask = x > 0."""
+    mask = x > 0
+    return mask, x * mask
+
+
+def maxpool1d(x, p, s):
+    """Max over windows [i*s, i*s + p) along the last axis of x (n, c, L),
+    the remainder dropped: (out, argmax offset within each window). Ties
+    resolve to the lowest offset, and a NaN wins as in np.argmax."""
+    span = s * ((x.shape[2] - p) // s) + 1  # first to last window start
+    out = x[:, :, :span:s].copy()
+    bits = out.view(f"u{out.itemsize}")
+    arg = np.zeros(out.shape, dtype=np.intp)
+    for i in range(1, p):
+        xi = x[:, :, i:i + span:s]
+        # strictly greater, or the first NaN: argmax's pick
+        later = ~(xi <= out) & (out == out)
+        # take xi's bits where later: unlike np.maximum this keeps the
+        # lowest index on a tie of -0.0 and +0.0, and unlike np.where or a
+        # masked copy it does not branch per element
+        bits ^= (bits ^ xi.view(bits.dtype)) * later
+        np.maximum(arg, later * i, out=arg)
+    return out, arg
+
+
+def dense(x, w, b):
+    """x (n, in) times w (out, in) transposed, plus b (out,)."""
+    return np.einsum("oi,ni->no", w, x) + b[None, :]
 
 
 def bce_loss(p, y):
@@ -125,32 +197,14 @@ class Conv1d(Layer):
         self._x = None
 
     def forward(self, x, train=False):
-        n, c, length = x.shape
+        _, c, length = x.shape
         k = self.kernel_width
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         if k > length:
             raise ShapeError(f"{self.name}: kernel width {k} exceeds input length {length}")
         self._x = x
-        # a stacked matmul runs one fixed-shape BLAS product per window, so a
-        # window's output cannot depend on its batch; one flattened
-        # (n*L', c*k) @ (c*k, o) GEMM would round differently as n changes
-        y = np.matmul(self.params["w"].reshape(self.out_channels, -1), self._columns())
-        y += self.params["b"][None, :, None]
-        return y
-
-    def _columns(self):
-        """im2col of the cached input: (n, c*k, L-k+1) columns ordered
-        (c, j), C-contiguous whatever the layout of x. Rebuilt by backward
-        rather than kept, so a forward caches no more than its input."""
-        x, k = self._x, self.kernel_width
-        n, c, length = x.shape
-        lout = length - k + 1
-        sn, sc, sl = x.strides
-        # column entry (c, j, l) is x[:, c, l + j]; as_strided skips
-        # sliding_window_view's checks, most of a batch-1 call's cost
-        view = as_strided(x, (n, c, k, lout), (sn, sc, sl, sl), writeable=False)
-        return np.ascontiguousarray(view).reshape(n, c * k, lout)
+        return conv1d(x, self.params["w"], self.params["b"])
 
     def backward(self, dy, input_grad=True):
         """Accumulate the weight and bias gradients; return the input's
@@ -158,8 +212,9 @@ class Conv1d(Layer):
         such as the network's, saves the Wᵀ·dy product and the col2im)."""
         n, _, lout = dy.shape
         c, k = self.in_channels, self.kernel_width
-        # dW: one (o, n*L') @ (n*L', c*k) GEMM; gradients need no batch-invariance
-        self.grads["w"] += np.tensordot(dy, self._columns(), axes=([0, 2], [0, 2])).reshape(
+        # dW: one (o, n*L') @ (n*L', c*k) GEMM; gradients need no batch-invariance.
+        # The columns are rebuilt here, so a forward caches no more than its input
+        self.grads["w"] += np.tensordot(dy, im2col(self._x, k), axes=([0, 2], [0, 2])).reshape(
             self.params["w"].shape)
         self.grads["b"] += dy.sum(axis=(0, 2))
         if not input_grad:
@@ -214,10 +269,10 @@ class BatchNorm1d(Layer):
         else:
             centered = x - self.running_mean[None, :, None]
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = centered * inv_std[None, :, None]
+        inv_std = bn_inv_std(var)
+        xhat, y = batchnorm(centered, inv_std, self.params["gamma"], self.params["beta"])
         self._cache = (xhat, inv_std, train, m)
-        return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
+        return y
 
     def backward(self, dy):
         xhat, inv_std, train, m = self._cache
@@ -249,23 +304,10 @@ class MaxPool1d(Layer):
         self.argmax = self._in_shape = None
 
     def forward(self, x, train=False):
-        n, c, length = x.shape
         p, s = self.pool_width, self.stride
-        if p > length:
+        if p > x.shape[2]:
             raise ShapeError(f"{self.name}: pool width {p} exceeds input length {length}")
-        span = s * ((length - p) // s) + 1  # first to last window start
-        out = x[:, :, :span:s].copy()
-        bits = out.view(f"u{out.itemsize}")
-        arg = np.zeros(out.shape, dtype=np.intp)
-        for i in range(1, p):
-            xi = x[:, :, i:i + span:s]
-            # strictly greater, or the first NaN: argmax's pick
-            later = ~(xi <= out) & (out == out)
-            # take xi's bits where later: unlike np.maximum this keeps the
-            # lowest index on a tie of -0.0 and +0.0, and unlike np.where or a
-            # masked copy it does not branch per element
-            bits ^= (bits ^ xi.view(bits.dtype)) * later
-            np.maximum(arg, later * i, out=arg)
+        out, arg = maxpool1d(x, p, s)
         self.argmax, self._in_shape = arg, x.shape
         return out
 
@@ -303,7 +345,7 @@ class Dense(Layer):
             raise ShapeError(f"{self.name}: expected {self.params['w'].shape[1]} features, "
                              f"got {x.shape[1]}")
         self._x = x
-        return np.einsum("oi,ni->no", self.params["w"], x) + self.params["b"][None, :]
+        return dense(x, self.params["w"], self.params["b"])
 
     def backward(self, dy):
         self.grads["w"] += np.einsum("no,ni->oi", dy, self._x)
@@ -317,8 +359,8 @@ class ReLU(Layer):
         self._mask = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0
-        return x * self._mask
+        self._mask, y = relu(x)
+        return y
 
     def backward(self, dy):
         return dy * self._mask

@@ -12,10 +12,13 @@ heads' FC stacks) and retrains on a cohort's windows. The frozen part runs
 once per call, over the whole cohort; each step runs only the trainable
 layers above it, and backward stops at the lowest trainable layer.
 
-Training runs windows through `SleepNetModel.forward_batch`. Inference runs
-a record through `RecordScorer`, which computes each head's conv, batchnorm,
-relu and maxpool once per position of the record, in tiles, and only the FC
-layers per window.
+Training runs windows through `SleepNetModel.forward_batch`, which calls
+the layers. Inference runs a record through `RecordScorer`, which stacks the
+heads' conv and batchnorm weights once, computes conv, batchnorm, relu and
+maxpool for all heads in one pass per tile of positions, and runs only each
+head's FC layers and the trunk per window. It calls the `neuralcore`
+functions that the layers' forward methods are built on, so inference
+writes nothing to the model.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .datapipe import EPOCHS_PER_MINUTE, NormStats, make_windows, zscore
 from .datapipe import apply_normalizer  # noqa: F401  perfbench/layers.py traces it by this name
 from .events import Hypnogram
 from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
-                         MaxPool1d, ReLU, ShapeError, bce_loss, sigmoid)
+                         MaxPool1d, ReLU, ShapeError, batchnorm, bce_loss, bn_inv_std,
+                         conv1d, dense, maxpool1d, relu, sigmoid)
 
 MODEL_MAGIC = b"SLPN"
 MODEL_FORMAT_VERSION = 2
@@ -44,6 +48,11 @@ INFER_CHUNK = 64
 # conv positions per tile in RecordScorer; even, so that no pool pair
 # straddles two tiles
 TILE = 32
+# tiles per stacked pass in RecordScorer: a pass's activations, 8 tiles of
+# the default model's 64 channels, are 64 KB; with a whole night's 30 tiles
+# in one pass each batchnorm and relu temporary was 240 KB, and those ops
+# took more than twice as long per tile
+TILES_PER_PASS = 8
 # windows per FC call in RecordScorer: fc1 keeps its input, the windows'
 # overlapping pooled slices, about 14 times the record's pooled sequence, so
 # one call per 24 h record held 5 MB; 128 also ran faster than 64 or 466
@@ -629,64 +638,136 @@ class RecordScorer:
     one record at a time; every split of a record gives the same bits
     (`tests/test_sleepnet.py::TestRecordScorer`).
 
-    A head computes its conv positions in tiles of TILE columns aligned to
-    the record's first epoch: tile t holds positions [t*TILE, (t+1)*TILE),
-    read from epochs [t*TILE, t*TILE + TILE + k - 1), zero-padded past the
-    newest epoch. Conv1d runs each tile as one fixed-shape matmul, and a
-    column of such a product does not depend on the other columns, so a
-    position comes out the same whether its tile ran on the whole night or
-    on the epochs so far. batchnorm, relu and maxpool act per position.
-    The 2-epoch window shift is a whole number of pool strides, so window
-    w's pooled features are a slice of the record's pooled sequence; only
-    fc1 -> fc2 (on C-contiguous copies of those slices, FC_CHUNK windows per
-    call) and the trunk run per window. A push recomputes the tile that
-    holds a head's newest positions, and the columns keep what later windows
-    still need: pooled features from their first window on and z-scored
-    epochs from the start of their open tile.
+    The scorer stacks the heads' conv and batchnorm tensors into copies when
+    it is built and reads the FC and trunk weights in place; the model must
+    not change while a scorer is live. It calls the `neuralcore` functions,
+    never a layer's forward, so it writes nothing to the model.
+
+    All heads run as one stack: their conv kernels, each zero-padded after
+    its last tap to the widest kernel width K, form one (sum F, 5, K)
+    kernel, so head h's position j is stacked position j with zero weights
+    on epochs j + k_h .. j + K - 1. The stacked conv runs in tiles of TILE
+    positions aligned to the record's first epoch: tile t holds positions
+    [t*TILE, (t+1)*TILE), read from epochs [t*TILE, t*TILE + TILE + K - 1),
+    zero-padded past the newest epoch. Each tile is one fixed-shape matmul,
+    and a column of such a product does not depend on the other columns, so
+    a position comes out the same whether its tile ran on the whole night or
+    on the epochs so far. batchnorm and relu act per channel and position on
+    the stack; heads that share a pool width pool their rows in one call,
+    into that width's pooled sequence. The 2-epoch window shift is a whole
+    number of pool strides, so window w's pooled features for head h are a
+    slice of head h's rows; each head's fc1 -> fc2 (on C-contiguous copies of
+    those slices, FC_CHUNK windows per call) and the trunk run per window.
+
+    A push recomputes the tiles from the first one that holds a position not
+    yet final for the widest kernel to the one that holds the narrowest
+    kernel's newest position, and the columns keep what later windows still
+    need: pooled features from their first window on and z-scored epochs
+    from the start of the widest kernel's open tile.
     """
 
     def __init__(self, model):
-        self.model = model
+        heads = model.heads
+        self.window_epochs = model.config.window_epochs
         self.n_epochs = 0
         self.n_windows = 0
-        dtype = model.heads[0].conv.dtype
-        self._z = _Columns(model.config.input_features, dtype)
-        self._pooled = [_Columns(h.conv.out_channels, dtype) for h in model.heads]
-        self._done = [0] * len(model.heads)  # conv positions computed, per head
+        self._done = 0  # stacked positions final for every head
+        widths = [h.conv.kernel_width for h in heads]
+        self._k_max, self._k_min = max(widths), min(widths)
+        dtype = heads[0].conv.dtype
+        self._epochs = _Columns(model.config.input_features, dtype)
+        # the stack's channels in order of pool width, then of head, so that
+        # the heads of one pool width are one row range: (pool width, its
+        # rows, its pooled sequence) per width, and per head in model order
+        # its pooled sequence, its rows there and its FC weights
+        self._groups, self._heads, order = [], [None] * len(heads), []
+        first_row = 0
+        for pool in sorted({h.pool.pool_width for h in heads}):
+            members = [i for i, h in enumerate(heads) if h.pool.pool_width == pool]
+            n_rows = sum(heads[i].conv.out_channels for i in members)
+            cols = _Columns(n_rows, dtype)
+            self._groups.append((pool, slice(first_row, first_row + n_rows), cols))
+            first_row += n_rows
+            row = 0
+            for i in members:
+                h = heads[i]
+                self._heads[i] = (cols, slice(row, row + h.conv.out_channels), h.pooled_len,
+                                  EPOCHS_PER_MINUTE // pool,
+                                  (h.fc1.params["w"], h.fc1.params["b"],
+                                   h.fc2.params["w"], h.fc2.params["b"]))
+                row += h.conv.out_channels
+            order += members
+
+        def stack(tensor):
+            return np.concatenate([tensor(heads[i]) for i in order])
+
+        self._w = stack(lambda h: np.pad(h.conv.params["w"],
+                                         ((0, 0), (0, 0), (0, self._k_max - h.conv.kernel_width))))
+        self._b = stack(lambda h: h.conv.params["b"])
+        self._mean = stack(lambda h: h.bn.running_mean)
+        self._inv_std = bn_inv_std(stack(lambda h: h.bn.running_var))
+        self._gamma = stack(lambda h: h.bn.params["gamma"])
+        self._beta = stack(lambda h: h.bn.params["beta"])
+        self._trunk = [(layer.params["w"], layer.params["b"])
+                       for layer in model.trunk if layer.params]
 
     def push(self, z):
         """Append z-scored (5, n) epochs; returns the (m,) float64 final
         probabilities of the m windows they complete."""
-        self._z.write(self.n_epochs, z)
+        self._epochs.write(self.n_epochs, z)
         self.n_epochs += z.shape[1]
         first = self.n_windows
-        stop = (self.n_epochs - self.model.config.window_epochs) // EPOCHS_PER_MINUTE + 1
+        stop = (self.n_epochs - self.window_epochs) // EPOCHS_PER_MINUTE + 1
         if stop <= first:
             return np.empty(0)
-        logits = [self._head_logits(i, head, first, stop)
-                  for i, head in enumerate(self.model.heads)]
+        self._pool_tiles()
+        logits = [self._head_logits(*head, first, stop) for head in self._heads]
         self.n_windows = stop
-        self._z.keep = min(done // TILE * TILE for done in self._done)
-        return self.model.fuse(logits)[0].astype(np.float64)
+        kept = self._done // TILE * TILE
+        self._epochs.keep = kept
+        for pool, _, cols in self._groups:
+            cols.keep = min(stop * (EPOCHS_PER_MINUTE // pool), kept // pool)
+        # the model's fuse: sigmoid, then the trunk's dense layers with a relu
+        # between each two
+        t = sigmoid(np.concatenate(logits, axis=1))
+        for i, (w, b) in enumerate(self._trunk):
+            t = dense(relu(t)[1] if i else t, w, b)
+        return sigmoid(t[:, 0]).astype(np.float64)
 
-    def _head_logits(self, i, head, first, stop):
-        k, pool = head.conv.kernel_width, head.pool.pool_width
-        positions = self.n_epochs - k + 1
-        start = self._done[i] // TILE * TILE
-        n_tiles = -(-(positions - start) // TILE)
-        x = self._z.view(start, start + n_tiles * TILE + k - 1)
-        tiles = _blocks(x, TILE + k - 1, TILE, n_tiles)            # (5, n_tiles, .)
-        y = head.features(tiles.transpose(1, 0, 2), train=False)  # (n_tiles, F, .)
-        pooled = self._pooled[i]
-        pooled.write(start // pool, y.transpose(1, 0, 2).reshape(y.shape[1], -1))
-        self._done[i] = positions
-        shift = EPOCHS_PER_MINUTE // pool
-        seq = pooled.view(first * shift, (stop - 1) * shift + head.pooled_len)
-        windows = _blocks(seq, head.pooled_len, shift, stop - first).transpose(1, 0, 2)
-        pooled.keep = min(stop * shift, positions // TILE * TILE // pool)
-        return np.concatenate([head.classify(np.ascontiguousarray(windows[s:s + FC_CHUNK]),
-                                             train=False)
-                               for s in range(0, len(windows), FC_CHUNK)])
+    def _pool_tiles(self):
+        """Run conv -> bn -> relu -> maxpool on the tiles from the one that
+        holds the first position not final for the widest kernel to the one
+        that holds the narrowest kernel's newest position, TILES_PER_PASS
+        tiles per pass, and write them to the pooled sequences."""
+        start = self._done // TILE * TILE
+        stop = self.n_epochs - self._k_min + 1
+        for first in range(start, stop, TILES_PER_PASS * TILE):
+            n_tiles = min(TILES_PER_PASS, -(-(stop - first) // TILE))
+            x = self._epochs.view(first, first + n_tiles * TILE + self._k_max - 1)
+            tiles = _blocks(x, TILE + self._k_max - 1, TILE, n_tiles)      # (5, n_tiles, .)
+            y = conv1d(tiles.transpose(1, 0, 2), self._w, self._b)      # (n_tiles, sum F, TILE)
+            y = batchnorm(y - self._mean[None, :, None], self._inv_std,
+                          self._gamma, self._beta)[1]
+            y = relu(y)[1]
+            for pool, rows, cols in self._groups:
+                pooled = maxpool1d(y[:, rows], pool, pool)[0]
+                cols.write(first // pool,
+                           pooled.transpose(1, 0, 2).reshape(pooled.shape[1], -1))
+        self._done = self.n_epochs - self._k_max + 1
+
+    @staticmethod
+    def _head_logits(cols, rows, pooled_len, shift, fc, first, stop):
+        """(stop - first, 1) logits of one head: fc1 -> relu -> fc2 on each
+        window's slice of the head's pooled rows."""
+        fc1_w, fc1_b, fc2_w, fc2_b = fc
+        seq = cols.view(first * shift, (stop - 1) * shift + pooled_len)[rows]
+        windows = _blocks(seq, pooled_len, shift, stop - first).transpose(1, 0, 2)
+        out = []
+        for s in range(0, len(windows), FC_CHUNK):
+            chunk = np.ascontiguousarray(windows[s:s + FC_CHUNK])
+            h = relu(dense(chunk.reshape(len(chunk), -1), fc1_w, fc1_b))[1]
+            out.append(dense(h, fc2_w, fc2_b))
+        return np.concatenate(out)
 
 
 def infer_hypnogram(model, series):

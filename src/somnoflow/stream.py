@@ -5,8 +5,9 @@ checked by the ingest code and z-scored by the batch formula; a malformed
 line, a non-finite, negative or out-of-range value, or a z-score that
 overflows float32 gets an `err,` frame and leaves the state unchanged. Each
 accepted record is pushed into the batch scorer, `sleepnet.RecordScorer`,
-which scores a window as soon as its final epoch arrives by re-running the
-conv tile that holds the newest epochs, zero-padded past them. A column of
+which scores a window as soon as its final epoch arrives by re-running, for
+all heads at once, the stacked conv tile that holds the newest epochs,
+zero-padded past them, then each head's FC layers and the trunk. A column of
 that fixed-shape product is the same as in a whole-night pass, so every
 probability equals the batch one bit for bit. A class record is emitted per
 prediction; each event kind is emitted at most once and never retracted:
@@ -58,9 +59,11 @@ class Emission:
 
 
 class SleepStream:
-    """Single ordered stream. Streams may share one model only on one thread:
-    every forward writes the layers' caches on the model, and Conv1d reads
-    its cached input back."""
+    """Single ordered stream. Inference writes nothing to the model: each
+    stream's scorer keeps its own stacked copies of the conv and batchnorm
+    weights and its own buffers, and only reads the rest. So streams on
+    several threads may share one model while nothing trains it or loads
+    into it."""
 
     def __init__(self, model, rule_config=None):
         if model.norm_stats is None:

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from conftest import corrupt_header
-from somnoflow.cli import run
+from somnoflow.cli import _merge, build_parser, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -114,6 +114,57 @@ class TestConfigFile:
              "--out", str(a)])
         run(["synth", "--seed", "2", "--hours", "2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--hours=2"], ["--hou", "2"]])
+    def test_equals_and_abbreviated_flags_beat_config(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "somnoflow.conf"
+        cfg.write_text("hours = 3\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["synth", "--config", str(cfg), *flag, "--out", str(a)]) == 0
+        assert run(["synth", "--hours", "2", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_abbreviated_seed_flag_beats_env_seed(self, tmp_path, capsys, monkeypatch):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        monkeypatch.setenv("SOMNOFLOW_SEED", "11")
+        run(["synth", "--see=5", "--hours", "2", "--out", str(a)])
+        monkeypatch.delenv("SOMNOFLOW_SEED")
+        run(["synth", "--seed", "5", "--hours", "2", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("line, key, want", [
+        ("port = 9", "port", 9),
+        ("truth_events = a.json  b.json", "truth_events", ["a.json", "b.json"]),
+        ("truth-events = a.json", "truth_events", ["a.json"]),
+        ("verbose = 2", "verbose", 2),
+        ("single_sleep_period = no", "single_sleep_period", False),
+        ("single_sleep_period = Yes", "single_sleep_period", True),
+    ])
+    def test_config_value_cast_as_the_flag_would_be(self, tmp_path, line, key, want):
+        cfg = tmp_path / "somnoflow.conf"
+        cfg.write_text(line + "\n")
+        command = {"port": ["serve", "--model", "m.slpn"],
+                   "truth_events": ["eval", "--model", "m.slpn", "--data", "n.csv"],
+                   "verbose": ["synth", "--out", "n.csv"],
+                   "single_sleep_period": ["synth", "--out", "n.csv"]}[key]
+        parser = build_parser()
+        argv = [*command, "--config", str(cfg)]
+        args = _merge(parser.parse_args(argv), parser, argv)
+        assert getattr(args, key) == want
+        assert type(getattr(args, key)) is type(want)
+
+    @pytest.mark.parametrize("command, line", [
+        (["serve", "--model", "absent.slpn"], "port = 80a"),
+        (["synth", "--out", "x.csv"], "hours = two"),
+        (["synth", "--out", "x.csv"], "single_sleep_period = maybe"),
+    ])
+    def test_config_value_that_cannot_be_cast_exits_1(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "somnoflow.conf"
+        cfg.write_text(line + "\n")
+        assert run([*command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and line.split(" = ")[0] in err
+        assert "Traceback" not in err
 
     def test_config_beats_env(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "somnoflow.conf"

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import struct
@@ -13,7 +14,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import somnoflow as sf
 from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate, zscore
-from somnoflow.neuralcore import BN_EPS, Adam, ConfigError, Conv1d, ShapeError
+from somnoflow.neuralcore import (BN_EPS, Adam, BatchNorm1d, ConfigError, Conv1d, Dense,
+                                  Layer, MaxPool1d, ReLU, ShapeError)
 from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, TILE,
                                 DigestMismatchError,
                                 HeadConfig, ModelConfig, ModelFormatError, RecordScorer,
@@ -585,12 +587,19 @@ class TestRecordScorer:
         whole = RecordScorer(model).push(z)
         np.testing.assert_array_equal(_bits(replay(model, z, sizes)), _bits(whole))
 
-    @pytest.mark.parametrize("pool_width", [1, 2])
-    def test_other_kernel_and_pool_widths(self, small_trained, pool_width):
-        # even kernels end a window's conv positions mid pool pair; k = 1
-        # and k = 28 give the longest and the shortest conv rows
-        heads = [HeadConfig(kernel_width=k, n_filters=4, fc_width=4, dropout_rate=0.0,
-                            pool_width=pool_width) for k in (1, 2, 4, 28)]
+    @pytest.mark.parametrize("heads", [
+        [(k, 4, 1) for k in (1, 2, 4, 28)],
+        [(k, 4, 2) for k in (1, 2, 4, 28)],
+        [(1, 4, 2), (2, 4, 1), (4, 4, 1), (28, 4, 2)],
+        [(1, 3, 2), (2, 8, 2), (4, 1, 2), (28, 5, 2)],
+    ], ids=["1", "2", "mixed-pool-widths", "mixed-n-filters"])
+    def test_other_kernel_and_pool_widths(self, small_trained, heads):
+        # heads as (kernel width, n_filters, pool width). Even kernels end a
+        # window's conv positions mid pool pair; k = 1 and k = 28 give the
+        # longest and the shortest conv rows. Mixed pool widths pool in one
+        # group per width, whose heads are not neighbours in the model
+        heads = [HeadConfig(kernel_width=k, n_filters=f, fc_width=4, dropout_rate=0.0,
+                            pool_width=pool) for k, f, pool in heads]
         model = build_model(ModelConfig(heads=heads, trunk_widths=[4, 1], seed=4))
         model.norm_stats = small_trained[0].norm_stats
         z = day_z(model, 200)
@@ -607,8 +616,65 @@ class TestRecordScorer:
         widths = set()
         for i in range(2880):
             scorer.push(z[:, i:i + 1])
-            widths.update(c.data.shape[1] for c in (scorer._z, *scorer._pooled))
+            widths.update(c.data.shape[1] for c in (scorer._epochs,
+                                                    *(cols for _, _, cols in scorer._groups)))
         assert max(widths) <= 2 * (2 * TILE + model.config.window_epochs)
+
+
+def count_forward_calls(monkeypatch):
+    """Patch the forward of each layer type the network uses to count its
+    calls; returns the Counter, keyed by class name."""
+    calls = collections.Counter()
+    for cls in (Conv1d, BatchNorm1d, MaxPool1d, ReLU, Dense):
+        def counted(self, *args, _forward=cls.forward, _name=cls.__name__, **kwargs):
+            calls[_name] += 1
+            return _forward(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "forward", counted)
+    return calls
+
+
+def model_state(model):
+    """Every attribute of every layer, the tensors in its params and grads,
+    and the model's own forward cache, as (name, object) pairs."""
+    layers = [layer for head in model.heads for layer in vars(head).values()
+              if isinstance(layer, Layer)] + model.trunk
+    out = [("model._cache", model._cache)]
+    for layer in layers:
+        out += [(f"{layer.name}.{key}", value) for key, value in vars(layer).items()]
+        out += [(f"{layer.name}.{kind}.{key}", value)
+                for kind in ("params", "grads") for key, value in getattr(layer, kind).items()]
+    return out
+
+
+class TestInferenceLeavesModelAlone:
+    """Inference runs the neuralcore functions on the scorer's own arrays:
+    no layer forward runs, and nothing on the model changes."""
+
+    def test_no_layer_forward_and_no_state_written(self, small_trained, monkeypatch):
+        model = small_trained[0]
+        night = synth_generate(SynthConfig(seed=43, hours=24))
+        before = model_state(model)
+        digest = model.digest()
+        calls = count_forward_calls(monkeypatch)
+        assert len(infer_hypnogram(model, night)) == 1426
+        sf.stream.replay_series(model, first_epochs(night, 960))
+        assert not calls
+        after = model_state(model)
+        assert [name for name, _ in after] == [name for name, _ in before]
+        for (name, was), (_, now) in zip(before, after):
+            assert now is was, name
+        assert model.digest() == digest
+
+    def test_forward_batch_train_and_finetune_run_the_layers(self, monkeypatch):
+        model = build_model(tiny_config())
+        x = np.stack([w.values for w in cohort(8)])
+        for run in (lambda: model.forward_batch(x),
+                    lambda: train(model, cohort(8), hyper=TrainingHyper(n_epochs=1)),
+                    lambda: finetune_transfer(model, cohort(8), TrainingHyper(n_epochs=1))):
+            calls = count_forward_calls(monkeypatch)
+            run()
+            assert set(calls) == {"Conv1d", "BatchNorm1d", "MaxPool1d", "ReLU", "Dense"}
+            monkeypatch.undo()
 
 
 def einsum_conv(x, w, b):

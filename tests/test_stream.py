@@ -100,7 +100,7 @@ def record_lines(series):
 def state(stream):
     scorer = stream._scorer
     watch = None if stream._watch is None else repr(vars(stream._watch))
-    return (scorer.n_epochs, scorer.n_windows, scorer._z.data.tobytes(), stream._last_ts,
+    return (scorer.n_epochs, scorer.n_windows, scorer._epochs.data.tobytes(), stream._last_ts,
             stream._last_hr, watch, set(stream._emitted), stream._finalized)
 
 
