@@ -109,14 +109,18 @@ def _cast(action, raw):
 
 def _merge(args, parser, argv):
     """Apply config-file values and the env seed for options the command line
-    did not set."""
+    did not set. A key that names no option of any subcommand is an error; one
+    of another subcommand is ignored, so one file can serve several."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     env_seed = _env_seed()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {a.dest for p in subparsers.choices.values() for a in p._actions}
     actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     explicit = _explicit_options(parser, argv)
     for key, raw in file_values.items():
-        if not hasattr(args, key) or key in ("config", "command") or key in explicit:
+        if key not in known:
+            raise ValueError(f"config file {args.config}: unknown key {key!r}")
+        if not hasattr(args, key) or key == "config" or key in explicit:
             continue
         try:
             setattr(args, key, _cast(actions[key], raw))
@@ -297,25 +301,28 @@ def _write_hypnogram(hyp, dest):
 
 def _read_hypnogram(path):
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["timestamp", "probability"]:
-            raise ValueError(f"bad hypnogram header {header!r}")
-        start, probs = None, []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ts, p = int(row[0]), float(row[1])
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"hypnogram row {row_no}: unparseable values: {row!r}") from exc
-            start = ts if start is None else start
-            if ts != start + 60 * len(probs):
-                raise ValueError(f"hypnogram row {row_no}: timestamp {ts}, expected "
-                                 f"{start + 60 * len(probs)}")
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"hypnogram row {row_no}: probability {row[1]} outside [0,1]")
-            probs.append(p)
+        lines = datapipe.record_lines(fh.read())
+    header = lines[0].split(",") if lines else None
+    if header is None or [h.strip() for h in header[:2]] != ["timestamp", "probability"]:
+        raise ValueError(f"bad hypnogram header {header!r}")
+    start, probs = None, []
+    for row_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        row = line.split(",")
+        try:
+            ts, p = int(row[0]), float(row[1])
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"hypnogram row {row_no}: unparseable values: {row!r}") from exc
+        if abs(ts) >= datapipe.TIMESTAMP_LIMIT:
+            raise ValueError(f"hypnogram row {row_no}: timestamp {ts} out of range")
+        start = ts if start is None else start
+        if ts != start + 60 * len(probs):
+            raise ValueError(f"hypnogram row {row_no}: timestamp {ts}, expected "
+                             f"{start + 60 * len(probs)}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"hypnogram row {row_no}: probability {row[1]} outside [0,1]")
+        probs.append(p)
     if not probs:
         raise ValueError("empty hypnogram file")
     return Hypnogram(start=start, probs=np.array(probs))
@@ -432,6 +439,8 @@ def _serve_lines(model, rules, lines_in, write):
 
 
 def _cmd_serve(args):
+    if args.port is not None and not 0 <= args.port <= 65535:
+        raise ValueError(f"--port must be in 0-65535, got {args.port}")
     model = load_model(args.model)
     rules = _rule_config(args)
     if args.port is None:

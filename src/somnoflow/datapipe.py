@@ -5,6 +5,12 @@ breath rate, heart-rate confidence, movement intensity, and the successive
 heart-rate difference (derived at ingestion). Windows of 30 epochs (15 min)
 are cut on a 2-epoch (1 min) stride and labeled by their final minute.
 
+Every CSV somnoflow reads (epoch files, truth sidecars, hypnograms) has one
+record grammar: a record per line, lines ended by \\n, \\r\\n or \\r
+(`record_lines` splits a text so), and fields split on commas with no
+quoting, as `serve` splits its lines; a quoted field is not a number.
+Timestamps must lie in int64.
+
 The synthetic generator produces fully labeled nights by alternating wake and
 sleep bouts with log-normal durations and state-conditional Gaussian feature
 emissions, optionally blended linearly across each transition. It stands in
@@ -18,6 +24,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -26,6 +33,7 @@ EPOCHS_PER_MINUTE = 2
 FEATURE_NAMES = ("hr", "br", "hr_conf", "movement", "hr_diff")
 CSV_COLUMNS = ("timestamp", "hr", "br", "hr_conf", "movement")
 MAX_FILL_EPOCHS = 2  # most missing epochs that ingest_epochs fills in one gap
+TIMESTAMP_LIMIT = 2 ** 63  # timestamps are int64: |t| must stay below this
 MIN_TAIL_MIN = 20.0  # trailing wake kept after a single synthetic sleep period
 
 
@@ -109,6 +117,19 @@ def open_text(target, mode="r"):
     return contextlib.nullcontext(target)
 
 
+def record_lines(text):
+    """The records of a CSV text, one per line, in the grammar every reader
+    here shares: lines end with \\n, \\r\\n or \\r, and a record's fields are
+    its line split on commas, with no quoting. A blank line is an empty
+    string."""
+    if "\r" in text:  # a 1-char scan: a 2-char replace costs much more
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    return lines
+
+
 def parse_record(fields):
     """(timestamp, hr, br, hr_conf, movement) from the text fields of one epoch
     record, ignoring any later field. Raises ValueError on a missing field, a
@@ -136,86 +157,136 @@ def vitals_error(hr, br, hr_conf, movement):
     return None
 
 
+def _label_value(field):
+    """A label field's value: -1 when blank, 0 or 1 as int() reads it, None
+    when it is neither."""
+    if field == "":
+        return -1
+    try:
+        label = int(field)
+    except ValueError:
+        return None
+    return label if label in (0, 1) else None
+
+
 def _parse_row(row, row_no, has_label):
+    """Raise the IngestError for the first of one row's own faults: fields
+    that do not parse, a timestamp outside int64, invalid vitals, a bad
+    label. The 30 s step is checked across rows, by `_step_error`."""
     try:
         ts, hr, br, hr_conf, movement = parse_record(row)
     except ValueError as exc:
         raise IngestError(f"row {row_no}: unparseable values: {row!r}") from exc
+    if abs(ts) >= TIMESTAMP_LIMIT:
+        raise IngestError(f"row {row_no}: timestamp {ts} out of range")
     error = vitals_error(hr, br, hr_conf, movement)
     if error is not None:
         raise IngestError(f"row {row_no}: {error}")
-    label = -1
-    if has_label and len(row) > 5 and row[5] != "":
-        try:
-            label = int(row[5])
-        except ValueError:
-            label = None
-        if label not in (0, 1):
-            raise IngestError(f"row {row_no}: label must be 0 or 1, got {row[5]!r}")
-    return ts, hr, br, hr_conf, movement, label
+    if has_label and len(row) > 5 and _label_value(row[5]) is None:
+        raise IngestError(f"row {row_no}: label must be 0 or 1, got {row[5]!r}")
+
+
+def _step_error(ts, prev_ts, fill_gaps):
+    """Why the step from prev_ts to ts is rejected, or None when it is one
+    epoch, or a gap that fill_gaps fills."""
+    step = ts - prev_ts
+    if step <= 0:
+        return f"non-monotonic timestamp {ts} after {prev_ts}"
+    missing = step // EPOCH_SECONDS - 1
+    if step % EPOCH_SECONDS != 0:
+        return f"timestamp {ts} not on the 30 s grid"
+    if missing and not fill_gaps:
+        return f"gap of {missing} epochs before timestamp {ts}"
+    if missing > MAX_FILL_EPOCHS:
+        return f"gap of {missing} epochs exceeds fill limit {MAX_FILL_EPOCHS}"
+    return None
+
+
+def _floats(col):
+    """The fields of `col` as float64, up to the first one float() rejects."""
+    try:
+        return np.fromiter(map(float, col), np.float64, len(col))
+    except ValueError:
+        out = []
+        for text in col:
+            try:
+                out.append(float(text))
+            except ValueError:
+                return np.array(out, dtype=np.float64)
 
 
 def ingest_epochs(source, subject_id="", fill_gaps=False):
     """Read an epoch CSV into an EpochSeries.
 
-    Expected header: timestamp,hr,br,hr_conf,movement[,label]. Timestamps must
-    advance in strict 30 s steps; a gap is an error unless fill_gaps carries
-    the last observation forward (at most MAX_FILL_EPOCHS missing epochs).
+    Expected header: timestamp,hr,br,hr_conf,movement[,label]. Records are
+    lines split on commas, as `serve` splits its lines, with no quoting (see
+    `record_lines`); blank lines are skipped. Timestamps must advance in strict
+    30 s steps; a gap is an error unless fill_gaps carries the last
+    observation forward (at most MAX_FILL_EPOCHS missing epochs). The first
+    bad row in file order raises an IngestError naming it.
+
+    The file is parsed by columns: each column is converted with one float()
+    pass and checked with array ops; only the row that fails is re-read,
+    by `_parse_row`, to word its error.
     """
     with open_text(source) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("empty file: missing header")
-        header = [h.strip() for h in header]
-        if tuple(header[:5]) != CSV_COLUMNS:
-            raise IngestError(f"bad header {header!r}; expected {','.join(CSV_COLUMNS)}[,label]")
-        has_label = len(header) > 5 and header[5] == "label"
-        if len(header) > 5 and not has_label:
-            raise IngestError(f"bad header {header!r}; sixth column must be 'label'")
+        lines = record_lines(fh.read())
+    if not lines:
+        raise IngestError("empty file: missing header")
+    header = [h.strip() for h in lines[0].split(",")] if lines[0] else []
+    if tuple(header[:5]) != CSV_COLUMNS:
+        raise IngestError(f"bad header {header!r}; expected {','.join(CSV_COLUMNS)}[,label]")
+    has_label = len(header) > 5 and header[5] == "label"
+    if len(header) > 5 and not has_label:
+        raise IngestError(f"bad header {header!r}; sixth column must be 'label'")
 
-        cols = {name: [] for name in ("timestamp", "hr", "br", "hr_conf", "movement", "label")}
-        prev_ts = None
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            ts, hr, br, hr_conf, movement, label = _parse_row(row, row_no, has_label)
-            if prev_ts is not None:
-                step = ts - prev_ts
-                if step <= 0:
-                    raise IngestError(f"row {row_no}: non-monotonic timestamp {ts} after {prev_ts}")
-                if step != EPOCH_SECONDS:
-                    missing = step // EPOCH_SECONDS - 1
-                    if step % EPOCH_SECONDS != 0 or missing < 1:
-                        raise IngestError(f"row {row_no}: timestamp {ts} not on the 30 s grid")
-                    if not fill_gaps:
-                        raise IngestError(f"row {row_no}: gap of {missing} epochs before timestamp {ts}")
-                    if missing > MAX_FILL_EPOCHS:
-                        raise IngestError(
-                            f"row {row_no}: gap of {missing} epochs exceeds fill limit {MAX_FILL_EPOCHS}")
-                    for i in range(1, missing + 1):
-                        cols["timestamp"].append(prev_ts + i * EPOCH_SECONDS)
-                        for name in ("hr", "br", "hr_conf", "movement", "label"):
-                            cols[name].append(cols[name][-1])
-            cols["timestamp"].append(ts)
-            cols["hr"].append(hr)
-            cols["br"].append(br)
-            cols["hr_conf"].append(hr_conf)
-            cols["movement"].append(movement)
-            cols["label"].append(label)
-            prev_ts = ts
-    if not cols["timestamp"]:
+    body = list(filter(None, lines[1:]))
+    if not body:
         raise IngestError("no data rows")
-    hr = np.asarray(cols["hr"], dtype=np.float64)
+    # a sixth split keeps the label field whole and bounds the column count
+    cols = list(zip_longest(*[line.split(",", 6) for line in body], fillvalue=""))
+    cols += [("",) * len(body)] * (6 - len(cols))
+    values = [_floats(col) for col in cols[:5]]
+    n = min(map(len, values))  # rows before the first unparseable field
+    t, hr, br, hr_conf, movement = (v[:n] for v in values)
+
+    in_range = np.abs(t) < TIMESTAMP_LIMIT  # False for nan and inf, which int() rejects
+    ts = np.where(in_range, t, 0.0).astype(np.int64)
+    ok = (in_range & (hr >= 0) & (hr < np.inf) & (br >= 0) & (br < np.inf)
+          & (hr_conf >= 0) & (hr_conf <= 1) & (movement >= 0) & (movement < np.inf))
+    labels = np.full(n, -1, dtype=np.int64)
+    if has_label:  # each distinct field is read once; -2 marks an invalid one
+        code = {field: _label_value(field) for field in set(cols[5][:n])}
+        code = {field: -2 if label is None else label for field, label in code.items()}
+        labels = np.fromiter(map(code.__getitem__, cols[5][:n]), np.int64, n)
+        ok &= labels != -2
+    # a step beyond 2**63 wraps in int64 to a negative one, or, from near
+    # +2**63 down to near -2**63 (where float64 holds multiples of 1024),
+    # to a multiple of 1024: never a 30-90 s step
+    step = np.diff(ts)
+    missing = step // EPOCH_SECONDS - 1
+    ok[1:] &= ((step % EPOCH_SECONDS == 0) & (missing >= 0)
+               & (missing <= (MAX_FILL_EPOCHS if fill_gaps else 0)))
+
+    first = n if ok.all() else int(np.argmin(ok))
+    if first < len(body):
+        row_no = [no for no, line in enumerate(lines[1:], start=2) if line][first]
+        _parse_row(body[first].split(","), row_no, has_label)
+        raise IngestError(f"row {row_no}: "
+                          f"{_step_error(int(ts[first]), int(ts[first - 1]), fill_gaps)}")
+    if fill_gaps:  # repeat each row once per epoch missing after it
+        reps = np.ones(n, dtype=np.intp)
+        reps[:-1] += missing
+        hr, br, hr_conf, movement, labels = (
+            np.repeat(v, reps) for v in (hr, br, hr_conf, movement, labels))
     return EpochSeries(
-        timestamps=np.asarray(cols["timestamp"], dtype=np.int64),
+        timestamps=ts[0] + EPOCH_SECONDS * np.arange(len(hr), dtype=np.int64),
         hr=hr,
-        br=np.asarray(cols["br"], dtype=np.float64),
-        hr_conf=np.asarray(cols["hr_conf"], dtype=np.float64),
-        movement=np.asarray(cols["movement"], dtype=np.float64),
+        br=br,
+        hr_conf=hr_conf,
+        movement=movement,
         hr_diff=compute_hr_diff(hr),
-        labels=np.asarray(cols["label"], dtype=np.int64),
+        labels=labels,
         subject_id=subject_id,
         source="ingested",
     )
@@ -248,22 +319,26 @@ def write_transitions(transitions, dest):
 
 
 def read_transitions(source):
-    """(kind, timestamp) pairs from a truth sidecar; IngestError names the
-    first row without a finite timestamp."""
+    """(kind, timestamp) pairs from a truth sidecar, read by `record_lines`;
+    IngestError names the first row without a finite timestamp inside int64."""
     with open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["kind", "timestamp"]:
-            raise IngestError(f"bad sidecar header {header!r}; expected kind,timestamp")
-        out = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                out.append((row[0], int(float(row[1]))))
-            except (IndexError, ValueError, OverflowError) as exc:  # int(inf)
-                raise IngestError(f"row {row_no}: no finite timestamp: {row!r}") from exc
-        return out
+        lines = record_lines(fh.read())
+    header = lines[0].split(",") if lines else None
+    if header is None or [h.strip() for h in header[:2]] != ["kind", "timestamp"]:
+        raise IngestError(f"bad sidecar header {header!r}; expected kind,timestamp")
+    out = []
+    for row_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        row = line.split(",")
+        try:
+            ts = int(float(row[1]))
+        except (IndexError, ValueError, OverflowError) as exc:  # int(inf)
+            raise IngestError(f"row {row_no}: no finite timestamp: {row!r}") from exc
+        if abs(ts) >= TIMESTAMP_LIMIT:
+            raise IngestError(f"row {row_no}: timestamp {ts} out of range")
+        out.append((row[0], ts))
+    return out
 
 
 def make_windows(series, window_epochs=30):

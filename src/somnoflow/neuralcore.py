@@ -306,7 +306,7 @@ class MaxPool1d(Layer):
     def forward(self, x, train=False):
         p, s = self.pool_width, self.stride
         if p > x.shape[2]:
-            raise ShapeError(f"{self.name}: pool width {p} exceeds input length {length}")
+            raise ShapeError(f"{self.name}: pool width {p} exceeds input length {x.shape[2]}")
         out, arg = maxpool1d(x, p, s)
         self.argmax, self._in_shape = arg, x.shape
         return out

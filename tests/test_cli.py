@@ -166,6 +166,23 @@ class TestConfigFile:
         assert "error:" in err and line.split(" = ")[0] in err
         assert "Traceback" not in err
 
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "somnoflow.conf"
+        cfg.write_text("hourz = 3\n")
+        out = tmp_path / "x.csv"
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config file {cfg}: unknown key 'hourz'" in err
+        assert not out.exists()
+
+    def test_other_subcommands_config_key_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "somnoflow.conf"
+        cfg.write_text("hours = 2\nepochs = 3\nport = 9\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["synth", "--config", str(cfg), "--out", str(a)]) == 0
+        assert run(["synth", "--hours", "2", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_config_beats_env(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "somnoflow.conf"
         cfg.write_text("seed = 9\n")
@@ -300,6 +317,31 @@ class TestPipelineChain:
         assert "row 2: no finite timestamp" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["6\x000", "1" * 200_000, "1e19",
+                                       "10000000000000000000", '"600"'],
+                             ids=["nul-byte", "200kb-field", "1e19", "int-beyond-int64",
+                                  "quoted"])
+    @pytest.mark.parametrize("command", ["infer", "eval", "events"])
+    def test_hostile_timestamp_field_exits_1(self, workdir, tmp_path, capsys, command, value):
+        path = tmp_path / "hostile.csv"
+        model = str(workdir / "model.slpn")
+        if command == "infer":
+            lines = (workdir / "night2.csv").read_text().splitlines()
+            lines[1] = value + lines[1][lines[1].index(","):]
+            path.write_text("\n".join(lines) + "\n")
+            argv = ["infer", "--model", model, "--data", str(path)]
+        elif command == "eval":
+            path.write_text(f"kind,timestamp\nsleep_onset,{value}\n")
+            argv = ["eval", "--model", model, "--data", str(workdir / "night2.csv"),
+                    "--truth-events", str(path)]
+        else:
+            path.write_text(f"timestamp,probability\n{value},0.5\n")
+            argv = ["events", "--hypnogram", str(path)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "row 2:" in err
+        assert "Traceback" not in err
+
     def test_infer_rejects_vital_overflowing_float32(self, workdir, tmp_path, capsys):
         lines = (workdir / "night2.csv").read_text().splitlines()
         fields = lines[51].split(",")
@@ -313,6 +355,16 @@ class TestPipelineChain:
 
 
 class TestServe:
+    @pytest.mark.parametrize("port", ["99999", "-1", "65536"])
+    def test_port_out_of_range_exits_1(self, workdir, capsys, monkeypatch, port):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("serve bound a socket")
+        monkeypatch.setattr("socket.create_server", no_socket)
+        assert run(["serve", "--model", str(workdir / "model.slpn"), "--port", port]) == 1
+        err = capsys.readouterr().err
+        assert f"--port must be in 0-65535, got {port}" in err
+        assert "Traceback" not in err
+
     def test_stdin_round(self, workdir, capsys, monkeypatch):
         data = (workdir / "night2.csv").read_text().splitlines()
         # header is not a valid epoch record: expect an err frame, then classes

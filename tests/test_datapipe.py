@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -6,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import somnoflow as sf
 from somnoflow import datapipe
-from somnoflow.datapipe import (IngestError, SynthConfig, apply_normalizer,
+from somnoflow.datapipe import (CSV_COLUMNS, EPOCH_SECONDS, MAX_FILL_EPOCHS,
+                                IngestError, SynthConfig, apply_normalizer,
                                 build_training_set, compute_hr_diff,
                                 fit_normalizer, ingest_epochs, make_windows,
-                                read_transitions, synth_generate, write_epochs,
-                                write_transitions)
+                                parse_record, read_transitions, synth_generate,
+                                vitals_error, write_epochs, write_transitions)
 
 
 def make_csv(rows, header="timestamp,hr,br,hr_conf,movement"):
@@ -25,6 +27,181 @@ def make_series(n, label=0, start=0):
         timestamps=start + 30 * np.arange(n, dtype=np.int64),
         hr=hr, br=np.full(n, 14.0), hr_conf=np.full(n, 0.9),
         movement=np.full(n, 0.1), hr_diff=compute_hr_diff(hr), labels=labels)
+
+
+
+def _oracle_row(row, row_no, has_label):
+    try:
+        ts, hr, br, hr_conf, movement = parse_record(row)
+    except ValueError as exc:
+        raise IngestError(f"row {row_no}: unparseable values: {row!r}") from exc
+    # the one rule added to the loop: a timestamp outside int64 is a row
+    # error (the loop let it escape as an OverflowError)
+    if abs(ts) >= 2 ** 63:
+        raise IngestError(f"row {row_no}: timestamp {ts} out of range")
+    error = vitals_error(hr, br, hr_conf, movement)
+    if error is not None:
+        raise IngestError(f"row {row_no}: {error}")
+    label = -1
+    if has_label and len(row) > 5 and row[5] != "":
+        try:
+            label = int(row[5])
+        except ValueError:
+            label = None
+        if label not in (0, 1):
+            raise IngestError(f"row {row_no}: label must be 0 or 1, got {row[5]!r}")
+    return ts, hr, br, hr_conf, movement, label
+
+
+def oracle_ingest(source, fill_gaps=False):
+    """The per-row, csv-module ingest loop that `ingest_epochs` replaced: the
+    reference its columnar parse must match on every text without quotes."""
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError("empty file: missing header")
+    header = [h.strip() for h in header]
+    if tuple(header[:5]) != CSV_COLUMNS:
+        raise IngestError(f"bad header {header!r}; expected {','.join(CSV_COLUMNS)}[,label]")
+    has_label = len(header) > 5 and header[5] == "label"
+    if len(header) > 5 and not has_label:
+        raise IngestError(f"bad header {header!r}; sixth column must be 'label'")
+
+    cols = {name: [] for name in ("timestamp", "hr", "br", "hr_conf", "movement", "label")}
+    prev_ts = None
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        ts, hr, br, hr_conf, movement, label = _oracle_row(row, row_no, has_label)
+        if prev_ts is not None:
+            step = ts - prev_ts
+            if step <= 0:
+                raise IngestError(f"row {row_no}: non-monotonic timestamp {ts} after {prev_ts}")
+            if step != EPOCH_SECONDS:
+                missing = step // EPOCH_SECONDS - 1
+                if step % EPOCH_SECONDS != 0 or missing < 1:
+                    raise IngestError(f"row {row_no}: timestamp {ts} not on the 30 s grid")
+                if not fill_gaps:
+                    raise IngestError(f"row {row_no}: gap of {missing} epochs before timestamp {ts}")
+                if missing > MAX_FILL_EPOCHS:
+                    raise IngestError(
+                        f"row {row_no}: gap of {missing} epochs exceeds fill limit {MAX_FILL_EPOCHS}")
+                for i in range(1, missing + 1):
+                    cols["timestamp"].append(prev_ts + i * EPOCH_SECONDS)
+                    for name in ("hr", "br", "hr_conf", "movement", "label"):
+                        cols[name].append(cols[name][-1])
+        cols["timestamp"].append(ts)
+        cols["hr"].append(hr)
+        cols["br"].append(br)
+        cols["hr_conf"].append(hr_conf)
+        cols["movement"].append(movement)
+        cols["label"].append(label)
+        prev_ts = ts
+    if not cols["timestamp"]:
+        raise IngestError("no data rows")
+    hr = np.asarray(cols["hr"], dtype=np.float64)
+    return datapipe.EpochSeries(
+        timestamps=np.asarray(cols["timestamp"], dtype=np.int64),
+        hr=hr,
+        br=np.asarray(cols["br"], dtype=np.float64),
+        hr_conf=np.asarray(cols["hr_conf"], dtype=np.float64),
+        movement=np.asarray(cols["movement"], dtype=np.float64),
+        hr_diff=compute_hr_diff(hr),
+        labels=np.asarray(cols["label"], dtype=np.int64),
+    )
+
+
+# field choices for the fuzzed texts: mostly valid, with every kind of fault
+# a step of 2**64 - 8192 joins the two ends of int64, so the step wraps
+_STEPS = [60, 60, 90, 90, 120, 0, -30, 45, 15, 31, 2 ** 64 - 8192, 8192 - 2 ** 64]
+_STARTS = [0, 30, 1_600_000_000, -300, 2 ** 63 - 4096, 4096 - 2 ** 63]
+_TIMESTAMPS = ["nan", "inf", "-inf", "x", "", "1e19", "-1e19", "9.3e18",
+               "-9223372036854775808", "9223372036854775807", "1e999", "-0.0"]
+_VITALS = ["nan", "inf", "-inf", "-1", "-0.0", "1e999", "", "x", "1.5", "1e308",
+           " 2", "0x1", "1_0", "+3"]
+_LABELS = ["0", "1", "", "", " 1", "01", "2", "1.0", "x", "-0", "+1", "1 ", "-1"]
+
+
+def _fuzz_text(rng):
+    """A short epoch CSV text that may carry any fault ingest must reject."""
+    labeled = rng.random() < 0.5
+    header = list(CSV_COLUMNS) + (["label"] if labeled else [])
+    if rng.random() < 0.05:
+        header = header[:rng.integers(0, len(header))] + ["x"] * int(rng.integers(0, 2))
+    elif rng.random() < 0.05:
+        header = [f" {h} " for h in header]
+    lines = [",".join(header) if rng.random() > 0.02 else ""]
+    ts = _STARTS[rng.choice(len(_STARTS), p=[0.3, 0.2, 0.2, 0.2, 0.05, 0.05])]
+    for _ in range(int(rng.integers(0, 9))):
+        if rng.random() < 0.08:
+            lines.append("")
+            continue
+        ts += _STEPS[rng.integers(len(_STEPS))] if rng.random() < 0.15 else 30
+        fields = [str(ts) if rng.random() > 0.1 else f"{ts}.0",
+                  f"{rng.normal(60, 5):.6f}", f"{rng.normal(14, 2):.6f}",
+                  f"{rng.random():.6f}", f"{rng.random():.6f}"]
+        if labeled:
+            fields.append(str(rng.choice(_LABELS[:4])))
+        if rng.random() < 0.15:
+            fields[int(rng.integers(1, 5))] = str(rng.choice(_VITALS))
+        if rng.random() < 0.04:
+            fields[0] = str(rng.choice(_TIMESTAMPS))
+        if labeled and rng.random() < 0.1:
+            fields[5] = str(rng.choice(_LABELS))
+        if rng.random() < 0.05:
+            fields = fields[:int(rng.integers(0, len(fields)))]
+        elif rng.random() < 0.05:
+            fields += ["extra"] * int(rng.integers(1, 3))
+        lines.append(",".join(fields))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.9 else "")
+
+
+def _outcome(ingest, text, fill_gaps):
+    try:
+        series = ingest(io.StringIO(text), fill_gaps=fill_gaps)
+    except IngestError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.tobytes()) for a in
+            (series.timestamps, series.hr, series.br, series.hr_conf,
+             series.movement, series.hr_diff, series.labels)]
+
+
+class TestIngestMatchesOracle:
+    def test_fuzzed_texts(self):
+        rng = np.random.default_rng(20240613)
+        accepted = 0
+        for _ in range(3000):
+            text = _fuzz_text(rng)
+            fill_gaps = bool(rng.random() < 0.5)
+            want = _outcome(oracle_ingest, text, fill_gaps)
+            assert _outcome(ingest_epochs, text, fill_gaps) == want, (text, fill_gaps)
+            accepted += not isinstance(want, str)
+        assert 300 < accepted < 2700  # both outcomes well covered
+
+    @pytest.mark.parametrize("rows", [
+        # the step between the two ends of int64 wraps in int64 arithmetic
+        ["-9223372036854771712,60,14,0.9,0.1", "9223372036854771712,60,14,0.9,0.1"],
+        ["9223372036854771712,60,14,0.9,0.1", "-9223372036854771712,60,14,0.9,0.1"],
+        ["9223372036854771712,60,14,0.9,0.1", "9223372036854772736,60,14,0.9,0.1"],
+        ["0,60,14,0.9,0.1", "", "", "90,60,14,0.9,0.1", "", "150,61,14,0.9,0.1"],
+    ])
+    @pytest.mark.parametrize("fill_gaps", [False, True])
+    def test_edge_texts(self, rows, fill_gaps):
+        text = make_csv(rows).getvalue()
+        want = _outcome(oracle_ingest, text, fill_gaps)
+        assert _outcome(ingest_epochs, text, fill_gaps) == want
+
+    @pytest.mark.parametrize("fill_gaps", [False, True])
+    def test_synthetic_night(self, fill_gaps):
+        series = synth_generate(SynthConfig(seed=7, hours=8))
+        buf = io.StringIO()
+        write_epochs(series, buf)
+        text = buf.getvalue()
+        want = _outcome(oracle_ingest, text, fill_gaps)
+        assert not isinstance(want, str)
+        assert _outcome(ingest_epochs, text, fill_gaps) == want
 
 
 class TestIngest:
@@ -78,6 +255,37 @@ class TestIngest:
         rows = ["0,60,14,0.9,0.1", f"{value},60,14,0.9,0.1"]
         with pytest.raises(IngestError, match="row 3: unparseable"):
             ingest_epochs(make_csv(rows))
+
+    @pytest.mark.parametrize("value", ["1e19", "9.3e18", "-1e19", "-9223372036854775808"])
+    def test_out_of_range_timestamp_names_row(self, value):
+        with pytest.raises(IngestError, match="row 2: timestamp -?[0-9]+ out of range"):
+            ingest_epochs(make_csv([f"{value},60,14,0.9,0.1"]))
+        rows = ["0,60,14,0.9,0.1", f"{value},60,14,0.9,0.1"]
+        with pytest.raises(IngestError, match="row 3: timestamp -?[0-9]+ out of range"):
+            ingest_epochs(make_csv(rows))
+
+    def test_largest_timestamps_accepted(self):
+        top = 2 ** 63 - 1024  # float64's largest value below 2**63
+        series = ingest_epochs(make_csv([f"{top},60,14,0.9,0.1"]))
+        assert series.timestamps.tolist() == [top]
+
+    def test_quoted_field_unparseable(self):
+        with pytest.raises(IngestError, match="""row 3: unparseable values: \\['30', '"60"'"""):
+            ingest_epochs(make_csv(["0,60,14,0.9,0.1", '30,"60",14,0.9,0.1']))
+
+    def test_quoted_header_rejected(self):
+        with pytest.raises(IngestError, match="bad header"):
+            ingest_epochs(make_csv(["0,60,14,0.9,0.1"],
+                                   header='"timestamp",hr,br,hr_conf,movement'))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_endings(self, end, tmp_path):
+        path = tmp_path / "night.csv"
+        path.write_bytes(end.join(["timestamp,hr,br,hr_conf,movement,label",
+                                   "0,60,14,0.9,0.1,1", "", "30,61,14,0.9,0.1,0"]).encode())
+        series = ingest_epochs(path)
+        np.testing.assert_array_equal(series.timestamps, [0, 30])
+        np.testing.assert_array_equal(series.labels, [1, 0])
 
     def test_missing_column(self):
         src = io.StringIO("timestamp,hr,br\n0,60,14\n")

@@ -321,6 +321,10 @@ class TestMaxPool:
         with pytest.raises(ConfigError):
             MaxPool1d("p", 0)
 
+    def test_width_beyond_input_rejected(self):
+        with pytest.raises(ShapeError, match="pool width 4 exceeds input length 3"):
+            MaxPool1d("p", 4).forward(np.zeros((1, 1, 3), dtype=np.float32))
+
     def test_backward_routes_to_argmax(self):
         pool = MaxPool1d("p", 2)
         x = np.array([[[1.0, 3.0, 2.0, 5.0]]], dtype=np.float32)
