@@ -304,7 +304,7 @@ def _read_hypnogram(path):
         lines = datapipe.record_lines(fh.read())
     header = lines[0].split(",") if lines else None
     if header is None or [h.strip() for h in header[:2]] != ["timestamp", "probability"]:
-        raise ValueError(f"bad hypnogram header {header!r}")
+        raise ValueError(f"bad hypnogram header {datapipe.clipped_repr(header)}")
     start, probs = None, []
     for row_no, line in enumerate(lines[1:], start=2):
         if not line:
@@ -313,7 +313,8 @@ def _read_hypnogram(path):
         try:
             ts, p = int(row[0]), float(row[1])
         except (IndexError, ValueError) as exc:
-            raise ValueError(f"hypnogram row {row_no}: unparseable values: {row!r}") from exc
+            raise ValueError(f"hypnogram row {row_no}: unparseable values: "
+                             f"{datapipe.clipped_repr(row)}") from exc
         if abs(ts) >= datapipe.TIMESTAMP_LIMIT:
             raise ValueError(f"hypnogram row {row_no}: timestamp {ts} out of range")
         start = ts if start is None else start
@@ -321,7 +322,7 @@ def _read_hypnogram(path):
             raise ValueError(f"hypnogram row {row_no}: timestamp {ts}, expected "
                              f"{start + 60 * len(probs)}")
         if not 0.0 <= p <= 1.0:
-            raise ValueError(f"hypnogram row {row_no}: probability {row[1]} outside [0,1]")
+            raise ValueError(f"hypnogram row {row_no}: probability {p} outside [0,1]")
         probs.append(p)
     if not probs:
         raise ValueError("empty hypnogram file")

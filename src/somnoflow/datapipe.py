@@ -35,6 +35,7 @@ CSV_COLUMNS = ("timestamp", "hr", "br", "hr_conf", "movement")
 MAX_FILL_EPOCHS = 2  # most missing epochs that ingest_epochs fills in one gap
 TIMESTAMP_LIMIT = 2 ** 63  # timestamps are int64: |t| must stay below this
 MIN_TAIL_MIN = 20.0  # trailing wake kept after a single synthetic sleep period
+ECHO_LIMIT = 200  # characters of a row or line an error message repeats
 
 
 class IngestError(ValueError):
@@ -130,6 +131,16 @@ def record_lines(text):
     return lines
 
 
+def clipped_repr(value):
+    """repr(value) for an error message, cut after ECHO_LIMIT characters
+    with the count of those cut: a message shows an ordinary row whole and
+    a huge one in a bounded length."""
+    text = repr(value)
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text) - ECHO_LIMIT} more characters)"
+
+
 def parse_record(fields):
     """(timestamp, hr, br, hr_conf, movement) from the text fields of one epoch
     record, ignoring any later field. Raises ValueError on a missing field, a
@@ -176,14 +187,14 @@ def _parse_row(row, row_no, has_label):
     try:
         ts, hr, br, hr_conf, movement = parse_record(row)
     except ValueError as exc:
-        raise IngestError(f"row {row_no}: unparseable values: {row!r}") from exc
+        raise IngestError(f"row {row_no}: unparseable values: {clipped_repr(row)}") from exc
     if abs(ts) >= TIMESTAMP_LIMIT:
         raise IngestError(f"row {row_no}: timestamp {ts} out of range")
     error = vitals_error(hr, br, hr_conf, movement)
     if error is not None:
         raise IngestError(f"row {row_no}: {error}")
     if has_label and len(row) > 5 and _label_value(row[5]) is None:
-        raise IngestError(f"row {row_no}: label must be 0 or 1, got {row[5]!r}")
+        raise IngestError(f"row {row_no}: label must be 0 or 1, got {clipped_repr(row[5])}")
 
 
 def _step_error(ts, prev_ts, fill_gaps):
@@ -235,10 +246,10 @@ def ingest_epochs(source, subject_id="", fill_gaps=False):
         raise IngestError("empty file: missing header")
     header = [h.strip() for h in lines[0].split(",")] if lines[0] else []
     if tuple(header[:5]) != CSV_COLUMNS:
-        raise IngestError(f"bad header {header!r}; expected {','.join(CSV_COLUMNS)}[,label]")
+        raise IngestError(f"bad header {clipped_repr(header)}; expected {','.join(CSV_COLUMNS)}[,label]")
     has_label = len(header) > 5 and header[5] == "label"
     if len(header) > 5 and not has_label:
-        raise IngestError(f"bad header {header!r}; sixth column must be 'label'")
+        raise IngestError(f"bad header {clipped_repr(header)}; sixth column must be 'label'")
 
     body = list(filter(None, lines[1:]))
     if not body:
@@ -325,7 +336,7 @@ def read_transitions(source):
         lines = record_lines(fh.read())
     header = lines[0].split(",") if lines else None
     if header is None or [h.strip() for h in header[:2]] != ["kind", "timestamp"]:
-        raise IngestError(f"bad sidecar header {header!r}; expected kind,timestamp")
+        raise IngestError(f"bad sidecar header {clipped_repr(header)}; expected kind,timestamp")
     out = []
     for row_no, line in enumerate(lines[1:], start=2):
         if not line:
@@ -334,7 +345,7 @@ def read_transitions(source):
         try:
             ts = int(float(row[1]))
         except (IndexError, ValueError, OverflowError) as exc:  # int(inf)
-            raise IngestError(f"row {row_no}: no finite timestamp: {row!r}") from exc
+            raise IngestError(f"row {row_no}: no finite timestamp: {clipped_repr(row)}") from exc
         if abs(ts) >= TIMESTAMP_LIMIT:
             raise IngestError(f"row {row_no}: timestamp {ts} out of range")
         out.append((row[0], ts))

@@ -12,19 +12,22 @@ caches what backward needs; `sleepnet.RecordScorer` calls the same functions
 on its own stacked weights and caches nothing on a layer.
 
 A result must not depend on the batch or the neighbours it is computed
-with: `sleepnet.RecordScorer` runs a night's conv positions as tiles of a
-fixed width, and the stream runs the one tile that holds its newest
-positions with the epochs past them zero-padded; the two must agree bit for
-bit. `conv1d` copies each input (a tile, or a training window) into
-C-contiguous im2col columns and runs one stacked matmul, which numpy executes
-as one fixed-shape BLAS product per input. So the shape, and with it each
-column's summation order, is the same whatever the batch size or input
-layout, and a column does not depend on the values in the other columns.
-`dense` contracts with np.einsum on its default (non-optimized) path, which
-accumulates each output element in the same order at any batch size.
-Max-pooling, batchnorm and the activations act per channel and position.
-`tests/test_sleepnet.py::TestBatchInvariance` and `TestRecordScorer` check
-this contract, also with OpenBLAS on 1 and on 2 threads.
+with: `sleepnet.RecordScorer` runs a night's conv positions and windows as
+tiles of a fixed width, and the stream runs the tiles that hold its newest
+positions and window with the inputs past them zero-padded; the two must
+agree bit for bit. `conv1d` copies each input (a tile, or a training window)
+into C-contiguous im2col columns and runs one stacked matmul, which numpy
+executes as one fixed-shape BLAS product per input. So the shape, and with
+it each column's summation order, is the same whatever the batch size or
+input layout, and a column does not depend on the values in the other
+columns; the scorer runs its fc tiles as such products too. `dense`
+contracts with np.einsum on its default (non-optimized) path, which
+accumulates each output element in the same order at any batch size for a
+C-contiguous input; its order follows the input's layout, so `dense` makes
+the input C-contiguous first. Max-pooling, batchnorm and the activations act
+per channel and position. `tests/test_sleepnet.py::TestBatchInvariance` and
+`TestRecordScorer` check this contract, also with OpenBLAS on 1 and on 2
+threads.
 
 A training step's cost at batch 32 is mostly numpy calls, not arithmetic,
 so `Adam(layers, lr)` binds itself to its layers once: their gradients
@@ -128,8 +131,10 @@ def maxpool1d(x, p, s):
 
 
 def dense(x, w, b):
-    """x (n, in) times w (out, in) transposed, plus b (out,)."""
-    return np.einsum("oi,ni->no", w, x) + b[None, :]
+    """x (n, in) times w (out, in) transposed, plus b (out,). x is made
+    C-contiguous first: einsum's order of summation follows the layout of
+    its operands, so a Fortran-ordered or strided x would round otherwise."""
+    return np.einsum("oi,ni->no", w, np.ascontiguousarray(x)) + b[None, :]
 
 
 def bce_loss(p, y):

@@ -14,11 +14,12 @@ layers above it, and backward stops at the lowest trainable layer.
 
 Training runs windows through `SleepNetModel.forward_batch`, which calls
 the layers. Inference runs a record through `RecordScorer`, which stacks the
-heads' conv and batchnorm weights once, computes conv, batchnorm, relu and
-maxpool for all heads in one pass per tile of positions, and runs only each
-head's FC layers and the trunk per window. It calls the `neuralcore`
-functions that the layers' forward methods are built on, so inference
-writes nothing to the model.
+heads' weights once and runs the network as convolutions over the record:
+conv, batchnorm, relu and maxpool for all heads in one pass per tile of
+positions, then fc1 and fc2, a window's slice of the pooled sequence being
+im2col columns, as one batched product per tile of windows, and the trunk
+per window. It calls the `neuralcore` functions that the layers' forward
+methods are built on, so inference writes nothing to the model.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .datapipe import EPOCHS_PER_MINUTE, NormStats, make_windows, zscore
 from .datapipe import apply_normalizer  # noqa: F401  perfbench/layers.py traces it by this name
@@ -53,9 +54,10 @@ TILE = 32
 # in one pass each batchnorm and relu temporary was 240 KB, and those ops
 # took more than twice as long per tile
 TILES_PER_PASS = 8
-# windows per FC call in RecordScorer: fc1 keeps its input, the windows'
-# overlapping pooled slices, about 14 times the record's pooled sequence, so
-# one call per 24 h record held 5 MB; 128 also ran faster than 64 or 466
+# windows per fc pass in RecordScorer, a multiple of TILE: a pass's fc1
+# input, the windows' overlapping pooled slices, is about 14 times its part
+# of the pooled sequence (460 KB for 128 windows of the default model), and
+# a 24 h record in one pass raised the stream's peak RSS by 8%
 FC_CHUNK = 128
 HEADER_KEYS = ("format_version", "config", "frozen", "norm_stats", "manifest", "digest")
 
@@ -631,6 +633,29 @@ def _blocks(seq, width, step, count):
     return sliding_window_view(seq, width, axis=1)[:, ::step]
 
 
+@dataclass
+class _HeadGroup:
+    """Heads that share a pool width and an fc width, in model order
+    (`members`), as one row range of the scorer's stack: each takes
+    `n_filters` rows, the group's most, and reads `pooled_len` taps, the
+    group's longest, with zero weights on the rows and taps it lacks.
+    `cols` is their pooled sequence, and `fc` their stacked fc1 and fc2
+    weights and biases."""
+
+    pool: int
+    members: list
+    n_filters: int
+    pooled_len: int
+    rows: slice
+    cols: _Columns
+    fc: tuple
+
+    @property
+    def shift(self):
+        """Pooled positions per 1-minute window shift."""
+        return EPOCHS_PER_MINUTE // self.pool
+
+
 class RecordScorer:
     """Final sleep probability of each 1-minute window of one record, from
     its z-scored (5, n) epochs pushed in pieces of any size: the one
@@ -638,32 +663,47 @@ class RecordScorer:
     one record at a time; every split of a record gives the same bits
     (`tests/test_sleepnet.py::TestRecordScorer`).
 
-    The scorer stacks the heads' conv and batchnorm tensors into copies when
-    it is built and reads the FC and trunk weights in place; the model must
+    The scorer stacks the heads' conv, batchnorm and FC tensors into copies
+    when it is built and reads the trunk's weights in place; the model must
     not change while a scorer is live. It calls the `neuralcore` functions,
     never a layer's forward, so it writes nothing to the model.
 
-    All heads run as one stack: their conv kernels, each zero-padded after
-    its last tap to the widest kernel width K, form one (sum F, 5, K)
-    kernel, so head h's position j is stacked position j with zero weights
-    on epochs j + k_h .. j + K - 1. The stacked conv runs in tiles of TILE
-    positions aligned to the record's first epoch: tile t holds positions
-    [t*TILE, (t+1)*TILE), read from epochs [t*TILE, t*TILE + TILE + K - 1),
-    zero-padded past the newest epoch. Each tile is one fixed-shape matmul,
-    and a column of such a product does not depend on the other columns, so
-    a position comes out the same whether its tile ran on the whole night or
-    on the epochs so far. batchnorm and relu act per channel and position on
-    the stack; heads that share a pool width pool their rows in one call,
-    into that width's pooled sequence. The 2-epoch window shift is a whole
-    number of pool strides, so window w's pooled features for head h are a
-    slice of head h's rows; each head's fc1 -> fc2 (on C-contiguous copies of
-    those slices, FC_CHUNK windows per call) and the trunk run per window.
+    The network runs as convolutions over the record, in tiles aligned to
+    its start. Each tile is one fixed-shape matmul, and a column of such a
+    product does not depend on the other columns, so a position or window
+    comes out the same whether its tile ran on the whole night or on the
+    epochs so far, zero-padded past them.
 
-    A push recomputes the tiles from the first one that holds a position not
-    yet final for the widest kernel to the one that holds the narrowest
-    kernel's newest position, and the columns keep what later windows still
-    need: pooled features from their first window on and z-scored epochs
-    from the start of the widest kernel's open tile.
+    - conv, batchnorm, relu: the heads' conv kernels, each zero-padded after
+      its last tap to the widest kernel width K, form one (rows, 5, K)
+      kernel, so head h's position j is stacked position j with zero
+      weights on epochs j + k_h .. j + K - 1. Tile t holds positions
+      [t*TILE, (t+1)*TILE), read from epochs [t*TILE, t*TILE + TILE + K - 1);
+      TILES_PER_PASS tiles run per pass. batchnorm and relu act per channel
+      and position on the stack.
+    - maxpool: the heads are grouped by pool width and fc width (a
+      `_HeadGroup`), and each group pools its rows in one call into its
+      pooled sequence.
+    - fc1 -> relu -> fc2: window w of a head reads pooled positions
+      [w*shift, w*shift + pooled_len), shift being the pool strides per
+      2-epoch window shift, flattened in (channel, tap) order: im2col order.
+      So fc1 is a convolution of the head's pooled rows at stride shift with
+      kernel fc1.w reshaped to (fc_width, n_filters, pooled_len), and fc2 a
+      1-tap one. They run in tiles of TILE windows, at most FC_CHUNK windows
+      per pass: one (fc, n_filters * pooled_len) @ (n_filters * pooled_len,
+      TILE) product per head and tile, and a (1, fc) @ (fc, TILE) one, all
+      heads of a group in one batched matmul. A head's zero-weight rows and
+      taps are trailing zero terms of each sum, which a BLAS product adds
+      without changing it; its fc width is never padded, because a
+      matrix-vector product (fc2's) does not keep that for every length.
+    - the trunk runs per window on the (m, heads) logits.
+
+    A push recomputes the conv tiles from the first one that holds a
+    position not yet final for the widest kernel to the one that holds the
+    narrowest kernel's newest position, and the fc tiles from the one that
+    holds its first new window. The columns keep what later pushes still
+    need: pooled features from the first window of the open fc tile on, and
+    z-scored epochs from the start of the widest kernel's open conv tile.
     """
 
     def __init__(self, model):
@@ -676,38 +716,48 @@ class RecordScorer:
         self._k_max, self._k_min = max(widths), min(widths)
         dtype = heads[0].conv.dtype
         self._epochs = _Columns(model.config.input_features, dtype)
-        # the stack's channels in order of pool width, then of head, so that
-        # the heads of one pool width are one row range: (pool width, its
-        # rows, its pooled sequence) per width, and per head in model order
-        # its pooled sequence, its rows there and its FC weights
-        self._groups, self._heads, order = [], [None] * len(heads), []
+        self._n_heads = len(heads)
+        by_key = {}
+        for i, h in enumerate(heads):
+            by_key.setdefault((h.pool.pool_width, h.fc1.params["w"].shape[0]), []).append(i)
+        # (pool width, fc width, members, rows per member) per group
+        groups = [(*key, group, max(heads[i].conv.out_channels for i in group))
+                  for key, group in sorted(by_key.items())]
+        n_rows = sum(len(group) * f for _, _, group, f in groups)
+        # the stack's tensors, written per head into zeros; a padding row
+        # has zero weights, a zero mean, unit variance and zero gamma and
+        # beta, so it stays 0 through conv, batchnorm, relu and maxpool
+        self._w = np.zeros((n_rows, model.config.input_features, self._k_max), dtype)
+        self._b, self._mean, self._gamma, self._beta = np.zeros((4, n_rows), dtype)
+        var = np.ones(n_rows, dtype)
+        self._groups = []
         first_row = 0
-        for pool in sorted({h.pool.pool_width for h in heads}):
-            members = [i for i, h in enumerate(heads) if h.pool.pool_width == pool]
-            n_rows = sum(heads[i].conv.out_channels for i in members)
-            cols = _Columns(n_rows, dtype)
-            self._groups.append((pool, slice(first_row, first_row + n_rows), cols))
-            first_row += n_rows
-            row = 0
-            for i in members:
+        for pool, fc, group, f in groups:
+            p = max(heads[i].pooled_len for i in group)
+            w1 = np.zeros((len(group), fc, f, p), dtype)
+            b1 = np.empty((len(group), fc, 1), dtype)
+            w2 = np.empty((len(group), 1, fc), dtype)
+            b2 = np.empty((len(group), 1, 1), dtype)
+            for j, i in enumerate(group):
                 h = heads[i]
-                self._heads[i] = (cols, slice(row, row + h.conv.out_channels), h.pooled_len,
-                                  EPOCHS_PER_MINUTE // pool,
-                                  (h.fc1.params["w"], h.fc1.params["b"],
-                                   h.fc2.params["w"], h.fc2.params["b"]))
-                row += h.conv.out_channels
-            order += members
-
-        def stack(tensor):
-            return np.concatenate([tensor(heads[i]) for i in order])
-
-        self._w = stack(lambda h: np.pad(h.conv.params["w"],
-                                         ((0, 0), (0, 0), (0, self._k_max - h.conv.kernel_width))))
-        self._b = stack(lambda h: h.conv.params["b"])
-        self._mean = stack(lambda h: h.bn.running_mean)
-        self._inv_std = bn_inv_std(stack(lambda h: h.bn.running_var))
-        self._gamma = stack(lambda h: h.bn.params["gamma"])
-        self._beta = stack(lambda h: h.bn.params["beta"])
+                rows = slice(first_row + j * f, first_row + j * f + h.conv.out_channels)
+                self._w[rows, :, :h.conv.kernel_width] = h.conv.params["w"]
+                self._b[rows] = h.conv.params["b"]
+                self._mean[rows] = h.bn.running_mean
+                var[rows] = h.bn.running_var
+                self._gamma[rows] = h.bn.params["gamma"]
+                self._beta[rows] = h.bn.params["beta"]
+                w1[j, :, :h.conv.out_channels, :h.pooled_len] = h.fc1.params["w"].reshape(
+                    fc, h.conv.out_channels, h.pooled_len)
+                b1[j, :, 0] = h.fc1.params["b"]
+                w2[j] = h.fc2.params["w"]
+                b2[j] = h.fc2.params["b"]
+            rows = slice(first_row, first_row + len(group) * f)
+            first_row = rows.stop
+            self._groups.append(_HeadGroup(pool, group, f, p, rows,
+                                           _Columns(len(group) * f, dtype),
+                                           (w1.reshape(len(group), fc, f * p), b1, w2, b2)))
+        self._inv_std = bn_inv_std(var)
         self._trunk = [(layer.params["w"], layer.params["b"])
                        for layer in model.trunk if layer.params]
 
@@ -721,15 +771,22 @@ class RecordScorer:
         if stop <= first:
             return np.empty(0)
         self._pool_tiles()
-        logits = [self._head_logits(*head, first, stop) for head in self._heads]
+        logits = np.empty((stop - first, self._n_heads), self._w.dtype)
+        tiles_per_pass = FC_CHUNK // TILE
+        for tile in range(first // TILE, -(-stop // TILE), tiles_per_pass):
+            start, end = max(first, tile * TILE), min(stop, (tile + tiles_per_pass) * TILE)
+            for g in self._groups:
+                out = self._fc_tiles(g, tile, -(-(end - tile * TILE) // TILE))
+                logits[start - first:end - first, g.members] = \
+                    out[start - tile * TILE:end - tile * TILE]
         self.n_windows = stop
         kept = self._done // TILE * TILE
         self._epochs.keep = kept
-        for pool, _, cols in self._groups:
-            cols.keep = min(stop * (EPOCHS_PER_MINUTE // pool), kept // pool)
+        for g in self._groups:
+            g.cols.keep = min(stop // TILE * TILE * g.shift, kept // g.pool)
         # the model's fuse: sigmoid, then the trunk's dense layers with a relu
         # between each two
-        t = sigmoid(np.concatenate(logits, axis=1))
+        t = sigmoid(logits)
         for i, (w, b) in enumerate(self._trunk):
             t = dense(relu(t)[1] if i else t, w, b)
         return sigmoid(t[:, 0]).astype(np.float64)
@@ -745,29 +802,37 @@ class RecordScorer:
             n_tiles = min(TILES_PER_PASS, -(-(stop - first) // TILE))
             x = self._epochs.view(first, first + n_tiles * TILE + self._k_max - 1)
             tiles = _blocks(x, TILE + self._k_max - 1, TILE, n_tiles)      # (5, n_tiles, .)
-            y = conv1d(tiles.transpose(1, 0, 2), self._w, self._b)      # (n_tiles, sum F, TILE)
+            y = conv1d(tiles.transpose(1, 0, 2), self._w, self._b)      # (n_tiles, rows, TILE)
             y = batchnorm(y - self._mean[None, :, None], self._inv_std,
                           self._gamma, self._beta)[1]
             y = relu(y)[1]
-            for pool, rows, cols in self._groups:
-                pooled = maxpool1d(y[:, rows], pool, pool)[0]
-                cols.write(first // pool,
-                           pooled.transpose(1, 0, 2).reshape(pooled.shape[1], -1))
+            for g in self._groups:
+                pooled = maxpool1d(y[:, g.rows], g.pool, g.pool)[0]
+                g.cols.write(first // g.pool,
+                             pooled.transpose(1, 0, 2).reshape(pooled.shape[1], -1))
         self._done = self.n_epochs - self._k_max + 1
 
     @staticmethod
-    def _head_logits(cols, rows, pooled_len, shift, fc, first, stop):
-        """(stop - first, 1) logits of one head: fc1 -> relu -> fc2 on each
-        window's slice of the head's pooled rows."""
-        fc1_w, fc1_b, fc2_w, fc2_b = fc
-        seq = cols.view(first * shift, (stop - 1) * shift + pooled_len)[rows]
-        windows = _blocks(seq, pooled_len, shift, stop - first).transpose(1, 0, 2)
-        out = []
-        for s in range(0, len(windows), FC_CHUNK):
-            chunk = np.ascontiguousarray(windows[s:s + FC_CHUNK])
-            h = relu(dense(chunk.reshape(len(chunk), -1), fc1_w, fc1_b))[1]
-            out.append(dense(h, fc2_w, fc2_b))
-        return np.concatenate(out)
+    def _fc_tiles(g, tile, n_tiles):
+        """(n_tiles * TILE, heads) logits of group g's heads on the windows
+        of fc tiles [tile, tile + n_tiles): fc1 -> relu -> fc2, one product
+        per head and tile."""
+        n_heads, shift = len(g.members), g.shift
+        seq = g.cols.view(tile * TILE * shift,
+                          ((tile + n_tiles) * TILE - 1) * shift + g.pooled_len)
+        rows, cols = seq.strides
+        # im2col: entry (tile, head, channel, tap, l) is pooled position
+        # (tile * TILE + l) * shift + tap of the head's channel
+        view = as_strided(seq, (n_tiles, n_heads, g.n_filters, g.pooled_len, TILE),
+                          (TILE * shift * cols, g.n_filters * rows, rows, cols, shift * cols),
+                          writeable=False)
+        x = np.ascontiguousarray(view).reshape(n_tiles, n_heads, -1, TILE)
+        w1, b1, w2, b2 = g.fc
+        h = np.matmul(w1, x)
+        h += b1
+        out = np.matmul(w2, relu(h)[1])
+        out += b2
+        return out.transpose(0, 3, 1, 2).reshape(n_tiles * TILE, n_heads)
 
 
 def infer_hypnogram(model, series):

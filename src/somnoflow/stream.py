@@ -6,11 +6,12 @@ line, a non-finite, negative or out-of-range value, or a z-score that
 overflows float32 gets an `err,` frame and leaves the state unchanged. Each
 accepted record is pushed into the batch scorer, `sleepnet.RecordScorer`,
 which scores a window as soon as its final epoch arrives by re-running, for
-all heads at once, the stacked conv tile that holds the newest epochs,
-zero-padded past them, then each head's FC layers and the trunk. A column of
-that fixed-shape product is the same as in a whole-night pass, so every
-probability equals the batch one bit for bit. A class record is emitted per
-prediction; each event kind is emitted at most once and never retracted:
+all heads at once, the conv tile that holds the newest epochs and the fc
+tile that holds the new window, zero-padded past them, then the trunk. A
+column of those fixed-shape products is the same as in a whole-night pass,
+so every probability equals the batch one bit for bit. A class record is
+emitted per prediction; each event kind is emitted at most once and never
+retracted:
 
 - sleep_onset is emitted as soon as the batch rules accept it on the prefix
   minus a short stability margin (the tail minutes whose smoothed/suppressed
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sleepnet
-from .datapipe import EPOCH_SECONDS, parse_record, vitals_error, zscore
+from .datapipe import EPOCH_SECONDS, clipped_repr, parse_record, vitals_error, zscore
 from .events import EventRuleConfig, Hypnogram, OnsetWatch, SleepEvents, predict_events
 
 
@@ -60,8 +61,8 @@ class Emission:
 
 class SleepStream:
     """Single ordered stream. Inference writes nothing to the model: each
-    stream's scorer keeps its own stacked copies of the conv and batchnorm
-    weights and its own buffers, and only reads the rest. So streams on
+    stream's scorer keeps its own stacked copies of the conv, batchnorm and
+    FC weights and its own buffers, and only reads the rest. So streams on
     several threads may share one model while nothing trains it or loads
     into it."""
 
@@ -83,7 +84,7 @@ class SleepStream:
         try:
             record = parse_record(line.strip().split(","))
         except ValueError:
-            return [Emission("err", (f"malformed line: {line.strip()!r}",))]
+            return [Emission("err", (f"malformed line: {clipped_repr(line.strip())}",))]
         return self.feed(*record)
 
     def feed(self, timestamp, hr, br, hr_conf, movement):

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 import somnoflow as sf
+from somnoflow.datapipe import ECHO_LIMIT
 from somnoflow.sleepnet import TILE
+
+# a field of 200,000 digits, which float() reads as inf
+HUGE_FIELD = "1" * 200_000
 
 
 def make_training_windows(n_subjects=3, hours=8.0, first_seed=0, limit=None,
@@ -29,6 +33,14 @@ def train_small_model(windows, model_seed=3, n_epochs=6, train_seed=0, config=No
     model, report = sf.train(model, normed, None,
                              sf.TrainingHyper(n_epochs=n_epochs, seed=train_seed))
     return model, report, normed
+
+
+def assert_clipped(message, name):
+    """message names the row or line (name) and repeats at most ECHO_LIMIT
+    characters of a row holding HUGE_FIELD, saying how many it cut."""
+    assert name in message
+    assert "more characters)" in message
+    assert len(message) < ECHO_LIMIT + 100
 
 
 def corrupt_header(path, case):
@@ -67,13 +79,18 @@ def corrupt_header(path, case):
 
 def tiled_probs(model, z):
     """Final probabilities of a record's windows from its z-scored (5, T)
-    epochs, by the tiled definition, position by position: conv position j
-    of a head is column j mod TILE of the (5k, TILE) product of the kernel
-    with tile j // TILE's im2col columns, read from epochs zero-padded past
-    the record's end. batchnorm, relu and maxpool act per position, window w
-    reads the pooled positions from w * 2 / pool_width on, and fc1, fc2 and
-    the trunk run per window."""
+    epochs, by the tiled definition, head by head and unpadded: conv
+    position j of a head is column j mod TILE of the (5k, TILE) product of
+    the kernel with tile j // TILE's im2col columns, read from epochs
+    zero-padded past the record's end. batchnorm, relu and maxpool act per
+    position. fc1 of window w is column w mod TILE of the
+    (fc, F * pooled_len) product of fc1's weights with tile w // TILE's
+    columns: column l holds the pooled positions from (w // TILE * TILE + l)
+    * 2 / pool_width on, by channel then tap, read from the pooled sequence
+    zero-padded past its end. relu and fc2, a (1, fc) product, act on that
+    tile's product, and the trunk runs per window."""
     n_windows = (z.shape[1] - model.config.window_epochs) // 2 + 1
+    n_tiles = -(-n_windows // TILE)
     logits = []
     for head in model.heads:
         k, pool = head.conv.kernel_width, head.pool.pool_width
@@ -92,9 +109,20 @@ def tiled_probs(model, z):
         conv += head.conv.params["b"][:, None]
         pooled = head.pool.forward(head.relu1.forward(head.bn.forward(conv[None])))[0]
         shift = 2 // pool
-        windows = np.stack([pooled[:, w * shift:w * shift + head.pooled_len]
-                            for w in range(n_windows)])
-        logits.append(head.classify(windows, train=False))
+        pooled = np.pad(pooled, ((0, 0), (0, n_tiles * TILE * shift + head.pooled_len)))
+        taps = np.arange(head.pooled_len)[:, None]
+        logit = np.empty((n_windows, 1), dtype=np.float32)
+        products = {}
+        for w in range(n_windows):
+            t = w // TILE
+            if t not in products:
+                # column l holds window t*TILE + l's pooled positions
+                cols = pooled[:, (t * TILE + np.arange(TILE)) * shift + taps]
+                h = head.fc1.params["w"] @ cols.reshape(-1, TILE) + head.fc1.params["b"][:, None]
+                products[t] = (head.fc2.params["w"] @ head.relu2.forward(h)
+                               + head.fc2.params["b"][:, None])
+            logit[w] = products[t][:, w % TILE]
+        logits.append(logit)
     return model.fuse(logits)[0].astype(np.float64)
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import corrupt_header
+from conftest import HUGE_FIELD, assert_clipped, corrupt_header
 from somnoflow.cli import _merge, build_parser, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -230,6 +230,17 @@ class TestPipelineChain:
         assert kinds.count("sleep_onset") <= 1
         assert kinds.count("wake_time") <= 1
         assert trace.exists()
+
+    def test_events_clips_huge_hypnogram_row(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.csv"
+        hyp.write_text(f"timestamp,probability\n{HUGE_FIELD},0.5\n")
+        assert run(["events", "--hypnogram", str(hyp)]) == 1
+        assert_clipped(capsys.readouterr().err, "hypnogram row 2: unparseable values: ['111")
+        hyp.write_text(f"timestamp,probability\n60,{HUGE_FIELD}\n")
+        assert run(["events", "--hypnogram", str(hyp)]) == 1
+        err = capsys.readouterr().err
+        assert "hypnogram row 2: probability inf outside [0,1]" in err
+        assert len(err) < 100
 
     @pytest.mark.parametrize("rows, message", [
         (["60,0.1", "120,nan", "180,0.2"], "row 3: probability nan outside [0,1]"),

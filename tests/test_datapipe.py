@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import somnoflow as sf
+from conftest import HUGE_FIELD, assert_clipped
 from somnoflow import datapipe
 from somnoflow.datapipe import (CSV_COLUMNS, EPOCH_SECONDS, MAX_FILL_EPOCHS,
                                 IngestError, SynthConfig, apply_normalizer,
@@ -269,6 +270,17 @@ class TestIngest:
         series = ingest_epochs(make_csv([f"{top},60,14,0.9,0.1"]))
         assert series.timestamps.tolist() == [top]
 
+    @pytest.mark.parametrize("header, row, name", [
+        ("timestamp,hr,br,hr_conf,movement", f"{HUGE_FIELD},60,14,0.9,0.1",
+         "row 2: unparseable values: ['111"),
+        ("timestamp,hr,br,hr_conf,movement,label", f"0,60,14,0.9,0.1,{HUGE_FIELD}",
+         "row 2: label must be 0 or 1, got '111"),
+    ], ids=["timestamp", "label"])
+    def test_huge_field_echo_is_clipped(self, header, row, name):
+        with pytest.raises(IngestError) as info:
+            ingest_epochs(make_csv([row], header=header))
+        assert_clipped(str(info.value), name)
+
     def test_quoted_field_unparseable(self):
         with pytest.raises(IngestError, match="""row 3: unparseable values: \\['30', '"60"'"""):
             ingest_epochs(make_csv(["0,60,14,0.9,0.1", '30,"60",14,0.9,0.1']))
@@ -453,6 +465,11 @@ class TestSynth:
         text = f"kind,timestamp\nwake_time,600\n\n{row}\n"
         with pytest.raises(IngestError, match="row 4: no finite timestamp"):
             read_transitions(io.StringIO(text))
+
+    def test_huge_transition_row_echo_is_clipped(self):
+        with pytest.raises(IngestError) as info:
+            read_transitions(io.StringIO(f"kind,timestamp\nsleep_onset,{HUGE_FIELD}\n"))
+        assert_clipped(str(info.value), "row 2: no finite timestamp: ['sleep_onset', '111")
 
 
 class TestBuildTrainingSet:

@@ -7,7 +7,7 @@ from somnoflow import sleepnet
 from somnoflow.neuralcore import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, BN_MOMENTUM, Adam,
                                   BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
                                   MaxPool1d, NonFiniteGradientError, ReLU, ShapeError,
-                                  bce_loss, sigmoid)
+                                  bce_loss, dense, sigmoid)
 
 
 def naive_conv1d(x, w, b):
@@ -385,6 +385,21 @@ class TestDenseAndActivations:
     def test_relu(self):
         out = ReLU("r").forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
+
+    def test_dense_independent_of_input_layout(self):
+        # einsum sums in an order that follows its operands' layout; dense
+        # copies a strided or Fortran-ordered input to C order first
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n, n_in, n_out = rng.integers(1, 70), rng.integers(1, 40), rng.integers(1, 20)
+            x = rng.standard_normal((n, n_in)).astype(np.float32)
+            w = rng.standard_normal((n_out, n_in)).astype(np.float32)
+            b = rng.standard_normal(n_out).astype(np.float32)
+            want = bits(dense(x, w, b))
+            wide = np.zeros((2 * n, 3 * n_in), dtype=np.float32)
+            wide[::2, 1::3] = x
+            for layout in (np.asfortranarray(x), np.ascontiguousarray(x.T).T, wide[::2, 1::3]):
+                np.testing.assert_array_equal(bits(dense(layout, w, b)), want)
 
     def test_dense_backward_finite_differences(self):
         rng = np.random.default_rng(5)

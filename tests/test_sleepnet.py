@@ -559,9 +559,11 @@ def replay(model, z, sizes):
 
 
 # record lengths around tile edges: the first windows, each head's first
-# and second tiles filling up (k + 31 and k + 63 epochs for k = 3 to 11),
-# a night and a day
-EDGE_LENGTHS = [*range(30, 44), *range(59, 76), 960, 2880]
+# and second conv tiles filling up (k + 31 and k + 63 epochs for k = 3 to
+# 11), windows 31-33, 63-65 and 127-129 around the fc tile and pass edges
+# (30 + 2(w - 1) epochs for w windows), a night and a day
+EDGE_LENGTHS = [*range(30, 44), *range(59, 76), *(30 + 2 * (w - 1) for w in (
+    31, 32, 33, 63, 64, 65, 127, 128, 129)), 960, 2880]
 
 
 class TestRecordScorer:
@@ -588,18 +590,21 @@ class TestRecordScorer:
         np.testing.assert_array_equal(_bits(replay(model, z, sizes)), _bits(whole))
 
     @pytest.mark.parametrize("heads", [
-        [(k, 4, 1) for k in (1, 2, 4, 28)],
-        [(k, 4, 2) for k in (1, 2, 4, 28)],
-        [(1, 4, 2), (2, 4, 1), (4, 4, 1), (28, 4, 2)],
-        [(1, 3, 2), (2, 8, 2), (4, 1, 2), (28, 5, 2)],
-    ], ids=["1", "2", "mixed-pool-widths", "mixed-n-filters"])
+        [(k, 4, 1, 4) for k in (1, 2, 4, 28)],
+        [(k, 4, 2, 4) for k in (1, 2, 4, 28)],
+        [(1, 4, 2, 4), (2, 4, 1, 4), (4, 4, 1, 4), (28, 4, 2, 4)],
+        [(1, 3, 2, 4), (2, 8, 2, 4), (4, 1, 2, 4), (28, 5, 2, 4)],
+        [(1, 3, 2, 64), (2, 8, 2, 4), (4, 1, 2, 9), (28, 5, 2, 64)],
+    ], ids=["1", "2", "mixed-pool-widths", "mixed-n-filters", "mixed-fc-widths"])
     def test_other_kernel_and_pool_widths(self, small_trained, heads):
-        # heads as (kernel width, n_filters, pool width). Even kernels end a
-        # window's conv positions mid pool pair; k = 1 and k = 28 give the
-        # longest and the shortest conv rows. Mixed pool widths pool in one
-        # group per width, whose heads are not neighbours in the model
-        heads = [HeadConfig(kernel_width=k, n_filters=f, fc_width=4, dropout_rate=0.0,
-                            pool_width=pool) for k, f, pool in heads]
+        # heads as (kernel width, n_filters, pool width, fc width). Even
+        # kernels end a window's conv positions mid pool pair; k = 1 and
+        # k = 28 give the longest and the shortest conv rows. Heads are
+        # grouped by pool width and fc width, and a group's heads need not be
+        # neighbours in the model; an fc width of 64 runs fc2 on another
+        # matrix-vector kernel than 4 or 9
+        heads = [HeadConfig(kernel_width=k, n_filters=f, fc_width=fc, dropout_rate=0.0,
+                            pool_width=pool) for k, f, pool, fc in heads]
         model = build_model(ModelConfig(heads=heads, trunk_widths=[4, 1], seed=4))
         model.norm_stats = small_trained[0].norm_stats
         z = day_z(model, 200)
@@ -617,7 +622,7 @@ class TestRecordScorer:
         for i in range(2880):
             scorer.push(z[:, i:i + 1])
             widths.update(c.data.shape[1] for c in (scorer._epochs,
-                                                    *(cols for _, _, cols in scorer._groups)))
+                                                    *(g.cols for g in scorer._groups)))
         assert max(widths) <= 2 * (2 * TILE + model.config.window_epochs)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import HUGE_FIELD, assert_clipped
 from somnoflow.datapipe import NormStats, SynthConfig, synth_generate
 from somnoflow.events import EventRuleConfig, Hypnogram, predict_events
 from somnoflow.sleepnet import infer_hypnogram
@@ -78,6 +79,10 @@ class TestErrorFrames:
         stream = SleepStream(small_trained[0])
         assert stream.feed_line("garbage")[0].kind == "err"
         assert stream.feed_line("1,2,notanumber,4,5")[0].kind == "err"
+
+    def test_huge_malformed_line_echo_is_clipped(self, small_trained):
+        out = SleepStream(small_trained[0]).feed_line(f"{HUGE_FIELD},60,14,0.9,0.1")
+        assert_clipped(out[0].format(), "err,malformed line: '111")
 
     def test_wellformed_line_accepted(self, small_trained):
         stream = SleepStream(small_trained[0])
