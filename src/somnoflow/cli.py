@@ -316,7 +316,8 @@ def _read_hypnogram(path):
             raise ValueError(f"hypnogram row {row_no}: unparseable values: "
                              f"{datapipe.clipped_repr(row)}") from exc
         if abs(ts) >= datapipe.TIMESTAMP_LIMIT:
-            raise ValueError(f"hypnogram row {row_no}: timestamp {ts} out of range")
+            raise ValueError(f"hypnogram row {row_no}: timestamp "
+                             f"{datapipe.clipped_repr(ts)} out of range")
         start = ts if start is None else start
         if ts != start + 60 * len(probs):
             raise ValueError(f"hypnogram row {row_no}: timestamp {ts}, expected "
@@ -361,11 +362,8 @@ def _minute_truth(series, hyp):
     """Per-minute truth states aligned with the hypnogram (labels of the
     minute's two epochs; second epoch wins on disagreement)."""
     offset = (hyp.start - int(series.timestamps[0])) // datapipe.EPOCH_SECONDS
-    states = []
-    for i in range(len(hyp)):
-        e = offset + i * 2 + 1
-        states.append(max(int(series.labels[e]), 0))
-    return events_mod.BinaryHypnogram(start=hyp.start, states=np.array(states))
+    states = np.maximum(series.labels[offset + 1::2][:len(hyp)], 0)
+    return events_mod.BinaryHypnogram(start=hyp.start, states=states)
 
 
 def _cmd_eval(args):

@@ -3,7 +3,11 @@
 Layers operate on batched arrays: convolution-path tensors are shaped
 (batch, channels, length), dense-path tensors (batch, features). Each layer
 owns its parameters and gradient buffers; a forward call caches what the
-matching backward call needs. Everything is numpy; no autograd.
+matching backward call needs. Everything is numpy; no autograd. A layer
+does only what the network needs of it: the network's convs read its input,
+so Conv1d's backward accumulates the weight and bias gradients and returns
+no input gradient, and MaxPool1d's windows do not overlap (stride = pool
+width), so its backward stores each gradient at one input.
 
 The forward math is written once, as functions on arrays: `conv1d` (im2col
 and one stacked matmul), `batchnorm`, `relu`, `maxpool1d` (which also
@@ -110,16 +114,16 @@ def relu(x):
     return mask, x * mask
 
 
-def maxpool1d(x, p, s):
-    """Max over windows [i*s, i*s + p) along the last axis of x (n, c, L),
+def maxpool1d(x, p):
+    """Max over the windows [i*p, (i+1)*p) along the last axis of x (n, c, L),
     the remainder dropped: (out, argmax offset within each window). Ties
     resolve to the lowest offset, and a NaN wins as in np.argmax."""
-    span = s * ((x.shape[2] - p) // s) + 1  # first to last window start
-    out = x[:, :, :span:s].copy()
+    stop = x.shape[2] // p * p
+    out = x[:, :, :stop:p].copy()
     bits = out.view(f"u{out.itemsize}")
     arg = np.zeros(out.shape, dtype=np.intp)
     for i in range(1, p):
-        xi = x[:, :, i:i + span:s]
+        xi = x[:, :, i:stop:p]
         # strictly greater, or the first NaN: argmax's pick
         later = ~(xi <= out) & (out == out)
         # take xi's bits where later: unlike np.maximum this keeps the
@@ -211,26 +215,14 @@ class Conv1d(Layer):
         self._x = x
         return conv1d(x, self.params["w"], self.params["b"])
 
-    def backward(self, dy, input_grad=True):
-        """Accumulate the weight and bias gradients; return the input's
-        gradient, or None with input_grad=False (an input that takes none,
-        such as the network's, saves the Wᵀ·dy product and the col2im)."""
-        n, _, lout = dy.shape
-        c, k = self.in_channels, self.kernel_width
+    def backward(self, dy):
+        """Accumulate the weight and bias gradients. There is no input
+        gradient: the network's convs read its input, which takes none."""
         # dW: one (o, n*L') @ (n*L', c*k) GEMM; gradients need no batch-invariance.
         # The columns are rebuilt here, so a forward caches no more than its input
-        self.grads["w"] += np.tensordot(dy, im2col(self._x, k), axes=([0, 2], [0, 2])).reshape(
-            self.params["w"].shape)
+        self.grads["w"] += np.tensordot(dy, im2col(self._x, self.kernel_width),
+                                        axes=([0, 2], [0, 2])).reshape(self.params["w"].shape)
         self.grads["b"] += dy.sum(axis=(0, 2))
-        if not input_grad:
-            return None
-        # col2im: column entry (c, j, l) was read from x[:, c, l + j]
-        dcols = np.matmul(self.params["w"].reshape(self.out_channels, -1).T, dy)
-        dcols = dcols.reshape(n, c, k, lout)
-        dx = np.zeros((n, c, lout + k - 1), dtype=dy.dtype)
-        for j in range(k):
-            dx[:, :, j:j + lout] += dcols[:, :, j]
-        return dx
 
 
 class BatchNorm1d(Layer):
@@ -293,39 +285,38 @@ class BatchNorm1d(Layer):
 
 
 class MaxPool1d(Layer):
-    """1D max pooling; non-overlapping by default (stride = pool_width).
+    """1D max pooling over non-overlapping windows (stride = pool_width).
 
     Trailing remainder shorter than pool_width is dropped. Ties resolve to the
     lowest index (numpy argmax convention). Argmax indices are kept for the
     backward routing.
     """
 
-    def __init__(self, name, pool_width, stride=None):
+    def __init__(self, name, pool_width):
         super().__init__(name)
         if pool_width < 1:
             raise ConfigError(f"{name}: pool_width must be >= 1, got {pool_width}")
         self.pool_width = pool_width
-        self.stride = pool_width if stride is None else stride
         self.argmax = self._in_shape = None
 
     def forward(self, x, train=False):
-        p, s = self.pool_width, self.stride
+        p = self.pool_width
         if p > x.shape[2]:
             raise ShapeError(f"{self.name}: pool width {p} exceeds input length {x.shape[2]}")
-        out, arg = maxpool1d(x, p, s)
+        out, arg = maxpool1d(x, p)
         self.argmax, self._in_shape = arg, x.shape
         return out
 
     def backward(self, dy):
-        s = self.stride
-        span = s * (dy.shape[2] - 1) + 1
+        n, c, lout = dy.shape
+        p = self.pool_width
         dx = np.zeros(self._in_shape, dtype=dy.dtype)
-        # route each gradient to its window's argmax, one pool offset at a
-        # time. np.where, unlike a multiply by the mask, keeps a NaN or inf
-        # gradient away from the other inputs; descending offsets add each
-        # input's gradients from overlapping windows in window order
-        for i in reversed(range(self.pool_width)):
-            dx[:, :, i:i + span:s] += np.where(self.argmax == i, dy, 0)
+        # the windows do not overlap, so each gradient is stored at its
+        # window's argmax in a (n, c, L', p) view of dx, and a NaN or inf one
+        # reaches no other input. + 0.0 turns a -0.0 gradient into +0.0, as
+        # adding it into the zeros would
+        view = dx[:, :, :lout * p].reshape(n, c, lout, p)
+        np.put_along_axis(view, self.argmax[..., None], (dy + 0.0)[..., None], axis=3)
         return dx
 
 

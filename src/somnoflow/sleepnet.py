@@ -222,7 +222,7 @@ class _Head:
         dz = self.pool.backward(dz)
         dz = self.relu1.backward(dz)
         dz = self.bn.backward(dz)
-        self.conv.backward(dz, input_grad=False)  # the network input takes no gradient
+        self.conv.backward(dz)
 
 
 class SleepNetModel:
@@ -807,7 +807,7 @@ class RecordScorer:
                           self._gamma, self._beta)[1]
             y = relu(y)[1]
             for g in self._groups:
-                pooled = maxpool1d(y[:, g.rows], g.pool, g.pool)[0]
+                pooled = maxpool1d(y[:, g.rows], g.pool)[0]
                 g.cols.write(first // g.pool,
                              pooled.transpose(1, 0, 2).reshape(pooled.shape[1], -1))
         self._done = self.n_epochs - self._k_max + 1

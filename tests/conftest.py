@@ -78,11 +78,11 @@ def corrupt_header(path, case):
 
 
 def tiled_probs(model, z):
-    """Final probabilities of a record's windows from its z-scored (5, T)
-    epochs, by the tiled definition, head by head and unpadded: conv
-    position j of a head is column j mod TILE of the (5k, TILE) product of
-    the kernel with tile j // TILE's im2col columns, read from epochs
-    zero-padded past the record's end. batchnorm, relu and maxpool act per
+    """(final probabilities, (windows, heads) logits) of a record's windows
+    from its z-scored (5, T) epochs, by the tiled definition, head by head
+    and unpadded: conv position j of a head is column j mod TILE of the
+    (5k, TILE) product of the kernel with tile j // TILE's im2col columns,
+    read from epochs zero-padded past the record's end. batchnorm, relu and maxpool act per
     position. fc1 of window w is column w mod TILE of the
     (fc, F * pooled_len) product of fc1's weights with tile w // TILE's
     columns: column l holds the pooled positions from (w // TILE * TILE + l)
@@ -123,7 +123,7 @@ def tiled_probs(model, z):
                                + head.fc2.params["b"][:, None])
             logit[w] = products[t][:, w % TILE]
         logits.append(logit)
-    return model.fuse(logits)[0].astype(np.float64)
+    return model.fuse(logits)[0].astype(np.float64), np.concatenate(logits, axis=1)
 
 
 @pytest.fixture(scope="session")

@@ -242,6 +242,16 @@ class TestPipelineChain:
         assert "hypnogram row 2: probability inf outside [0,1]" in err
         assert len(err) < 100
 
+    def test_events_clips_out_of_range_timestamp(self, tmp_path, capsys):
+        # int() reads up to 4,300 digits, so the row parses and the range
+        # check rejects it
+        hyp = tmp_path / "hyp.csv"
+        hyp.write_text(f"timestamp,probability\n{'1' * 4000},0.5\n")
+        assert run(["events", "--hypnogram", str(hyp)]) == 1
+        err = capsys.readouterr().err
+        assert_clipped(err, "hypnogram row 2: timestamp 111")
+        assert "out of range" in err
+
     @pytest.mark.parametrize("rows, message", [
         (["60,0.1", "120,nan", "180,0.2"], "row 3: probability nan outside [0,1]"),
         (["60,0.1", "180,0.2", "120,0.3"], "row 3: timestamp 180, expected 120"),

@@ -32,10 +32,10 @@ def einsum_conv1d(x, w, b):
     return np.einsum("ocj,nclj->nol", w, view) + b[None, :, None]
 
 
-def argmax_maxpool1d(x, p, s):
+def argmax_maxpool1d(x, p):
     """The sliding_window_view/argmax/take_along_axis definition of max
     pooling: (output, within-window argmax)."""
-    view = sliding_window_view(x, p, axis=2)[:, :, ::s]  # (n, c, Lout, p)
+    view = sliding_window_view(x, p, axis=2)[:, :, ::p]  # (n, c, Lout, p)
     arg = view.argmax(axis=3)
     return np.take_along_axis(view, arg[..., None], axis=3)[..., 0], arg
 
@@ -104,8 +104,7 @@ class TestConv1d:
         conv = Conv1d("c", 2, 2, 3, rng=np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((1, 2, 8)).astype(np.float32)
         out = conv.forward(x)
-        dx = conv.backward(np.zeros_like(out))
-        assert np.all(dx == 0)
+        conv.backward(np.zeros_like(out))
         assert np.all(conv.grads["w"] == 0)
         assert np.all(conv.grads["b"] == 0)
 
@@ -127,28 +126,9 @@ class TestConv1d:
             return float(np.sum(conv.forward(x) * dy))
 
         conv.forward(x)
-        dx = conv.backward(dy)
+        conv.backward(dy)
         assert max_rel_err(conv.grads["w"], fd_grad(loss, conv.params["w"])) < 1e-4
         assert max_rel_err(conv.grads["b"], fd_grad(loss, conv.params["b"])) < 1e-4
-        assert max_rel_err(dx, fd_grad(loss, x)) < 1e-4
-
-    @pytest.mark.parametrize("k", range(1, 12))
-    def test_no_input_grad_same_weight_grads(self, k):
-        """input_grad=False returns None and accumulates the same weight and
-        bias gradients as the full backward, bit for bit."""
-        rng = np.random.default_rng(k)
-        full, weights_only = (Conv1d("c", 5, 4, k, rng=np.random.default_rng(k))
-                              for _ in range(2))
-        for n in (1, 32):
-            x = rng.standard_normal((n, 5, 30)).astype(np.float32)
-            dy = rng.standard_normal((n, 4, 31 - k)).astype(np.float32)
-            full.forward(x, train=True)
-            assert full.backward(dy).shape == x.shape
-            weights_only.forward(x, train=True)
-            assert weights_only.backward(dy, input_grad=False) is None
-            for pname in ("w", "b"):
-                np.testing.assert_array_equal(bits(weights_only.grads[pname]),
-                                              bits(full.grads[pname]))
 
 
 class TestConv1dMatmul:
@@ -185,29 +165,17 @@ class TestConv1dMatmul:
         x = rng.standard_normal((n, 5, 30)).astype(np.float32)
         dy = rng.standard_normal((n, 16, lout)).astype(np.float32)
         conv.forward(np.asfortranarray(x))
-        dx = conv.backward(dy)
-        assert dx.dtype == np.float32 and dx.shape == x.shape
+        conv.backward(dy)
 
-        def pad(a):
-            return np.pad(a, ((0, 0), (0, 0), (k - 1, k - 1)))
-
-        # the einsum definitions: dW correlates dy with the input windows,
-        # dx is the full correlation of dy with the flipped kernel
+        # the einsum definition: dW correlates dy with the input windows
         def dw_of(dy, x):
             return np.einsum("nol,nclj->ocj", dy, sliding_window_view(x, k, axis=2))
-
-        def dx_of(dy, w):
-            return np.einsum("ocj,nolj->ncl", w[:, :, ::-1],
-                             sliding_window_view(pad(dy), k, axis=2))
 
         # each side sums float32 products in some order: within
         # (terms + 1) * eps * sum|terms| of the exact value
         eps = np.finfo(np.float32).eps
-        w = conv.params["w"]
         assert np.all(np.abs(conv.grads["w"] - dw_of(dy, x))
                       <= 2 * (n * lout + 1) * eps * dw_of(np.abs(dy), np.abs(x)))
-        assert np.all(np.abs(dx - dx_of(dy, w))
-                      <= 2 * (16 * k + 1) * eps * dx_of(np.abs(dy), np.abs(w)))
 
 
 class TestBatchNorm:
@@ -344,26 +312,27 @@ def pool_input(kind, rng, shape, dtype):
 
 
 class TestMaxPoolDefinition:
-    """Strided maxima against the sliding_window_view/argmax definition, bit
+    """Window maxima against the sliding_window_view/argmax definition, bit
     for bit: ties go to the lowest index and the first NaN wins, as in argmax."""
 
+    # the ids keep the case names from when the pool took a stride (None:
+    # its default, the pool width)
     @pytest.mark.parametrize("kind", ["random", "tied", "nan"])
-    @pytest.mark.parametrize("stride", [None, 1, 3])
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_matches_argmax_definition(self, p, stride, kind):
-        rng = np.random.default_rng(100 * p + 10 * (stride or 0) + len(kind))
+    @pytest.mark.parametrize("p", [1, 2, 3, 4], ids=lambda p: f"{p}-None")
+    def test_matches_argmax_definition(self, p, kind):
+        rng = np.random.default_rng(100 * p + len(kind))
         for dtype in (np.float32, np.float64):
             for length in range(p, p + 12):
                 x = pool_input(kind, rng, (3, 2, length), dtype)
-                pool = MaxPool1d("p", p, stride)
+                pool = MaxPool1d("p", p)
                 out = pool.forward(x)
-                want, want_arg = argmax_maxpool1d(x, p, pool.stride)
+                want, want_arg = argmax_maxpool1d(x, p)
                 np.testing.assert_array_equal(bits(out), bits(want))
                 np.testing.assert_array_equal(pool.argmax, want_arg)
                 dy = rng.standard_normal(out.shape).astype(dtype)
                 want_dx = np.zeros_like(x)
                 for n, c, l in np.ndindex(*dy.shape):
-                    want_dx[n, c, l * pool.stride + want_arg[n, c, l]] += dy[n, c, l]
+                    want_dx[n, c, l * p + want_arg[n, c, l]] += dy[n, c, l]
                 np.testing.assert_array_equal(bits(pool.backward(dy)), bits(want_dx))
 
 
@@ -629,19 +598,20 @@ class TestAdamReference:
 
 
 class TestMaxPoolBackward:
-    """The offset-by-offset backward against np.add.at scattering each
-    gradient to its window's argmax, bit for bit: overlapping windows add in
-    the same order, and a NaN or inf gradient reaches only its argmax."""
+    """The one-pass backward against np.add.at scattering each gradient to
+    its window's argmax, bit for bit: a -0.0 gradient lands as the +0.0 that
+    adding it into zeros gives, and a NaN or inf gradient reaches only its
+    argmax."""
 
+    # the ids keep the case names from when the pool took a stride
     @pytest.mark.parametrize("grad", ["random", "signed-zero", "non-finite"])
-    @pytest.mark.parametrize("stride", ["width", 1, 3])
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_matches_add_at(self, p, stride, grad):
+    @pytest.mark.parametrize("p", [1, 2, 3, 4], ids=lambda p: f"{p}-width")
+    def test_matches_add_at(self, p, grad):
         rng = np.random.default_rng(10 * p + len(grad))
         for dtype in (np.float32, np.float64):
             for length in range(p, p + 9):
                 x = pool_input("tied", rng, (3, 2, length), dtype)
-                pool = MaxPool1d("p", p, p if stride == "width" else stride)
+                pool = MaxPool1d("p", p)
                 out = pool.forward(x)
                 dy = rng.standard_normal(out.shape).astype(dtype)
                 if grad == "signed-zero":
@@ -651,17 +621,16 @@ class TestMaxPoolBackward:
                     dy = np.where(rng.random(out.shape) < 0.3, bad, dy)
                 n, c, lout = out.shape
                 want = np.zeros_like(x)
-                src = pool.argmax + np.arange(lout) * pool.stride
-                with np.errstate(invalid="ignore"):  # inf + -inf where windows overlap
-                    np.add.at(want, (np.arange(n)[:, None, None], np.arange(c)[None, :, None],
-                                     src), dy)
-                    got = pool.backward(dy)
-                np.testing.assert_array_equal(bits(got), bits(want))
+                src = pool.argmax + np.arange(lout) * p
+                np.add.at(want, (np.arange(n)[:, None, None], np.arange(c)[None, :, None], src),
+                          dy)
+                np.testing.assert_array_equal(bits(pool.backward(dy)), bits(want))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_all_layers_gradcheck(seed):
-    """Analytic vs central finite differences for every layer type."""
+    """Analytic vs central finite differences for every layer type. The
+    conv's weight gradient checks the input gradients of the layers above it."""
     rng = np.random.default_rng(seed)
     conv = Conv1d("c", 2, 2, 3, rng=rng, dtype=np.float64)
     bn = BatchNorm1d("bn", 2, dtype=np.float64)
@@ -685,14 +654,12 @@ def test_all_layers_gradcheck(seed):
     out = dense.forward(z.reshape(2, -1))
     dflat = dense.backward(dy_final)
     dz = pool.backward(dflat.reshape(shape))
-    dz = bn.backward(dz)
-    dx = conv.backward(dz)
+    conv.backward(bn.backward(dz))
 
     for layer, pname in [(conv, "w"), (conv, "b"), (bn, "gamma"), (bn, "beta"),
                          (dense, "w"), (dense, "b")]:
         assert max_rel_err(layer.grads[pname], fd_grad(loss, layer.params[pname])) < 1e-4, \
             f"{layer.name}.{pname}"
-    assert max_rel_err(dx, fd_grad(loss, x)) < 1e-4
 
 
 def test_infer_forward_is_pure():

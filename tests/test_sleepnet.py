@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import somnoflow as sf
+from somnoflow import sleepnet
 from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate, zscore
 from somnoflow.neuralcore import (BN_EPS, Adam, BatchNorm1d, ConfigError, Conv1d, Dense,
-                                  Layer, MaxPool1d, ReLU, ShapeError)
+                                  Layer, MaxPool1d, ReLU, ShapeError, sigmoid)
 from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, TILE,
                                 DigestMismatchError,
                                 HeadConfig, ModelConfig, ModelFormatError, RecordScorer,
@@ -549,13 +550,26 @@ def day_z(model, n_epochs):
 
 
 def replay(model, z, sizes):
-    """Probabilities of a record pushed in pieces of the given sizes."""
+    """(probabilities, (windows, heads) logits) of a record pushed in pieces
+    of the given sizes. A push's logits are the argument of its first
+    sleepnet.sigmoid call, which turns them into the heads' probabilities."""
     scorer = RecordScorer(model)
-    pieces, start = [], 0
-    for size in sizes:
-        pieces.append(scorer.push(z[:, start:start + size]))
-        start += size
-    return np.concatenate(pieces)
+    pieces, calls, logits, start = [], [], [], 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sleepnet, "sigmoid", lambda x: calls.append(x) or sigmoid(x))
+        for size in sizes:
+            first_call = len(calls)
+            pieces.append(scorer.push(z[:, start:start + size]))
+            logits += calls[first_call:first_call + 1]
+            start += size
+    return (np.concatenate(pieces),
+            np.concatenate([np.empty((0, len(model.heads)), np.float32), *logits]))
+
+
+def assert_same_scores(got, want):
+    """Both (probabilities, logits) pairs hold the same bits."""
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(_bits(g), _bits(w))
 
 
 # record lengths around tile edges: the first windows, each head's first
@@ -574,10 +588,10 @@ class TestRecordScorer:
     def test_record_by_record_equals_whole_record(self, small_trained, n_epochs):
         model = small_trained[0]
         z = day_z(model, n_epochs)
-        whole = RecordScorer(model).push(z)
-        assert len(whole) == (n_epochs - 30) // 2 + 1
-        np.testing.assert_array_equal(_bits(whole), _bits(tiled_probs(model, z)))
-        np.testing.assert_array_equal(_bits(replay(model, z, [1] * n_epochs)), _bits(whole))
+        whole = replay(model, z, [n_epochs])
+        assert len(whole[0]) == (n_epochs - 30) // 2 + 1
+        assert_same_scores(whole, tiled_probs(model, z))
+        assert_same_scores(replay(model, z, [1] * n_epochs), whole)
 
     @given(n_epochs=st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(0, 400)),
            sizes=st.lists(st.integers(0, 200), max_size=40))
@@ -587,7 +601,7 @@ class TestRecordScorer:
         z = day_z(model, n_epochs)
         sizes = [*sizes, n_epochs]  # the last push takes what is left
         whole = RecordScorer(model).push(z)
-        np.testing.assert_array_equal(_bits(replay(model, z, sizes)), _bits(whole))
+        np.testing.assert_array_equal(_bits(replay(model, z, sizes)[0]), _bits(whole))
 
     @pytest.mark.parametrize("heads", [
         [(k, 4, 1, 4) for k in (1, 2, 4, 28)],
@@ -608,9 +622,9 @@ class TestRecordScorer:
         model = build_model(ModelConfig(heads=heads, trunk_widths=[4, 1], seed=4))
         model.norm_stats = small_trained[0].norm_stats
         z = day_z(model, 200)
-        whole = RecordScorer(model).push(z)
-        np.testing.assert_array_equal(_bits(whole), _bits(tiled_probs(model, z)))
-        np.testing.assert_array_equal(_bits(replay(model, z, [1] * 200)), _bits(whole))
+        whole = replay(model, z, [200])
+        assert_same_scores(whole, tiled_probs(model, z))
+        assert_same_scores(replay(model, z, [1] * 200), whole)
 
     def test_record_by_record_keeps_bounded_state(self, small_trained):
         # a day pushed one epoch at a time holds what later windows need, at
@@ -751,7 +765,7 @@ class TestBatchInvariance:
         hyp = infer_hypnogram(model, series)
         assert len(hyp) == (n_epochs - 30) // 2 + 1
         assert hyp.start == windows[0].label_timestamp
-        want = tiled_probs(model, zscore(series.feature_matrix(), model.norm_stats))
+        want = tiled_probs(model, zscore(series.feature_matrix(), model.norm_stats))[0]
         np.testing.assert_array_equal(_bits(hyp.probs), _bits(want))
         x = np.stack([sf.apply_normalizer(w, model.norm_stats).values for w in windows])
         per_window = np.array([model.forward_batch(w[None])[0][0] for w in x],
@@ -830,6 +844,6 @@ for n in (30, 156, 158, 960):
     out[f"night{n}"] = RecordScorer(model).push(z[:, :n])
     scorer = RecordScorer(model)
     out[f"replay{n}"] = np.concatenate([scorer.push(z[:, i:i + 1]) for i in range(n)])
-    out[f"definition{n}"] = tiled_probs(model, z[:, :n])
+    out[f"definition{n}"] = tiled_probs(model, z[:, :n])[0]
 np.savez(d + "/probs.npz", **out)
 """
