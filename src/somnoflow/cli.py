@@ -372,7 +372,7 @@ def _cmd_eval(args):
     model = load_model(args.model)
     rules = _rule_config(args)
     reports = []
-    event_counts = {k: evalkit.ConfusionCounts() for k in evalkit.EVENT_KINDS}
+    event_counts = {k: evalkit.ConfusionCounts() for k in datapipe.EVENT_KINDS}
     for i, path in enumerate(args.data):
         series = ingest_epochs(path, subject_id=os.path.basename(path))
         hyp = infer_hypnogram(model, series)

@@ -36,6 +36,7 @@ MAX_FILL_EPOCHS = 2  # most missing epochs that ingest_epochs fills in one gap
 TIMESTAMP_LIMIT = 2 ** 63  # timestamps are int64: |t| must stay below this
 MIN_TAIL_MIN = 20.0  # trailing wake kept after a single synthetic sleep period
 ECHO_LIMIT = 200  # characters of a row or line an error message repeats
+EVENT_KINDS = ("sleep_onset", "wake_time")  # the kinds a truth sidecar may name
 
 
 class IngestError(ValueError):
@@ -331,7 +332,8 @@ def write_transitions(transitions, dest):
 
 def read_transitions(source):
     """(kind, timestamp) pairs from a truth sidecar, read by `record_lines`;
-    IngestError names the first row without a finite timestamp inside int64."""
+    IngestError names the first row without a finite timestamp inside int64
+    or with a kind outside EVENT_KINDS."""
     with open_text(source) as fh:
         lines = record_lines(fh.read())
     header = lines[0].split(",") if lines else None
@@ -348,6 +350,9 @@ def read_transitions(source):
             raise IngestError(f"row {row_no}: no finite timestamp: {clipped_repr(row)}") from exc
         if abs(ts) >= TIMESTAMP_LIMIT:
             raise IngestError(f"row {row_no}: timestamp {ts} out of range")
+        if row[0] not in EVENT_KINDS:
+            raise IngestError(f"row {row_no}: event kind not one of "
+                              f"{', '.join(EVENT_KINDS)}: {clipped_repr(row)}")
         out.append((row[0], ts))
     return out
 

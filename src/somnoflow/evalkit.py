@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datapipe import open_text
+from .datapipe import EVENT_KINDS, open_text
 
 DEFAULT_TOLERANCE_MIN = 15
-EVENT_KINDS = ("sleep_onset", "wake_time")
 
 
 @dataclass

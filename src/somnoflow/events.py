@@ -250,27 +250,21 @@ def predict_events(h, cfg=None):
 class OnsetWatch:
     """The sleep onset of a hypnogram that grows one minute at a time.
 
-    After each minute the onset is what `predict_events` accepts on the
-    stable prefix: every minute but the last `median_width // 2 + min_run`,
-    whose smoothed or suppressed states can still change as minutes arrive.
-    The stream emits an onset accepted there at once. `predict_events` is
-    skipped on a prefix that provably holds none.
-
-    In a stable prefix of s >= median_width minutes, minute i is settled once
-    i + median_width // 2 <= s - 1: its median window lies in the prefix and
-    stays the same in every longer one, so it is sleep iff at least k + 1 of
-    the 2k + 1 probabilities there reach the threshold (k = min(i,
-    median_width // 2)). Suppression never flips a run of min_run minutes or
-    more, so a settled awake run of max(awake_break, min_run) minutes is an
-    awake break in this prefix and every longer one, and the bouts before it
-    never change. Let b be one past its newest settled minute: the bout after
-    the break holds at most s - b sleep minutes. The bout just before it
-    holds fewer than sleep_confirm, or the prefix one minute shorter, which
-    holds that bout with the same states and so was not skipped, would have
-    accepted an onset (if that prefix was too short to settle any minute, the
-    bout has at most median_width // 2 minutes, and a skip needs
-    sleep_confirm > s - b >= median_width // 2); older bouts lie before the
-    previous break. So no onset is possible while s - b < sleep_confirm.
+    The watch counts only final minutes, whose suppressed state is the one
+    `predict_events` gives them on this record and on every longer one, so
+    the onset it accepts is the batch onset of all those records.
+    - Minute i is settled once n >= median_width minutes are in and
+      i + median_width // 2 <= n - 1: its median window stays the same in
+      every longer record, so it is sleep iff at least k + 1 of the 2k + 1
+      probabilities there reach the threshold (k = min(i, median_width // 2)).
+    - Suppression flips a run iff it is neither the first nor the last run,
+      the run before it did not flip, and it is shorter than min_run. So a
+      settled run that the other state closes is final. The open run only
+      grows, and never flips if it is the only run, holds min_run minutes or
+      follows a flipped run: then its settled minutes are final at once.
+    - A bout's sleep count only grows, and an awake run of awake_break final
+      minutes cuts the bouts of every longer record there. So the first bout
+      whose count reaches sleep_confirm opens with the batch onset.
     """
 
     def __init__(self, start, cfg):
@@ -278,43 +272,49 @@ class OnsetWatch:
         self.cfg = cfg
         self.probs = []
         self.onset = None               # timestamp, once accepted
-        self._half = cfg.median_width // 2
-        self._margin = self._half + cfg.min_run
-        self._break_len = max(cfg.awake_break, cfg.min_run)
-        self._sleep = []                # probs[i] >= threshold
-        self._settled = 0               # minutes [0, _settled) are settled
-        self._awake_run = 0             # settled awake minutes ending there
-        self._break_end = None          # b of the newest settled break
+        self._state = None              # state of the open settled run
+        self._run_start = 0             # its first minute
+        self._flipped = False           # the run before it flipped
+        self._final = 0                 # minutes [0, _final) are final
+        self._count = 0                 # sleep minutes of the current bout
+        self._candidate = None          # its first sleep minute
+        self._sleep_end = 0             # one past the last final sleep minute
 
     def push(self, p):
         """Add one minute's probability; returns the onset timestamp on the
         minute it is accepted, else None."""
         self.probs.append(p)
-        self._sleep.append(p >= self.cfg.threshold)
-        stable = len(self.probs) - self._margin
-        if self.onset is not None or stable < 1:
+        cfg, n, half = self.cfg, len(self.probs), self.cfg.median_width // 2
+        if self.onset is not None or n < cfg.median_width:
             return None
-        if stable >= self.cfg.median_width:
-            self._settle(stable - self._half)
-        if self._break_end is not None and stable - self._break_end < self.cfg.sleep_confirm:
-            return None
-        hyp = Hypnogram(start=self.start,
-                        probs=np.asarray(self.probs[:stable], dtype=np.float64))
-        self.onset = predict_events(hyp, self.cfg).sleep_onset
+        # minutes [0, half] settle at n = median_width, then one per push
+        for i in range(0 if n == cfg.median_width else n - 1 - half, n - half):
+            k = min(i, half)
+            state = sum(q >= cfg.threshold for q in self.probs[i - k:i + k + 1]) > k
+            if state != self._state:
+                if i:  # the open run closes
+                    flip = (self._run_start > 0 and not self._flipped
+                            and i - self._run_start < cfg.min_run)
+                    self._count_final(self._state ^ flip, i)
+                    self._flipped = flip
+                self._state, self._run_start = state, i
+            if self._run_start == 0 or self._flipped or i + 1 - self._run_start >= cfg.min_run:
+                self._count_final(state, i + 1)
         return self.onset
 
-    def _settle(self, stop):
-        """Settle minutes [_settled, stop) and track their awake runs."""
-        half, sleep = self._half, self._sleep
-        for i in range(self._settled, stop):
-            k = min(i, half)
-            if sum(sleep[i - k:i + k + 1]) > k:
-                self._awake_run = 0
-                continue
-            self._awake_run += 1
-            if self._awake_run >= self._break_len:
-                self._break_end = i + 1
-        self._settled = stop
+    def _count_final(self, state, stop):
+        """Count the final minutes [_final, stop), all in one state, into the
+        bout; an empty range repeats the last call's state and changes nothing."""
+        if state:
+            if not self._count:
+                self._candidate = self._final
+            self._count += stop - self._final
+            self._sleep_end = stop
+            if self._count >= self.cfg.sleep_confirm and self.onset is None:
+                self.onset = self.start + self._candidate * MINUTE_SECONDS
+        elif stop - self._sleep_end >= self.cfg.awake_break:
+            self._count = 0
+        self._final = stop
 
 
 def write_events(events, dest, trace_ref=""):

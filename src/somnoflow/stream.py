@@ -13,14 +13,11 @@ so every probability equals the batch one bit for bit. A class record is
 emitted per prediction; each event kind is emitted at most once and never
 retracted:
 
-- sleep_onset is emitted as soon as the batch rules accept it on the prefix
-  minus a short stability margin (the tail minutes whose smoothed/suppressed
-  states can still change as data arrives). On the synthetic nights tested
-  the emission equals the batch result; on noisy probabilities it can
-  differ, because the prefix's last run is exempt from suppression.
-  `events.OnsetWatch` keeps that decision: it settles one minute's state per
-  prediction and runs the batch rules on the stable prefix only when the
-  prefix can hold an onset, so hours awake before onset cost no rule runs.
+- sleep_onset is emitted on the minute that `events.OnsetWatch` accepts it
+  from minutes whose smoothed and suppressed states can no longer change:
+  the first bout of those final minutes to hold `sleep_confirm` sleep
+  minutes. So it equals the batch onset of the record at that minute and of
+  every longer one, and the stream runs the batch rules only at finalize().
 - wake_time depends on there being no later sleep re-entry anywhere in the
   record, which no prefix can guarantee; it is emitted at finalize() only.
 
@@ -75,7 +72,6 @@ class SleepStream:
         self._last_ts = None
         self._last_hr = None
         self._watch = None  # OnsetWatch, from the first prediction on
-        self._emitted = set()
         self._finalized = False
 
     def feed_line(self, line):
@@ -114,7 +110,6 @@ class SleepStream:
             out.append(Emission("class", (minute_ts, p)))
             onset = self._watch.push(p)
             if onset is not None:
-                self._emitted.add("sleep_onset")
                 out.append(Emission("event", ("sleep_onset", onset)))
         return out
 
@@ -127,14 +122,16 @@ class SleepStream:
     def finalize(self):
         """Flush pending decisions; returns (emissions, SleepEvents).
 
-        The returned events are the batch-rule result on the full hypnogram.
+        The returned events are the batch-rule result on the full hypnogram,
+        the stream's one rule run. A sleep_onset emitted earlier is theirs
+        and is not sent again.
         """
         self._finalized = True
         if self._watch is None:
             return [], SleepEvents()
         events = predict_events(self.hypnogram(), self.rule_config)
-        pending = [pair for pair in events.pairs() if pair[0] not in self._emitted]
-        self._emitted.update(kind for kind, _ in pending)
+        pending = [pair for pair in events.pairs()
+                   if pair[0] != "sleep_onset" or self._watch.onset is None]
         return [Emission("event", pair) for pair in pending], events
 
 

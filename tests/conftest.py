@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import somnoflow as sf
+from somnoflow import events, stream
 from somnoflow.datapipe import ECHO_LIMIT
+from somnoflow.events import (BinaryHypnogram, Hypnogram, binarize, detect_sleep_time,
+                              smooth_probs, suppress_short_runs)
 from somnoflow.sleepnet import TILE
 
 # a field of 200,000 digits, which float() reads as inf
@@ -124,6 +127,44 @@ def tiled_probs(model, z):
             logit[w] = products[t][:, w % TILE]
         logits.append(logit)
     return model.fuse(logits)[0].astype(np.float64), np.concatenate(logits, axis=1)
+
+
+def final_state_onset(probs, cfg, start=0):
+    """The literal final-state onset rule of a growing record: after minute
+    n arrives (n >= median_width), smooth and binarize the n minutes, keep
+    the settled ones (all but the last median_width // 2), suppress short
+    runs there, and drop the last run unless it is the only run, holds
+    min_run minutes or the run before it flipped; then run detect_sleep_time
+    on what is left. Returns the first n with an onset and that onset's
+    timestamp, or None."""
+    half = cfg.median_width // 2
+    for n in range(cfg.median_width, len(probs) + 1):
+        h = Hypnogram(start, np.asarray(probs[:n], dtype=np.float64))
+        settled = binarize(smooth_probs(h, cfg.median_width), cfg.threshold).states[:n - half]
+        final = suppress_short_runs(BinaryHypnogram(start, settled), cfg.min_run).states
+        last = len(settled) - 1
+        while last > 0 and settled[last - 1] == settled[last]:
+            last -= 1
+        if last > 0 and len(settled) - last < cfg.min_run and final[last - 1] == settled[last - 1]:
+            final = final[:last]
+        onset = detect_sleep_time(BinaryHypnogram(start, final), cfg)
+        if onset is not None:
+            return n, start + onset * 60
+    return None
+
+
+@pytest.fixture()
+def rule_runs(monkeypatch):
+    """Lengths of the hypnograms passed to predict_events, through the events
+    module (where OnsetWatch would find it) or the stream module."""
+    runs, predict = [], events.predict_events
+
+    def counted(h, cfg=None):
+        runs.append(len(h))
+        return predict(h, cfg)
+    monkeypatch.setattr(events, "predict_events", counted)
+    monkeypatch.setattr(stream, "predict_events", counted)
+    return runs
 
 
 @pytest.fixture(scope="session")

@@ -338,6 +338,16 @@ class TestPipelineChain:
         assert "row 2: no finite timestamp" in err
         assert "Traceback" not in err
 
+    def test_eval_rejects_truth_row_of_unknown_kind(self, workdir, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("kind,timestamp\nsleep_onset ,600\n")
+        assert run(["eval", "--model", str(workdir / "model.slpn"),
+                    "--data", str(workdir / "night2.csv"),
+                    "--truth-events", str(truth)]) == 1
+        err = capsys.readouterr().err
+        assert "row 2: event kind not one of sleep_onset, wake_time: ['sleep_onset ', '600']" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["6\x000", "1" * 200_000, "1e19",
                                        "10000000000000000000", '"600"'],
                              ids=["nul-byte", "200kb-field", "1e19", "int-beyond-int64",

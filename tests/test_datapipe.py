@@ -466,6 +466,21 @@ class TestSynth:
         with pytest.raises(IngestError, match="row 4: no finite timestamp"):
             read_transitions(io.StringIO(text))
 
+    @pytest.mark.parametrize("kind", ["sleep_onset ", "Sleep_onset", "wake", ""])
+    def test_transition_row_with_unknown_kind(self, kind):
+        # "sleep_onset " would match no event and count the truth as missed
+        text = f"kind,timestamp\nwake_time,600\n{kind},1200\n"
+        with pytest.raises(IngestError) as info:
+            read_transitions(io.StringIO(text))
+        assert str(info.value) == ("row 3: event kind not one of sleep_onset, wake_time: "
+                                   f"{[kind, '1200']!r}")
+
+    def test_huge_transition_kind_echo_is_clipped(self):
+        with pytest.raises(IngestError) as info:
+            read_transitions(io.StringIO(f"kind,timestamp\n{HUGE_FIELD},600\n"))
+        assert_clipped(str(info.value), "row 2: event kind not one of sleep_onset, "
+                                        "wake_time: ['111")
+
     def test_huge_transition_row_echo_is_clipped(self):
         with pytest.raises(IngestError) as info:
             read_transitions(io.StringIO(f"kind,timestamp\nsleep_onset,{HUGE_FIELD}\n"))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from somnoflow import events, reference
+from conftest import final_state_onset
+from somnoflow import reference
 from somnoflow.events import (BinaryHypnogram, EventRuleConfig, Hypnogram,
                               OnsetWatch, TraceEntry, binarize, detect_sleep_time,
                               detect_wake_time, format_trace, predict_events,
@@ -383,18 +384,6 @@ class TestPredictEvents:
         assert ev.sleep_onset == 5000 + 20 * 60
 
 
-def first_onset_by_rerun(probs, cfg):
-    """The stream's onset rule as an oracle: after minute n arrives, run
-    predict_events on all but the last median_width // 2 + min_run minutes.
-    Returns the first n with an onset and that onset, or None."""
-    margin = cfg.median_width // 2 + cfg.min_run
-    for n in range(margin + 1, len(probs) + 1):
-        onset = predict_events(hyp(probs[:n - margin]), cfg).sleep_onset
-        if onset is not None:
-            return n, onset
-    return None
-
-
 def first_onset_by_watch(probs, cfg):
     watch = OnsetWatch(0, cfg)
     for n, p in enumerate(probs, 1):
@@ -414,13 +403,18 @@ def sticky_probs(rng, n, threshold):
     return p.tolist()
 
 
-@pytest.fixture()
-def rule_runs(monkeypatch):
-    """Lengths of the hypnograms that OnsetWatch passes to predict_events."""
-    runs = []
-    monkeypatch.setattr(events, "predict_events",
-                        lambda h, cfg: runs.append(len(h)) or predict_events(h, cfg))
-    return runs
+def random_rules(rng):
+    return EventRuleConfig(
+        threshold=float(rng.choice([0.5, 0.3, 0.7, rng.uniform(0.05, 0.95)])),
+        median_width=int(rng.choice([1, 3, 5, 7, 9])),
+        min_run=int(rng.integers(1, 6)), sleep_confirm=int(rng.integers(1, 16)),
+        awake_break=int(rng.integers(1, 10)), wake_confirm=int(rng.integers(1, 6)),
+        reentry_run=int(rng.integers(1, 6)))
+
+
+def states(text):
+    """Probabilities 0.9 (sleep) and 0.1 (awake) from a string of 1s and 0s."""
+    return [0.9 if c == "1" else 0.1 for c in text]
 
 
 class TestOnsetWatch:
@@ -428,47 +422,73 @@ class TestOnsetWatch:
         rng = np.random.default_rng(11)
         seen = {"width 1": 0, "width 9": 0, "break < min_run": 0, "confirm 1": 0,
                 "onset": 0, "no onset": 0}
-        rerun_calls = 0
         for _ in range(5000):
-            cfg = EventRuleConfig(
-                threshold=float(rng.choice([0.5, 0.3, 0.7, rng.uniform(0.05, 0.95)])),
-                median_width=int(rng.choice([1, 3, 5, 7, 9])),
-                min_run=int(rng.integers(1, 6)), sleep_confirm=int(rng.integers(1, 16)),
-                awake_break=int(rng.integers(1, 10)), wake_confirm=int(rng.integers(1, 6)),
-                reentry_run=int(rng.integers(1, 6)))
+            cfg = random_rules(rng)
             probs = sticky_probs(rng, int(rng.integers(1, 64)), cfg.threshold)
-            want = first_onset_by_rerun(probs, cfg)
+            want = final_state_onset(probs, cfg)
             assert first_onset_by_watch(probs, cfg) == want, (cfg, probs)
-            margin = cfg.median_width // 2 + cfg.min_run
-            rerun_calls += max(0, (want[0] if want else len(probs)) - margin)
             seen["width 1"] += cfg.median_width == 1
             seen["width 9"] += cfg.median_width == 9
             seen["break < min_run"] += cfg.awake_break < cfg.min_run
             seen["confirm 1"] += cfg.sleep_confirm == 1
             seen["onset" if want else "no onset"] += 1
         assert min(seen.values()) >= 200, seen
-        assert len(rule_runs) < 0.7 * rerun_calls  # the gate skipped some runs
+        assert rule_runs == []
+
+    def test_emitted_onset_is_the_batch_onset_of_every_longer_record(self):
+        # the onset equals predict_events on the whole sequence, on the
+        # prefix at emission and on random extensions of that prefix
+        rng = np.random.default_rng(6)
+        emitted = 0
+        for trial in range(3000):
+            cfg = EventRuleConfig() if trial % 2 else random_rules(rng)
+            probs = sticky_probs(rng, int(rng.integers(60, 301)), cfg.threshold)
+            got = first_onset_by_watch(probs, cfg)
+            if got is None:
+                continue
+            n, onset = got
+            emitted += 1
+            longer = [probs[:n] + sticky_probs(rng, int(rng.integers(1, 200)), cfg.threshold)
+                      for _ in range(3)]
+            for seq in (probs, probs[:n], *longer):
+                assert predict_events(hyp(seq), cfg).sleep_onset == onset, (cfg, probs, n)
+        assert emitted >= 1500
+
+    @pytest.mark.parametrize("cfg, text, emitted", [
+        (EventRuleConfig(), "11101111000111011100011111111110111111111011111100101000",
+         None),
+        (EventRuleConfig(median_width=3, min_run=2, sleep_confirm=4, awake_break=2),
+         "1101001", None),
+        (EventRuleConfig(), "10101111010010111110001111011101111111111001101111000011000"
+                            "101111101101101110011010011101111010011111011111111", (107, 3600))],
+        ids=["default-no-onset", "scaled-no-onset", "default-later-onset"])
+    def test_streamed_onset_regressions(self, cfg, text, emitted):
+        # a watch that ran the rules on all but the last median_width // 2 +
+        # min_run minutes emitted onset 0 here, where the batch rules give
+        # none or a later one: that prefix smoothed its last minutes with a
+        # shrunk window and exempted its last run from suppression
+        probs = states(text)
+        assert first_onset_by_watch(probs, cfg) == emitted
+        assert predict_events(hyp(probs), cfg).sleep_onset == (emitted and emitted[1])
 
     def test_awake_day_runs_rules_only_at_its_ends(self, rule_runs):
         # 16 h awake with a 3-minute nap every 97 minutes, then asleep: the
-        # rules run until the first awake break settles, then once more when
-        # the onset can be confirmed
+        # watch runs no rules, and the onset is emitted once its 45th sleep
+        # minute has settled
         probs = np.full(24 * 60, 0.1)
         for nap in range(50, 16 * 60, 97):
             probs[nap:nap + 3] = 0.9
         probs[16 * 60:] = 0.9
         cfg = EventRuleConfig()
-        margin = cfg.median_width // 2 + cfg.min_run
         assert first_onset_by_watch(probs.tolist(), cfg) == \
-            (16 * 60 + cfg.sleep_confirm + margin, 16 * 60 * 60)
-        assert rule_runs == [*range(1, len(rule_runs)), 16 * 60 + cfg.sleep_confirm]
-        assert len(rule_runs) <= 15
+            (16 * 60 + cfg.sleep_confirm + cfg.median_width // 2, 16 * 60 * 60)
+        assert rule_runs == []
 
     def test_no_rule_runs_after_the_onset(self, rule_runs):
         watch = OnsetWatch(600, SCALED)
         pushed = [watch.push(p) for p in [0.9] * 10]
-        assert pushed == [None] * 4 + [600] + [None] * 5
-        assert rule_runs == [1, 2, 3, 4] and watch.onset == 600
+        assert pushed == [None] * 3 + [600] + [None] * 6
+        assert rule_runs == [] and watch.onset == 600
 
 
 class TestEventsCsv:

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import json
 import os
 import struct
@@ -549,14 +550,23 @@ def day_z(model, n_epochs):
     return zscore(day_epochs()[:, :n_epochs], model.norm_stats)
 
 
-def replay(model, z, sizes):
-    """(probabilities, (windows, heads) logits) of a record pushed in pieces
-    of the given sizes. A push's logits are the argument of its first
-    sleepnet.sigmoid call, which turns them into the heads' probabilities."""
-    scorer = RecordScorer(model)
-    pieces, calls, logits, start = [], [], [], 0
+@contextlib.contextmanager
+def sigmoid_args():
+    """The arguments of the sleepnet.sigmoid calls made in the block. A
+    RecordScorer push's logits are the argument of its first call, which
+    turns them into the heads' probabilities."""
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sleepnet, "sigmoid", lambda x: calls.append(x) or sigmoid(x))
+        yield calls
+
+
+def replay(model, z, sizes):
+    """(probabilities, (windows, heads) logits) of a record pushed in pieces
+    of the given sizes."""
+    scorer = RecordScorer(model)
+    pieces, logits, start = [], [], 0
+    with sigmoid_args() as calls:
         for size in sizes:
             first_call = len(calls)
             pieces.append(scorer.push(z[:, start:start + size]))
@@ -756,17 +766,18 @@ class TestBatchInvariance:
 
     @pytest.mark.parametrize("n_epochs", [30, 156, 158, 960])  # 1, 64, 65, 466 windows
     def test_infer_hypnogram_equals_per_window_forward(self, small_trained, n_epochs):
-        """Bit for bit the tiled definition, and within float32 rounding of
-        forward_batch on each window alone."""
+        """Bit for bit the tiled definition, head logits included, and within
+        float32 rounding of forward_batch on each window alone."""
         model, _, _ = small_trained
         night = synth_generate(SynthConfig(seed=43, hours=8))
         series = first_epochs(night, n_epochs)
         windows = sf.make_windows(series)
-        hyp = infer_hypnogram(model, series)
+        with sigmoid_args() as calls:
+            hyp = infer_hypnogram(model, series)
         assert len(hyp) == (n_epochs - 30) // 2 + 1
         assert hyp.start == windows[0].label_timestamp
-        want = tiled_probs(model, zscore(series.feature_matrix(), model.norm_stats))[0]
-        np.testing.assert_array_equal(_bits(hyp.probs), _bits(want))
+        assert_same_scores((hyp.probs, calls[0]), tiled_probs(
+            model, zscore(series.feature_matrix(), model.norm_stats)))
         x = np.stack([sf.apply_normalizer(w, model.norm_stats).values for w in windows])
         per_window = np.array([model.forward_batch(w[None])[0][0] for w in x],
                               dtype=np.float64)

@@ -4,9 +4,9 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import HUGE_FIELD, assert_clipped
+from conftest import HUGE_FIELD, assert_clipped, final_state_onset
 from somnoflow.datapipe import NormStats, SynthConfig, synth_generate
-from somnoflow.events import EventRuleConfig, Hypnogram, predict_events
+from somnoflow.events import EventRuleConfig, predict_events
 from somnoflow.sleepnet import infer_hypnogram
 
 
@@ -106,7 +106,7 @@ def state(stream):
     scorer = stream._scorer
     watch = None if stream._watch is None else repr(vars(stream._watch))
     return (scorer.n_epochs, scorer.n_windows, scorer._epochs.data.tobytes(), stream._last_ts,
-            stream._last_hr, watch, set(stream._emitted), stream._finalized)
+            stream._last_hr, watch, stream._finalized)
 
 
 def feed_lines(stream, lines):
@@ -236,6 +236,13 @@ class TestBatchEquivalence:
             assert stream_events.sleep_onset == batch_events.sleep_onset
             assert stream_events.wake_time == batch_events.wake_time
 
+    def test_replay_runs_the_rules_once(self, small_trained, rule_runs):
+        night = synth_generate(SynthConfig(seed=70, hours=3, single_sleep_period=True))
+        out, events = replay_series(small_trained[0], night)
+        assert events.sleep_onset is not None
+        assert "event,sleep_onset," + str(events.sleep_onset) in [e.format() for e in out]
+        assert rule_runs == [len(infer_hypnogram(small_trained[0], night))]
+
     def test_class_probabilities_bit_exact(self, small_trained, series):
         stream_out, _ = replay_series(small_trained[0], series)
         batch_out, _ = batch_emissions(small_trained[0], series)
@@ -245,22 +252,17 @@ class TestBatchEquivalence:
 
 
 def rerun_frames(model, series, cfg):
-    """A replay's frames in order, with the onset decided the literal way:
-    after each prediction, predict_events on every minute but the last
-    median_width // 2 + min_run; the first acceptance follows its class frame."""
+    """A replay's frames in order, with the onset decided by the literal
+    final-state rule (conftest.final_state_onset) re-run on every prefix;
+    its first acceptance follows its class frame."""
     hyp = infer_hypnogram(model, series)
-    margin = cfg.median_width // 2 + cfg.min_run
-    frames, onset = [], None
-    for n in range(1, len(hyp) + 1):
-        frames.append(f"class,{hyp.start + (n - 1) * 60},{hyp.probs[n - 1]:.6f}")
-        if onset is None and n > margin:
-            onset = predict_events(Hypnogram(hyp.start, hyp.probs[:n - margin]),
-                                   cfg).sleep_onset
-            if onset is not None:
-                frames.append(f"event,sleep_onset,{onset}")
+    frames = [f"class,{hyp.start + i * 60},{p:.6f}" for i, p in enumerate(hyp.probs)]
+    emitted = final_state_onset(hyp.probs.tolist(), cfg, hyp.start)
+    if emitted is not None:
+        frames.insert(emitted[0], f"event,sleep_onset,{emitted[1]}")
     final = predict_events(hyp, cfg)
     frames += [f"event,{kind},{ts}" for kind, ts in final.pairs()
-               if kind != "sleep_onset" or onset is None]
+               if kind != "sleep_onset" or emitted is None]
     return frames
 
 
