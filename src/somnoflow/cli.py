@@ -9,10 +9,10 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import socket
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -21,29 +21,6 @@ from .datapipe import SynthConfig, build_training_set, ingest_epochs
 from .events import EventRuleConfig, Hypnogram, predict_events
 from .sleepnet import (ModelConfig, TrainingHyper, build_model, finetune_transfer,
                        infer_hypnogram, load_model, save_model, train)
-
-# single source of truth for defaults, shared by parser construction and docs
-DEFAULTS = {
-    "seed": 0,
-    "hours": 8.0,
-    "mean_sleep_min": 240.0,
-    "mean_wake_min": 60.0,
-    "transition_blur_min": 2.0,
-    "lr": 1e-3,
-    "batch_size": 32,
-    "epochs": 20,
-    "aux_weight": 0.25,
-    "val_frac": 0.2,
-    "context_hours": 1.0,
-    "threshold": 0.5,
-    "median_width": 5,
-    "min_run": 3,
-    "sleep_confirm": 45,
-    "awake_break": 10,
-    "wake_confirm": 15,
-    "reentry_run": 10,
-    "tolerance": 15.0,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,20 +55,6 @@ def _env_seed():
         raise ValueError(f"SOMNOFLOW_SEED must be an integer, got {raw!r}")
 
 
-def _explicit_options(parser, argv):
-    """The dests argv sets, as argparse reads them: `--key=value` and an
-    abbreviated `--ke value` count as `--key value` does. Re-parses argv
-    with every default suppressed, so `parser`'s defaults are gone after."""
-    parsers = [parser]
-    while parsers:
-        for action in parsers.pop()._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-            else:
-                action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
 def _cast(action, raw):
     """A config-file string as the command line would give it: a flag's
     true/false word, -v's count, or `action.type` applied to it, or to each
@@ -108,55 +71,56 @@ def _cast(action, raw):
 
 
 def _merge(args, parser, argv):
-    """Apply config-file values and the env seed for options the command line
-    did not set. A key that names no option of any subcommand is an error; one
-    of another subcommand is ignored, so one file can serve several."""
+    """Set the env seed, then the config-file values over it, as the
+    subcommand's defaults and parse argv again, so that argparse lets every
+    flag in argv beat them. A key that names no option of any subcommand is
+    an error; one of another subcommand is ignored, so one file can serve
+    several."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     env_seed = _env_seed()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     known = {a.dest for p in subparsers.choices.values() for a in p._actions}
-    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
-    explicit = _explicit_options(parser, argv)
+    command = subparsers.choices[args.command]
+    actions = {a.dest: a for a in command._actions}
+    defaults = {} if env_seed is None else {"seed": env_seed}
     for key, raw in file_values.items():
         if key not in known:
             raise ValueError(f"config file {args.config}: unknown key {key!r}")
-        if not hasattr(args, key) or key == "config" or key in explicit:
+        if not hasattr(args, key) or key == "config":
+            continue
+        # each -v adds one to the default: a count in argv replaces the file's
+        if isinstance(actions[key], argparse._CountAction) and getattr(args, key):
             continue
         try:
-            setattr(args, key, _cast(actions[key], raw))
+            defaults[key] = _cast(actions[key], raw)
         except ValueError as exc:
             raise ValueError(f"config file {args.config}: {key} = {raw!r}: {exc}") from exc
-    if env_seed is not None and hasattr(args, "seed") and "seed" not in explicit \
-            and "seed" not in file_values:
-        args.seed = env_seed
-    return args
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _add_common(p):
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-v", "--verbose", action="count", default=0)
 
 
-def _add_rules(p):
-    p.add_argument("--threshold", type=float, default=DEFAULTS["threshold"])
-    p.add_argument("--median-width", type=int, default=DEFAULTS["median_width"])
-    p.add_argument("--min-run", type=int, default=DEFAULTS["min_run"])
-    p.add_argument("--sleep-confirm", type=int, default=DEFAULTS["sleep_confirm"])
-    p.add_argument("--awake-break", type=int, default=DEFAULTS["awake_break"])
-    p.add_argument("--wake-confirm", type=int, default=DEFAULTS["wake_confirm"])
-    p.add_argument("--reentry-run", type=int, default=DEFAULTS["reentry_run"])
+def _add_defaults(p, **defaults):
+    """One `--kebab-name` flag per keyword, typed and defaulted by its value."""
+    for name, value in defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
 
 
 def _rule_config(args):
-    return EventRuleConfig(
-        threshold=args.threshold, median_width=args.median_width,
-        min_run=args.min_run, sleep_confirm=args.sleep_confirm,
-        awake_break=args.awake_break, wake_confirm=args.wake_confirm,
-        reentry_run=args.reentry_run)
+    return EventRuleConfig(**{f.name: getattr(args, f.name) for f in fields(EventRuleConfig)})
+
+
+# the SynthConfig fields that synth takes as flags
+_SYNTH_FLAGS = ("hours", "mean_sleep_min", "mean_wake_min", "transition_blur_min")
 
 
 def build_parser():
+    synth, hyper, rules = SynthConfig(), TrainingHyper(), asdict(EventRuleConfig())
     parser = _Parser(prog="somnoflow",
                      description="Sleep/wake classification and event prediction "
                                  "from per-epoch vitals")
@@ -164,10 +128,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a labeled synthetic night")
     _add_common(p)
-    p.add_argument("--hours", type=float, default=DEFAULTS["hours"])
-    p.add_argument("--mean-sleep-min", type=float, default=DEFAULTS["mean_sleep_min"])
-    p.add_argument("--mean-wake-min", type=float, default=DEFAULTS["mean_wake_min"])
-    p.add_argument("--transition-blur-min", type=float, default=DEFAULTS["transition_blur_min"])
+    _add_defaults(p, **{name: getattr(synth, name) for name in _SYNTH_FLAGS})
     p.add_argument("--single-sleep-period", action="store_true",
                    help="one wake-sleep-wake night instead of alternating bouts")
     p.add_argument("--out", required=True, help="epoch CSV output path")
@@ -177,12 +138,9 @@ def build_parser():
     _add_common(p)
     p.add_argument("--data", nargs="+", required=True, help="labeled epoch CSV file(s)")
     p.add_argument("--model", required=True, help="model output path")
-    p.add_argument("--lr", type=float, default=DEFAULTS["lr"])
-    p.add_argument("--batch-size", type=int, default=DEFAULTS["batch_size"])
-    p.add_argument("--epochs", type=int, default=DEFAULTS["epochs"])
-    p.add_argument("--aux-weight", type=float, default=DEFAULTS["aux_weight"])
-    p.add_argument("--val-frac", type=float, default=DEFAULTS["val_frac"])
-    p.add_argument("--context-hours", type=float, default=DEFAULTS["context_hours"],
+    _add_defaults(p, lr=hyper.lr, batch_size=hyper.batch_size, epochs=hyper.n_epochs,
+                  aux_weight=ModelConfig().aux_loss_weight, val_frac=0.2)
+    p.add_argument("--context-hours", type=float, default=datapipe.CONTEXT_HOURS,
                    help="keep windows within this many hours of a transition; 0 keeps all")
     p.add_argument("--single-head", action="store_true",
                    help="kernel-3 single-head ablation architecture")
@@ -195,19 +153,19 @@ def build_parser():
 
     p = sub.add_parser("events", help="sleep-onset/wake-up from a hypnogram CSV")
     _add_common(p)
-    _add_rules(p)
+    _add_defaults(p, **rules)
     p.add_argument("--hypnogram", required=True, help="CSV from `infer`")
     p.add_argument("--out", help="events CSV output (default stdout)")
     p.add_argument("--trace-out", help="write the rule-decision trace here")
 
     p = sub.add_parser("eval", help="score a model against labeled data")
     _add_common(p)
-    _add_rules(p)
+    _add_defaults(p, **rules)
     p.add_argument("--model", required=True)
     p.add_argument("--data", nargs="+", required=True, help="labeled epoch CSV file(s)")
     p.add_argument("--truth-events", nargs="*", default=[],
                    help="transition sidecars matching --data order")
-    p.add_argument("--tolerance", type=float, default=DEFAULTS["tolerance"],
+    p.add_argument("--tolerance", type=float, default=evalkit.DEFAULT_TOLERANCE_MIN,
                    help="event matching relaxation, minutes")
     p.add_argument("--csv", help="also write per-run metric rows to this CSV")
 
@@ -216,21 +174,20 @@ def build_parser():
     p.add_argument("--model", required=True, help="base model path")
     p.add_argument("--data", nargs="+", required=True, help="labeled cohort CSV file(s)")
     p.add_argument("--out", required=True, help="fine-tuned model output path")
-    p.add_argument("--lr", type=float, default=DEFAULTS["lr"])
-    p.add_argument("--batch-size", type=int, default=DEFAULTS["batch_size"])
-    p.add_argument("--epochs", type=int, default=5)
+    _add_defaults(p, lr=hyper.lr, batch_size=hyper.batch_size,
+                  epochs=sleepnet.FINETUNE_EPOCHS)
     p.add_argument("--unfreeze-intermediate", action="store_true",
                    help="also train the heads' FC stacks")
 
     p = sub.add_parser("serve", help="stream epochs from stdin or a TCP socket")
     _add_common(p)
-    _add_rules(p)
+    _add_defaults(p, **rules)
     p.add_argument("--model", required=True)
     p.add_argument("--port", type=int, help="listen on TCP port instead of stdin")
 
     p = sub.add_parser("plotdata", help="tidy per-minute CSV for plotting")
     _add_common(p)
-    _add_rules(p)
+    _add_defaults(p, **rules)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="epoch CSV")
     p.add_argument("--out", required=True)
@@ -241,11 +198,8 @@ def build_parser():
 # --- subcommand bodies ------------------------------------------------------
 
 def _cmd_synth(args):
-    cfg = SynthConfig(seed=args.seed, hours=args.hours,
-                      mean_sleep_min=args.mean_sleep_min,
-                      mean_wake_min=args.mean_wake_min,
-                      transition_blur_min=args.transition_blur_min,
-                      single_sleep_period=args.single_sleep_period)
+    cfg = SynthConfig(seed=args.seed, single_sleep_period=args.single_sleep_period,
+                      **{name: getattr(args, name) for name in _SYNTH_FLAGS})
     series = datapipe.synth_generate(cfg)
     datapipe.write_epochs(series, args.out)
     if args.truth_out:
@@ -292,32 +246,17 @@ def _cmd_train(args):
     return 0
 
 
-def _write_hypnogram(hyp, dest):
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(["timestamp", "probability"])
-    for i, p in enumerate(hyp.probs):
-        w.writerow([hyp.start + i * 60, f"{p:.6f}"])
-
-
 def _read_hypnogram(path):
-    with open(path, newline="") as fh:
-        lines = datapipe.record_lines(fh.read())
-    header = lines[0].split(",") if lines else None
-    if header is None or [h.strip() for h in header[:2]] != ["timestamp", "probability"]:
-        raise ValueError(f"bad hypnogram header {datapipe.clipped_repr(header)}")
     start, probs = None, []
-    for row_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        row = line.split(",")
+    for row_no, row in datapipe.read_rows(path, ("timestamp", "probability"), "hypnogram"):
         try:
             ts, p = int(row[0]), float(row[1])
         except (IndexError, ValueError) as exc:
             raise ValueError(f"hypnogram row {row_no}: unparseable values: "
                              f"{datapipe.clipped_repr(row)}") from exc
-        if abs(ts) >= datapipe.TIMESTAMP_LIMIT:
-            raise ValueError(f"hypnogram row {row_no}: timestamp "
-                             f"{datapipe.clipped_repr(ts)} out of range")
+        error = datapipe.timestamp_error(ts)
+        if error is not None:
+            raise ValueError(f"hypnogram row {row_no}: {error}")
         start = ts if start is None else start
         if ts != start + 60 * len(probs):
             raise ValueError(f"hypnogram row {row_no}: timestamp {ts}, expected "
@@ -334,35 +273,35 @@ def _cmd_infer(args):
     model = load_model(args.model)
     series = ingest_epochs(args.data)
     hyp = infer_hypnogram(model, series)
+    datapipe.write_rows(args.out or sys.stdout, ["timestamp", "probability"],
+                        [(hyp.start + i * 60, f"{p:.6f}") for i, p in enumerate(hyp.probs)])
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            _write_hypnogram(hyp, fh)
         print(f"wrote {len(hyp)} minutes to {args.out}")
-    else:
-        _write_hypnogram(hyp, sys.stdout)
     return 0
 
 
 def _cmd_events(args):
     hyp = _read_hypnogram(args.hypnogram)
     ev = predict_events(hyp, _rule_config(args))
-    trace_ref = args.trace_out or ""
+    events_mod.write_events(ev, args.out or sys.stdout, args.trace_out or "")
     if args.out:
-        events_mod.write_events(ev, args.out, trace_ref)
         print(f"wrote events to {args.out}")
-    else:
-        events_mod.write_events(ev, sys.stdout, trace_ref)
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             fh.write(events_mod.format_trace(ev.trace) + "\n")
     return 0
 
 
-def _minute_truth(series, hyp):
-    """Per-minute truth states aligned with the hypnogram (labels of the
-    minute's two epochs; second epoch wins on disagreement)."""
+def _minute_truth(series, hyp, path):
+    """Per-minute truth states aligned with the hypnogram: the label of each
+    minute's second epoch. A minute whose second epoch has no label is a
+    ValueError naming `path` and the minute's timestamp."""
     offset = (hyp.start - int(series.timestamps[0])) // datapipe.EPOCH_SECONDS
-    states = np.maximum(series.labels[offset + 1::2][:len(hyp)], 0)
+    states = series.labels[offset + 1::2][:len(hyp)]
+    unlabeled = np.flatnonzero(states < 0)
+    if unlabeled.size:
+        raise ValueError(f"{path}: no label for the minute at timestamp "
+                         f"{hyp.start + 60 * int(unlabeled[0])}")
     return events_mod.BinaryHypnogram(start=hyp.start, states=states)
 
 
@@ -377,7 +316,7 @@ def _cmd_eval(args):
         series = ingest_epochs(path, subject_id=os.path.basename(path))
         hyp = infer_hypnogram(model, series)
         pred_bin = events_mod.binarize(hyp, rules.threshold)
-        truth_bin = _minute_truth(series, hyp)
+        truth_bin = _minute_truth(series, hyp, path)
         counts = evalkit.confusion(pred_bin, truth_bin)
         report = evalkit.MetricReport.from_counts(counts, run_id=os.path.basename(path))
         reports.append(report)
@@ -397,15 +336,13 @@ def _cmd_eval(args):
             rate = f"{100.0 * c.tp / (c.tp + c.fn):.2f}%" if (c.tp + c.fn) else "n/a"
             print(f"{kind}: TP={c.tp} FP={c.fp} FN={c.fn} hit-rate={rate} ({total} events)")
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["run_id", "accuracy", "precision", "specificity", "sensitivity",
-                        "tp", "tn", "fp", "fn"])
-            for r in reports:
-                w.writerow([r.run_id] +
-                           ["" if v is None else f"{v:.4f}"
-                            for v in (r.accuracy, r.precision, r.specificity, r.sensitivity)] +
-                           [r.counts.tp, r.counts.tn, r.counts.fp, r.counts.fn])
+        datapipe.write_rows(args.csv, ["run_id", "accuracy", "precision", "specificity",
+                                       "sensitivity", "tp", "tn", "fp", "fn"],
+                            [[r.run_id]
+                             + ["" if v is None else f"{v:.4f}"
+                                for v in (r.accuracy, r.precision, r.specificity, r.sensitivity)]
+                             + [r.counts.tp, r.counts.tn, r.counts.fp, r.counts.fn]
+                             for r in reports])
     return 0
 
 
@@ -466,7 +403,7 @@ def _cmd_plotdata(args):
     rules = _rule_config(args)
     hyp = infer_hypnogram(model, series)
     ev = predict_events(hyp, rules)
-    truth = _minute_truth(series, hyp) if np.any(series.labels >= 0) else None
+    truth = _minute_truth(series, hyp, args.data) if np.any(series.labels >= 0) else None
     evalkit.emit_plotdata(hyp, ev, truth, args.out, threshold=rules.threshold)
     print(f"wrote {len(hyp)} rows to {args.out}")
     return 0

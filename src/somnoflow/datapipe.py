@@ -36,6 +36,7 @@ MAX_FILL_EPOCHS = 2  # most missing epochs that ingest_epochs fills in one gap
 TIMESTAMP_LIMIT = 2 ** 63  # timestamps are int64: |t| must stay below this
 MIN_TAIL_MIN = 20.0  # trailing wake kept after a single synthetic sleep period
 ECHO_LIMIT = 200  # characters of a row or line an error message repeats
+CONTEXT_HOURS = 1.0  # build_training_set's default span around a transition
 EVENT_KINDS = ("sleep_onset", "wake_time")  # the kinds a truth sidecar may name
 
 
@@ -155,6 +156,13 @@ def parse_record(fields):
         raise ValueError(str(exc)) from exc
 
 
+def timestamp_error(ts):
+    """Why the integer `ts` cannot be an int64 timestamp, or None when it can."""
+    if abs(ts) >= TIMESTAMP_LIMIT:
+        return f"timestamp {clipped_repr(ts)} out of range"
+    return None
+
+
 def vitals_error(hr, br, hr_conf, movement):
     """Why one epoch's vitals are invalid, or None when they are valid."""
     if not (math.isfinite(hr) and math.isfinite(br) and math.isfinite(hr_conf)
@@ -189,9 +197,7 @@ def _parse_row(row, row_no, has_label):
         ts, hr, br, hr_conf, movement = parse_record(row)
     except ValueError as exc:
         raise IngestError(f"row {row_no}: unparseable values: {clipped_repr(row)}") from exc
-    if abs(ts) >= TIMESTAMP_LIMIT:
-        raise IngestError(f"row {row_no}: timestamp {ts} out of range")
-    error = vitals_error(hr, br, hr_conf, movement)
+    error = timestamp_error(ts) or vitals_error(hr, br, hr_conf, movement)
     if error is not None:
         raise IngestError(f"row {row_no}: {error}")
     if has_label and len(row) > 5 and _label_value(row[5]) is None:
@@ -304,52 +310,61 @@ def ingest_epochs(source, subject_id="", fill_gaps=False):
     )
 
 
+def write_rows(dest, header, rows):
+    """Write a header and rows as CSV to a path or an open text handle. Each
+    field is written as str() gives it; the writer quotes only a field that
+    holds a comma, a quote or a line break, which no epoch, sidecar or
+    hypnogram field does."""
+    with open_text(dest, "w") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def read_rows(source, columns, what):
+    """(row number, fields) of each non-blank record after a header whose
+    first fields are `columns`, read by `record_lines`; IngestError on any
+    other header, naming the file kind `what`."""
+    with open_text(source) as fh:
+        lines = record_lines(fh.read())
+    header = lines[0].split(",") if lines else None
+    if header is None or [h.strip() for h in header[:len(columns)]] != list(columns):
+        raise IngestError(f"bad {what} header {clipped_repr(header)}; "
+                          f"expected {','.join(columns)}")
+    return [(row_no, line.split(","))
+            for row_no, line in enumerate(lines[1:], start=2) if line]
+
+
 def write_epochs(series, dest):
     """Write a series back to the epoch CSV schema (label column included
     whenever any epoch is labeled)."""
-    with open_text(dest, "w") as fh:
-        labeled = bool(np.any(series.labels >= 0))
-        w = csv.writer(fh, lineterminator="\n")
-        header = list(CSV_COLUMNS) + (["label"] if labeled else [])
-        w.writerow(header)
-        for i in range(len(series)):
-            row = [int(series.timestamps[i]),
-                   f"{series.hr[i]:.6f}", f"{series.br[i]:.6f}",
-                   f"{series.hr_conf[i]:.6f}", f"{series.movement[i]:.6f}"]
-            if labeled:
-                row.append(int(series.labels[i]) if series.labels[i] >= 0 else "")
-            w.writerow(row)
+    labeled = bool(np.any(series.labels >= 0))
+    cols = [series.timestamps.tolist()]
+    cols += [map("{:.6f}".format, v)
+             for v in (series.hr, series.br, series.hr_conf, series.movement)]
+    if labeled:
+        cols.append(["" if label < 0 else label for label in series.labels.tolist()])
+    write_rows(dest, list(CSV_COLUMNS) + (["label"] if labeled else []), zip(*cols))
 
 
 def write_transitions(transitions, dest):
     """Truth sidecar: one `kind,timestamp` row per ground-truth event."""
-    with open_text(dest, "w") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["kind", "timestamp"])
-        for kind, ts in transitions:
-            w.writerow([kind, int(ts)])
+    write_rows(dest, ["kind", "timestamp"], [(kind, int(ts)) for kind, ts in transitions])
 
 
 def read_transitions(source):
-    """(kind, timestamp) pairs from a truth sidecar, read by `record_lines`;
+    """(kind, timestamp) pairs from a truth sidecar, read by `read_rows`;
     IngestError names the first row without a finite timestamp inside int64
     or with a kind outside EVENT_KINDS."""
-    with open_text(source) as fh:
-        lines = record_lines(fh.read())
-    header = lines[0].split(",") if lines else None
-    if header is None or [h.strip() for h in header[:2]] != ["kind", "timestamp"]:
-        raise IngestError(f"bad sidecar header {clipped_repr(header)}; expected kind,timestamp")
     out = []
-    for row_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        row = line.split(",")
+    for row_no, row in read_rows(source, ("kind", "timestamp"), "sidecar"):
         try:
             ts = int(float(row[1]))
         except (IndexError, ValueError, OverflowError) as exc:  # int(inf)
             raise IngestError(f"row {row_no}: no finite timestamp: {clipped_repr(row)}") from exc
-        if abs(ts) >= TIMESTAMP_LIMIT:
-            raise IngestError(f"row {row_no}: timestamp {ts} out of range")
+        error = timestamp_error(ts)
+        if error is not None:
+            raise IngestError(f"row {row_no}: {error}")
         if row[0] not in EVENT_KINDS:
             raise IngestError(f"row {row_no}: event kind not one of "
                               f"{', '.join(EVENT_KINDS)}: {clipped_repr(row)}")
@@ -544,7 +559,7 @@ def _series_transitions(series):
     return [int(series.timestamps[i]) for i in idx]
 
 
-def build_training_set(series_list, context_hours=1.0, seed=0):
+def build_training_set(series_list, context_hours=CONTEXT_HOURS, seed=0):
     """Labeled windows near state transitions, class-balanced.
 
     Keeps windows whose end timestamp lies within +-context_hours of some

@@ -7,12 +7,11 @@ from aggregates with the exclusion counted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datapipe import EVENT_KINDS, open_text
+from .datapipe import EVENT_KINDS, write_rows
 
 DEFAULT_TOLERANCE_MIN = 15
 
@@ -197,12 +196,8 @@ def emit_plotdata(hypnogram, events, truth, dest, threshold=0.5):
         for kind, ts in events.pairs():
             minute = (ts - hypnogram.start) // 60
             marker[minute] = kind
-    with open_text(dest, "w") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["minute", "timestamp", "probability", "binarized", "truth", "event"])
-        for i, p in enumerate(hypnogram.probs):
-            truth_val = ""
-            if truth is not None and i < len(truth.states):
-                truth_val = int(truth.states[i])
-            w.writerow([i, hypnogram.start + i * 60, f"{p:.6f}",
-                        int(p >= threshold), truth_val, marker.get(i, "")])
+    truth_vals = [] if truth is None else truth.states.tolist()
+    write_rows(dest, ["minute", "timestamp", "probability", "binarized", "truth", "event"],
+               [(i, hypnogram.start + i * 60, f"{p:.6f}", int(p >= threshold),
+                 truth_vals[i] if i < len(truth_vals) else "", marker.get(i, ""))
+                for i, p in enumerate(hypnogram.probs)])

@@ -12,13 +12,12 @@ exhaustively against the literal reference in `reference.py`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .datapipe import open_text
+from .datapipe import write_rows
 
 MINUTE_SECONDS = 60
 
@@ -319,11 +318,8 @@ class OnsetWatch:
 
 def write_events(events, dest, trace_ref=""):
     """Event output rows: kind,timestamp,confidence_trace_ref."""
-    with open_text(dest, "w") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["kind", "timestamp", "confidence_trace_ref"])
-        for kind, ts in events.pairs():
-            w.writerow([kind, ts, trace_ref])
+    write_rows(dest, ["kind", "timestamp", "confidence_trace_ref"],
+               [(kind, ts, trace_ref) for kind, ts in events.pairs()])
 
 
 def format_trace(trace):

@@ -59,6 +59,7 @@ TILES_PER_PASS = 8
 # of the pooled sequence (460 KB for 128 windows of the default model), and
 # a 24 h record in one pass raised the stream's peak RSS by 8%
 FC_CHUNK = 128
+FINETUNE_EPOCHS = 5  # finetune_transfer's epochs when it is given no TrainingHyper
 HEADER_KEYS = ("format_version", "config", "frozen", "norm_stats", "manifest", "digest")
 
 
@@ -459,7 +460,7 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
     if not cohort_windows:
         raise ValueError("cohort set is empty")
     if hyper is None:
-        hyper = TrainingHyper(n_epochs=5)
+        hyper = TrainingHyper(n_epochs=FINETUNE_EPOCHS)
     model.set_transfer_freeze(include_intermediate_fc)
     x, y = _prepare_xy(cohort_windows, model)
     starts = range(0, len(x), INFER_CHUNK)

@@ -2,16 +2,16 @@
 
 A SleepStream is the batch pipeline fed one record at a time. Records are
 checked by the ingest code and z-scored by the batch formula; a malformed
-line, a non-finite, negative or out-of-range value, or a z-score that
-overflows float32 gets an `err,` frame and leaves the state unchanged. Each
-accepted record is pushed into the batch scorer, `sleepnet.RecordScorer`,
-which scores a window as soon as its final epoch arrives by re-running, for
-all heads at once, the conv tile that holds the newest epochs and the fc
-tile that holds the new window, zero-padded past them, then the trunk. A
-column of those fixed-shape products is the same as in a whole-night pass,
-so every probability equals the batch one bit for bit. A class record is
-emitted per prediction; each event kind is emitted at most once and never
-retracted:
+line, a timestamp outside int64, a non-finite, negative or out-of-range
+value, or a z-score that overflows float32 gets an `err,` frame and leaves
+the state unchanged. Each accepted record is pushed into the batch scorer,
+`sleepnet.RecordScorer`, which scores a window as soon as its final epoch
+arrives by re-running, for all heads at once, the conv tile that holds the
+newest epochs and the fc tile that holds the new window, zero-padded past
+them, then the trunk. A column of those fixed-shape products is the same as
+in a whole-night pass, so every probability equals the batch one bit for
+bit. A class record is emitted per prediction; each event kind is emitted
+at most once and never retracted:
 
 - sleep_onset is emitted on the minute that `events.OnsetWatch` accepts it
   from minutes whose smoothed and suppressed states can no longer change:
@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sleepnet
-from .datapipe import EPOCH_SECONDS, clipped_repr, parse_record, vitals_error, zscore
+from .datapipe import (EPOCH_SECONDS, clipped_repr, parse_record, timestamp_error,
+                       vitals_error, zscore)
 from .events import EventRuleConfig, Hypnogram, OnsetWatch, SleepEvents, predict_events
 
 
@@ -87,6 +88,9 @@ class SleepStream:
         """Consume one epoch record; returns the emissions it triggers."""
         if self._finalized:
             return [Emission("err", ("stream already finalized",))]
+        error = timestamp_error(timestamp)
+        if error is not None:
+            return [Emission("err", (error,))]
         if self._last_ts is not None and timestamp != self._last_ts + EPOCH_SECONDS:
             return [Emission("err", (f"out-of-order timestamp {timestamp}; "
                                      f"expected {self._last_ts + EPOCH_SECONDS}",))]

@@ -179,7 +179,7 @@ def test_criterion_3_synthetic_end_to_end(verdict):
     night_hits = 0
     for night in nights:
         hyp = infer_hypnogram(model, night)
-        truth = _minute_truth(night, hyp)
+        truth = _minute_truth(night, hyp, night.subject_id)
         pred = hyp.probs >= 0.5
         correct += int(np.sum(pred == (truth.states == 1)))
         total += len(hyp)

@@ -1,10 +1,15 @@
+import inspect
 import io
 import sys
 
 import pytest
 
 from conftest import HUGE_FIELD, assert_clipped, corrupt_header
-from somnoflow.cli import _merge, build_parser, run
+from somnoflow import evalkit, sleepnet
+from somnoflow.cli import _merge, _rule_config, build_parser, run
+from somnoflow.datapipe import SynthConfig, build_training_set
+from somnoflow.events import EventRuleConfig
+from somnoflow.sleepnet import ModelConfig, TrainingHyper
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -153,6 +158,13 @@ class TestConfigFile:
         assert getattr(args, key) == want
         assert type(getattr(args, key)) is type(want)
 
+    def test_verbose_flag_replaces_config_count(self, tmp_path):
+        cfg = tmp_path / "somnoflow.conf"
+        cfg.write_text("verbose = 2\n")
+        parser = build_parser()
+        argv = ["synth", "--out", "n.csv", "--config", str(cfg), "-v"]
+        assert _merge(parser.parse_args(argv), parser, argv).verbose == 1
+
     @pytest.mark.parametrize("command, line", [
         (["serve", "--model", "absent.slpn"], "port = 80a"),
         (["synth", "--out", "x.csv"], "hours = two"),
@@ -202,6 +214,59 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["synth", "--config", str(tmp_path / "absent.conf"),
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+
+REQUIRED_FLAGS = {
+    "synth": ["--out", "n.csv"],
+    "train": ["--data", "n.csv", "--model", "m.slpn"],
+    "events": ["--hypnogram", "h.csv"],
+    "eval": ["--model", "m.slpn", "--data", "n.csv"],
+    "finetune": ["--model", "m.slpn", "--data", "n.csv", "--out", "f.slpn"],
+    "serve": ["--model", "m.slpn"],
+    "plotdata": ["--model", "m.slpn", "--data", "n.csv", "--out", "p.csv"],
+}
+
+
+def default_args(command):
+    return build_parser().parse_args([command, *REQUIRED_FLAGS[command]])
+
+
+class TestDefaultsComeFromTheLibrary:
+    @pytest.mark.parametrize("command", ["events", "eval", "serve", "plotdata"])
+    def test_rules(self, command):
+        assert _rule_config(default_args(command)) == EventRuleConfig()
+
+    def test_synth(self):
+        args = default_args("synth")
+        assert SynthConfig(seed=args.seed, hours=args.hours, mean_sleep_min=args.mean_sleep_min,
+                           mean_wake_min=args.mean_wake_min,
+                           transition_blur_min=args.transition_blur_min,
+                           single_sleep_period=args.single_sleep_period) == SynthConfig()
+
+    def test_train(self):
+        args = default_args("train")
+        assert TrainingHyper(lr=args.lr, batch_size=args.batch_size, n_epochs=args.epochs,
+                             seed=args.seed) == TrainingHyper()
+        assert args.aux_weight == ModelConfig().aux_loss_weight
+        context = inspect.signature(build_training_set).parameters["context_hours"]
+        assert args.context_hours == context.default
+
+    def test_tolerance(self):
+        assert default_args("eval").tolerance == evalkit.DEFAULT_TOLERANCE_MIN
+
+    def test_finetune(self, monkeypatch):
+        class Made(Exception):
+            pass
+
+        def make(**kwargs):  # stops finetune_transfer once it has its hyperparameters
+            raise Made(TrainingHyper(**kwargs))
+
+        monkeypatch.setattr(sleepnet, "TrainingHyper", make)
+        with pytest.raises(Made) as made:
+            sleepnet.finetune_transfer(None, [None])
+        args = default_args("finetune")
+        assert TrainingHyper(lr=args.lr, batch_size=args.batch_size, n_epochs=args.epochs,
+                             seed=args.seed) == made.value.args[0]
 
 
 class TestPipelineChain:
@@ -318,6 +383,39 @@ class TestPipelineChain:
         assert lines[0] == "minute,timestamp,probability,binarized,truth,event"
         assert len(lines) > 100
 
+
+    def test_plotdata_without_labels_leaves_truth_empty(self, workdir, tmp_path, capsys):
+        lines = (workdir / "night2.csv").read_text().splitlines()
+        data = tmp_path / "unlabeled.csv"
+        data.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        out = tmp_path / "plot.csv"
+        assert run(["plotdata", "--model", str(workdir / "model.slpn"),
+                    "--data", str(data), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows and all(row[4] == "" for row in rows)
+
+    @pytest.mark.parametrize("command, cut, minute", [
+        ("eval", "label-column", 840),
+        ("eval", "one-label", 3000),
+        ("plotdata", "one-label", 3000),
+    ])
+    def test_scored_minute_without_label_exits_1(self, workdir, tmp_path, capsys,
+                                                 command, cut, minute):
+        # the first scored minute starts at 840 s; epoch 101 (3030 s) is the
+        # second epoch, whose label is the truth, of the minute at 3000 s
+        lines = (workdir / "night2.csv").read_text().splitlines()
+        if cut == "label-column":
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        else:
+            lines[102] = lines[102].rsplit(",", 1)[0] + ","
+        data = tmp_path / "cut.csv"
+        data.write_text("".join(line + "\n" for line in lines))
+        argv = [command, "--model", str(workdir / "model.slpn"), "--data", str(data)]
+        out = tmp_path / "plot.csv"
+        assert run(argv + (["--out", str(out)] if command == "plotdata" else [])) == 1
+        err = capsys.readouterr().err
+        assert f"error: {data}: no label for the minute at timestamp {minute}\n" in err
+        assert not out.exists()
 
     def test_infer_rejects_model_header_without_manifest(self, workdir, tmp_path, capsys):
         model = tmp_path / "bad.slpn"

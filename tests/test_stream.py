@@ -1,11 +1,13 @@
 import copy
 import dataclasses
+import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import HUGE_FIELD, assert_clipped, final_state_onset
-from somnoflow.datapipe import NormStats, SynthConfig, synth_generate
+from somnoflow.datapipe import (IngestError, NormStats, SynthConfig, ingest_epochs,
+                                synth_generate)
 from somnoflow.events import EventRuleConfig, predict_events
 from somnoflow.sleepnet import infer_hypnogram
 
@@ -171,6 +173,17 @@ class TestHostileInput:
         before = state(stream)
         line = f"{value},60,14,0.9,0.1"
         assert feed_lines(stream, [line]) == [f"err,malformed line: {line!r}"]
+        assert state(stream) == before
+
+    @pytest.mark.parametrize("value", ["9223372036854775808", "-9223372036854775808", "1e19"])
+    def test_timestamp_outside_int64(self, small_trained, value):
+        # the err frame carries the reason ingest_epochs gives for the same row
+        line = f"{value},60,14,0.9,0.1"
+        with pytest.raises(IngestError, match="row 2: timestamp") as ingest_error:
+            ingest_epochs(io.StringIO(f"timestamp,hr,br,hr_conf,movement\n{line}\n"))
+        stream = SleepStream(small_trained[0])
+        before = state(stream)
+        assert feed_lines(stream, [line]) == ["err," + str(ingest_error.value)[len("row 2: "):]]
         assert state(stream) == before
 
     @given(line=st.one_of(st.text(), st.lists(RECORD_FIELD, max_size=7).map(",".join)),
