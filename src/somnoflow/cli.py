@@ -210,12 +210,10 @@ def _cmd_synth(args):
     return 0
 
 
-def _load_series_list(paths):
-    return [ingest_epochs(p, subject_id=os.path.basename(p)) for p in paths]
-
-
 def _cmd_train(args):
-    series_list = _load_series_list(args.data)
+    if not 0 <= args.val_frac < 1:
+        raise ValueError(f"--val-frac must be in [0, 1), got {args.val_frac}")
+    series_list = [ingest_epochs(path) for path in args.data]
     windows = build_training_set(series_list, context_hours=args.context_hours,
                                  seed=args.seed)
     stats = datapipe.fit_normalizer(windows)
@@ -313,7 +311,7 @@ def _cmd_eval(args):
     reports = []
     event_counts = {k: evalkit.ConfusionCounts() for k in datapipe.EVENT_KINDS}
     for i, path in enumerate(args.data):
-        series = ingest_epochs(path, subject_id=os.path.basename(path))
+        series = ingest_epochs(path)
         hyp = infer_hypnogram(model, series)
         pred_bin = events_mod.binarize(hyp, rules.threshold)
         truth_bin = _minute_truth(series, hyp, path)
@@ -350,7 +348,7 @@ def _cmd_finetune(args):
     model = load_model(args.model)
     if model.norm_stats is None:
         raise ValueError("base model has no normalization statistics")
-    series_list = _load_series_list(args.data)
+    series_list = [ingest_epochs(path) for path in args.data]
     windows = build_training_set(series_list, context_hours=0, seed=args.seed)
     normed = [datapipe.apply_normalizer(w, model.norm_stats) for w in windows]
     hyper = TrainingHyper(lr=args.lr, batch_size=args.batch_size,
@@ -363,9 +361,12 @@ def _cmd_finetune(args):
 
 
 def _serve_lines(model, rules, lines_in, write):
+    """Feed each line to one stream and write its frames. A line that is
+    empty once its line ending is removed is skipped, as the file readers
+    skip a blank line; any other line gets frames or an `err,` frame."""
     stream = stream_mod.SleepStream(model, rules)
     for line in lines_in:
-        if not line.strip():
+        if not line.rstrip("\r\n"):
             continue
         for em in stream.feed_line(line):
             write(em.format() + "\n")

@@ -32,7 +32,6 @@ EPOCH_SECONDS = 30
 EPOCHS_PER_MINUTE = 2
 FEATURE_NAMES = ("hr", "br", "hr_conf", "movement", "hr_diff")
 CSV_COLUMNS = ("timestamp", "hr", "br", "hr_conf", "movement")
-MAX_FILL_EPOCHS = 2  # most missing epochs that ingest_epochs fills in one gap
 TIMESTAMP_LIMIT = 2 ** 63  # timestamps are int64: |t| must stay below this
 MIN_TAIL_MIN = 20.0  # trailing wake kept after a single synthetic sleep period
 ECHO_LIMIT = 200  # characters of a row or line an error message repeats
@@ -61,7 +60,6 @@ class EpochSeries:
     hr_diff: np.ndarray
     labels: np.ndarray
     subject_id: str = ""
-    source: str = "ingested"
     transitions: list = field(default_factory=list)
 
     def __len__(self):
@@ -204,20 +202,14 @@ def _parse_row(row, row_no, has_label):
         raise IngestError(f"row {row_no}: label must be 0 or 1, got {clipped_repr(row[5])}")
 
 
-def _step_error(ts, prev_ts, fill_gaps):
-    """Why the step from prev_ts to ts is rejected, or None when it is one
-    epoch, or a gap that fill_gaps fills."""
+def _step_error(ts, prev_ts):
+    """Why the step from prev_ts to ts is not one epoch."""
     step = ts - prev_ts
     if step <= 0:
         return f"non-monotonic timestamp {ts} after {prev_ts}"
-    missing = step // EPOCH_SECONDS - 1
     if step % EPOCH_SECONDS != 0:
         return f"timestamp {ts} not on the 30 s grid"
-    if missing and not fill_gaps:
-        return f"gap of {missing} epochs before timestamp {ts}"
-    if missing > MAX_FILL_EPOCHS:
-        return f"gap of {missing} epochs exceeds fill limit {MAX_FILL_EPOCHS}"
-    return None
+    return f"gap of {step // EPOCH_SECONDS - 1} epochs before timestamp {ts}"
 
 
 def _floats(col):
@@ -233,15 +225,14 @@ def _floats(col):
                 return np.array(out, dtype=np.float64)
 
 
-def ingest_epochs(source, subject_id="", fill_gaps=False):
+def ingest_epochs(source):
     """Read an epoch CSV into an EpochSeries.
 
     Expected header: timestamp,hr,br,hr_conf,movement[,label]. Records are
     lines split on commas, as `serve` splits its lines, with no quoting (see
     `record_lines`); blank lines are skipped. Timestamps must advance in strict
-    30 s steps; a gap is an error unless fill_gaps carries the last
-    observation forward (at most MAX_FILL_EPOCHS missing epochs). The first
-    bad row in file order raises an IngestError naming it.
+    30 s steps, as on the wire: a gap is an error. The first bad row in file
+    order raises an IngestError naming it.
 
     The file is parsed by columns: each column is converted with one float()
     pass and checked with array ops; only the row that fails is re-read,
@@ -280,34 +271,16 @@ def ingest_epochs(source, subject_id="", fill_gaps=False):
         ok &= labels != -2
     # a step beyond 2**63 wraps in int64 to a negative one, or, from near
     # +2**63 down to near -2**63 (where float64 holds multiples of 1024),
-    # to a multiple of 1024: never a 30-90 s step
-    step = np.diff(ts)
-    missing = step // EPOCH_SECONDS - 1
-    ok[1:] &= ((step % EPOCH_SECONDS == 0) & (missing >= 0)
-               & (missing <= (MAX_FILL_EPOCHS if fill_gaps else 0)))
+    # to a multiple of 1024: never a 30 s step
+    ok[1:] &= np.diff(ts) == EPOCH_SECONDS
 
     first = n if ok.all() else int(np.argmin(ok))
     if first < len(body):
         row_no = [no for no, line in enumerate(lines[1:], start=2) if line][first]
         _parse_row(body[first].split(","), row_no, has_label)
-        raise IngestError(f"row {row_no}: "
-                          f"{_step_error(int(ts[first]), int(ts[first - 1]), fill_gaps)}")
-    if fill_gaps:  # repeat each row once per epoch missing after it
-        reps = np.ones(n, dtype=np.intp)
-        reps[:-1] += missing
-        hr, br, hr_conf, movement, labels = (
-            np.repeat(v, reps) for v in (hr, br, hr_conf, movement, labels))
-    return EpochSeries(
-        timestamps=ts[0] + EPOCH_SECONDS * np.arange(len(hr), dtype=np.int64),
-        hr=hr,
-        br=br,
-        hr_conf=hr_conf,
-        movement=movement,
-        hr_diff=compute_hr_diff(hr),
-        labels=labels,
-        subject_id=subject_id,
-        source="ingested",
-    )
+        raise IngestError(f"row {row_no}: {_step_error(int(ts[first]), int(ts[first - 1]))}")
+    return EpochSeries(timestamps=ts, hr=hr, br=br, hr_conf=hr_conf, movement=movement,
+                       hr_diff=compute_hr_diff(hr), labels=labels)
 
 
 def write_rows(dest, header, rows):
@@ -546,7 +519,6 @@ def synth_generate(config):
         hr_diff=compute_hr_diff(feats["hr"]),
         labels=labels,
         subject_id=config.subject_id,
-        source="synthetic",
         transitions=transitions,
     )
 

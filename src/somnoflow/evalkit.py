@@ -7,6 +7,7 @@ from aggregates with the exclusion counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +31,6 @@ class ConfusionCounts:
     @property
     def n(self):
         return self.tn + self.fp
-
-    @property
-    def total(self):
-        return self.tp + self.tn + self.fp + self.fn
 
     def __add__(self, other):
         return ConfusionCounts(self.tp + other.tp, self.tn + other.tn,
@@ -106,27 +103,21 @@ class MetricReport:
 class EventMatchResult:
     per_kind: dict = field(default_factory=dict)   # kind -> ConfusionCounts (tp/fp/fn)
     matched: list = field(default_factory=list)    # (kind, pred_ts, truth_ts, delta_min)
-    tolerance_min: float = DEFAULT_TOLERANCE_MIN
-
-    def totals(self):
-        out = ConfusionCounts()
-        for c in self.per_kind.values():
-            out = out + c
-        return out
 
 
 def match_events(pred, truth, tolerance_min=DEFAULT_TOLERANCE_MIN):
     """Greedy nearest-first matching of predicted events to truth, per kind.
 
-    pred: a SleepEvents, a list of SleepEvents, or (kind, timestamp) pairs.
+    pred: a SleepEvents or (kind, timestamp) pairs.
     truth: (kind, timestamp) pairs. A pair within the tolerance is a TP;
-    unmatched predictions are FPs, unmatched truths FNs.
+    unmatched predictions are FPs, unmatched truths FNs. A tolerance that is
+    not a finite number of minutes >= 0 is a ValueError.
     """
+    if not 0 <= tolerance_min < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0 minutes, got {tolerance_min}")
     if hasattr(pred, "sleep_onset"):
         pred = pred.pairs()
-    elif pred and hasattr(pred[0], "sleep_onset"):
-        pred = [pair for ev in pred for pair in ev.pairs()]
-    result = EventMatchResult(tolerance_min=tolerance_min)
+    result = EventMatchResult()
     tol_s = tolerance_min * 60.0
     for kind in EVENT_KINDS:
         p_ts = [ts for k, ts in pred if k == kind]
@@ -191,11 +182,7 @@ def emit_plotdata(hypnogram, events, truth, dest, threshold=0.5):
     truth is an aligned BinaryHypnogram or None; event column carries the
     event kind on the minute it fires, empty elsewhere.
     """
-    marker = {}
-    if events is not None:
-        for kind, ts in events.pairs():
-            minute = (ts - hypnogram.start) // 60
-            marker[minute] = kind
+    marker = {(ts - hypnogram.start) // 60: kind for kind, ts in events.pairs()}
     truth_vals = [] if truth is None else truth.states.tolist()
     write_rows(dest, ["minute", "timestamp", "probability", "binarized", "truth", "event"],
                [(i, hypnogram.start + i * 60, f"{p:.6f}", int(p >= threshold),

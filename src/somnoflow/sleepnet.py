@@ -843,18 +843,18 @@ def infer_hypnogram(model, series):
     prediction lands on the final minute of the first full window, i.e. 14
     minutes after the series start. Raises ValueError when a z-scored value
     is not finite, i.e. a finite vital lies so far from the training mean
-    that it overflows float32.
+    that it overflows float32, whether or not the series fills a window.
     """
     if model.norm_stats is None:
         raise ValueError("model has no normalization statistics; train or load first")
-    window_epochs = model.config.window_epochs
-    if len(series) < window_epochs:
-        make_windows(series, window_epochs)  # warns, returns []
-        return Hypnogram(start=int(series.timestamps[0]), probs=np.empty(0))
     with np.errstate(over="ignore"):  # reported by the check below
         z = zscore(series.feature_matrix(), model.norm_stats)
     if not np.isfinite(z).all():
         raise ValueError("z-scored features are not finite: a vital is non-finite "
                          "or too far from the training mean for float32")
+    window_epochs = model.config.window_epochs
+    if len(series) < window_epochs:
+        make_windows(series, window_epochs)  # warns, returns []
+        return Hypnogram(start=int(series.timestamps[0]), probs=np.empty(0))
     return Hypnogram(start=int(series.timestamps[window_epochs - EPOCHS_PER_MINUTE]),
                      probs=RecordScorer(model).push(z))

@@ -1,13 +1,18 @@
 import inspect
 import io
+import math
+import re
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import HUGE_FIELD, assert_clipped, corrupt_header
+from test_datapipe import _fuzz_text
 from somnoflow import evalkit, sleepnet
-from somnoflow.cli import _merge, _rule_config, build_parser, run
-from somnoflow.datapipe import SynthConfig, build_training_set
+from somnoflow.cli import _merge, _rule_config, _serve_lines, build_parser, run
+from somnoflow.datapipe import (CSV_COLUMNS, IngestError, SynthConfig, build_training_set,
+                                ingest_epochs, record_lines)
 from somnoflow.events import EventRuleConfig
 from somnoflow.sleepnet import ModelConfig, TrainingHyper
 
@@ -363,6 +368,16 @@ class TestPipelineChain:
         assert "n_epochs" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-0.5", "1", "1.5", "nan"])
+    def test_train_rejects_val_frac_outside_unit_interval(self, workdir, tmp_path, capsys,
+                                                          value):
+        out = tmp_path / "m.slpn"
+        assert run(["train", "--data", str(workdir / "night0.csv"), "--model", str(out),
+                    "--val-frac", value]) == 1
+        err = capsys.readouterr().err
+        assert f"error: --val-frac must be in [0, 1), got {float(value)}\n" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, field", [("--epochs", "-3", "n_epochs"),
                                                     ("--lr", "-1", "lr"),
                                                     ("--lr", "nan", "lr")])
@@ -446,6 +461,18 @@ class TestPipelineChain:
         assert "row 2: event kind not one of sleep_onset, wake_time: ['sleep_onset ', '600']" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "-5", "inf"])
+    def test_eval_rejects_tolerance_not_finite_and_non_negative(self, workdir, tmp_path,
+                                                                capsys, value):
+        csv_out = tmp_path / "metrics.csv"
+        assert run(["eval", "--model", str(workdir / "model.slpn"),
+                    "--data", str(workdir / "night2.csv"),
+                    "--truth-events", str(workdir / "truth2.csv"),
+                    "--tolerance", value, "--csv", str(csv_out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: tolerance must be finite and >= 0 minutes, got {float(value)}\n" in err
+        assert not csv_out.exists()
+
     @pytest.mark.parametrize("value", ["6\x000", "1" * 200_000, "1e19",
                                        "10000000000000000000", '"600"'],
                              ids=["nul-byte", "200kb-field", "1e19", "int-beyond-int64",
@@ -482,6 +509,20 @@ class TestPipelineChain:
                     "--data", str(data)]) == 1
         assert "not finite" in capsys.readouterr().err
 
+    def test_infer_rejects_short_record_overflowing_float32(self, workdir, tmp_path, capsys):
+        # 10 epochs fill no window, but the record is checked as a long one is
+        lines = (workdir / "night2.csv").read_text().splitlines()[:11]
+        fields = lines[5].split(",")
+        fields[1] = "1e308"
+        lines[5] = ",".join(fields)
+        data = tmp_path / "short.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "hyp.csv"
+        assert run(["infer", "--model", str(workdir / "model.slpn"),
+                    "--data", str(data), "--out", str(out)]) == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestServe:
     @pytest.mark.parametrize("port", ["99999", "-1", "65536"])
@@ -507,3 +548,83 @@ class TestServe:
         for line in classes:
             p = float(line.split(",")[2])
             assert 0.0 <= p <= 1.0
+
+    def test_whitespace_line_gets_err_frame(self, workdir, capsys, monkeypatch):
+        # a blank line is skipped, as ingest skips it; a whitespace-only line
+        # is a record that ingest rejects, so the stream answers it
+        payload = "0,60,14,0.9,0.1\n\n \t\r\n\r\n30,60,14,0.9,0.1\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(payload, newline=None))
+        assert run(["serve", "--model", str(workdir / "model.slpn")]) == 0
+        assert capsys.readouterr().out == "err,malformed line: ''\n"
+
+
+def _first_err_row(model, text):
+    """The row (the header being row 1) whose line first gets an `err,`
+    frame from `_serve_lines` fed the text's lines after the header, as
+    stdin reads them, or None when no line gets one."""
+    lines = io.StringIO(text, newline=None).readlines()
+    current, errs = [None], []
+
+    def numbered():
+        for current[0], line in enumerate(lines[1:], start=2):
+            yield line
+
+    def write(frame):
+        if frame.startswith("err,"):
+            errs.append(current[0])
+
+    _serve_lines(model, EventRuleConfig(), numbered(), write)
+    return errs[0] if errs else None
+
+
+def _ingest_err_row(text):
+    """The row that ingest_epochs names in its error, or None when it
+    accepts the text or rejects it without naming a row (no data rows)."""
+    try:
+        ingest_epochs(io.StringIO(text))
+    except IngestError as exc:
+        named = re.match(r"row (\d+): ", str(exc))
+        return int(named.group(1)) if named else None
+    return None
+
+
+def _parity_case(text):
+    """Whether a fuzzed text is one that files and the wire must judge
+    alike: an unlabeled header (the wire carries no label) and no finite
+    vital large enough to overflow float32 once z-scored (the file check
+    comes later, in infer_hypnogram)."""
+    lines = record_lines(text)
+    if not lines or [h.strip() for h in lines[0].split(",")] != list(CSV_COLUMNS):
+        return False
+    for line in lines[1:]:
+        for field in line.split(",")[1:5]:
+            try:
+                value = abs(float(field))
+            except ValueError:
+                continue
+            if math.isfinite(value) and value > 1e30:
+                return False
+    return True
+
+
+class TestFileAndWireParity:
+    def test_fuzzed_texts_fail_on_the_same_row(self, small_trained):
+        rng = np.random.default_rng(20241020)
+        cases = mismatches = whitespace_first = accepted = 0
+        while cases < 3000:
+            pieces = _fuzz_text(rng).split("\n")
+            for i in range(len(pieces) - 1, 0, -1):  # whitespace-only lines after the header
+                if rng.random() < 0.1:
+                    pieces.insert(i, str(rng.choice([" ", "\t", "   ", " \t"])))
+            text = "\n".join(pieces)
+            if not _parity_case(text):
+                continue
+            cases += 1
+            want = _ingest_err_row(text)
+            mismatches += _first_err_row(small_trained[0], text) != want
+            if want is None:
+                accepted += 1
+            elif not record_lines(text)[want - 1].strip():
+                whitespace_first += 1
+        assert mismatches == 0
+        assert 300 < accepted < 2700 and whitespace_first > 100

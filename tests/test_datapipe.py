@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import somnoflow as sf
 from conftest import HUGE_FIELD, assert_clipped
 from somnoflow import datapipe
-from somnoflow.datapipe import (CSV_COLUMNS, EPOCH_SECONDS, MAX_FILL_EPOCHS,
+from somnoflow.datapipe import (CSV_COLUMNS, EPOCH_SECONDS,
                                 IngestError, SynthConfig, apply_normalizer,
                                 build_training_set, compute_hr_diff,
                                 fit_normalizer, ingest_epochs, make_windows,
@@ -54,7 +54,7 @@ def _oracle_row(row, row_no, has_label):
     return ts, hr, br, hr_conf, movement, label
 
 
-def oracle_ingest(source, fill_gaps=False):
+def oracle_ingest(source):
     """The per-row, csv-module ingest loop that `ingest_epochs` replaced: the
     reference its columnar parse must match on every text without quotes."""
     reader = csv.reader(source)
@@ -79,19 +79,11 @@ def oracle_ingest(source, fill_gaps=False):
             step = ts - prev_ts
             if step <= 0:
                 raise IngestError(f"row {row_no}: non-monotonic timestamp {ts} after {prev_ts}")
+            if step % EPOCH_SECONDS != 0:
+                raise IngestError(f"row {row_no}: timestamp {ts} not on the 30 s grid")
             if step != EPOCH_SECONDS:
                 missing = step // EPOCH_SECONDS - 1
-                if step % EPOCH_SECONDS != 0 or missing < 1:
-                    raise IngestError(f"row {row_no}: timestamp {ts} not on the 30 s grid")
-                if not fill_gaps:
-                    raise IngestError(f"row {row_no}: gap of {missing} epochs before timestamp {ts}")
-                if missing > MAX_FILL_EPOCHS:
-                    raise IngestError(
-                        f"row {row_no}: gap of {missing} epochs exceeds fill limit {MAX_FILL_EPOCHS}")
-                for i in range(1, missing + 1):
-                    cols["timestamp"].append(prev_ts + i * EPOCH_SECONDS)
-                    for name in ("hr", "br", "hr_conf", "movement", "label"):
-                        cols[name].append(cols[name][-1])
+                raise IngestError(f"row {row_no}: gap of {missing} epochs before timestamp {ts}")
         cols["timestamp"].append(ts)
         cols["hr"].append(hr)
         cols["br"].append(br)
@@ -159,9 +151,9 @@ def _fuzz_text(rng):
     return end.join(lines) + (end if rng.random() < 0.9 else "")
 
 
-def _outcome(ingest, text, fill_gaps):
+def _outcome(ingest, text):
     try:
-        series = ingest(io.StringIO(text), fill_gaps=fill_gaps)
+        series = ingest(io.StringIO(text))
     except IngestError as exc:
         return str(exc)
     return [(a.dtype.str, a.tobytes()) for a in
@@ -175,9 +167,9 @@ class TestIngestMatchesOracle:
         accepted = 0
         for _ in range(3000):
             text = _fuzz_text(rng)
-            fill_gaps = bool(rng.random() < 0.5)
-            want = _outcome(oracle_ingest, text, fill_gaps)
-            assert _outcome(ingest_epochs, text, fill_gaps) == want, (text, fill_gaps)
+            rng.random()  # a draw per text that keeps the seed's 3,000 texts
+            want = _outcome(oracle_ingest, text)
+            assert _outcome(ingest_epochs, text) == want, text
             accepted += not isinstance(want, str)
         assert 300 < accepted < 2700  # both outcomes well covered
 
@@ -188,21 +180,21 @@ class TestIngestMatchesOracle:
         ["9223372036854771712,60,14,0.9,0.1", "9223372036854772736,60,14,0.9,0.1"],
         ["0,60,14,0.9,0.1", "", "", "90,60,14,0.9,0.1", "", "150,61,14,0.9,0.1"],
     ])
-    @pytest.mark.parametrize("fill_gaps", [False, True])
-    def test_edge_texts(self, rows, fill_gaps):
-        text = make_csv(rows).getvalue()
-        want = _outcome(oracle_ingest, text, fill_gaps)
-        assert _outcome(ingest_epochs, text, fill_gaps) == want
+    @pytest.mark.parametrize("crlf", [False, True])
+    def test_edge_texts(self, rows, crlf):
+        text = make_csv(rows).getvalue().replace("\n", "\r\n" if crlf else "\n")
+        want = _outcome(oracle_ingest, text)
+        assert _outcome(ingest_epochs, text) == want
 
-    @pytest.mark.parametrize("fill_gaps", [False, True])
-    def test_synthetic_night(self, fill_gaps):
+    @pytest.mark.parametrize("crlf", [False, True])
+    def test_synthetic_night(self, crlf):
         series = synth_generate(SynthConfig(seed=7, hours=8))
         buf = io.StringIO()
         write_epochs(series, buf)
-        text = buf.getvalue()
-        want = _outcome(oracle_ingest, text, fill_gaps)
+        text = buf.getvalue().replace("\n", "\r\n" if crlf else "\n")
+        want = _outcome(oracle_ingest, text)
         assert not isinstance(want, str)
-        assert _outcome(ingest_epochs, text, fill_gaps) == want
+        assert _outcome(ingest_epochs, text) == want
 
 
 class TestIngest:
@@ -218,18 +210,8 @@ class TestIngest:
 
     def test_gap_error_names_row(self):
         src = make_csv(["0,60,14,0.9,0.1", "30,60,14,0.9,0.1", "90,60,14,0.9,0.1"])
-        with pytest.raises(IngestError, match="row 4"):
+        with pytest.raises(IngestError, match="row 4: gap of 1 epochs before timestamp 90"):
             ingest_epochs(src)
-
-    def test_gap_fill_limited(self):
-        rows = ["0,60,14,0.9,0.1", "90,62,14,0.9,0.1"]
-        series = ingest_epochs(make_csv(rows), fill_gaps=True)
-        assert len(series) == 4  # two missing epochs filled
-        np.testing.assert_array_equal(series.timestamps, [0, 30, 60, 90])
-        assert series.hr[1] == 60.0 and series.hr[2] == 60.0  # carried forward
-        rows = ["0,60,14,0.9,0.1", "150,62,14,0.9,0.1"]
-        with pytest.raises(IngestError, match="exceeds fill limit"):
-            ingest_epochs(make_csv(rows), fill_gaps=True)
 
     def test_non_monotonic(self):
         src = make_csv(["0,60,14,0.9,0.1", "30,60,14,0.9,0.1", "0,60,14,0.9,0.1"])

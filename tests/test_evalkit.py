@@ -39,7 +39,7 @@ class TestConfusion:
 
     def test_p_n_partition_total(self):
         c = confusion(bhyp([1, 1, 0, 0, 1]), bhyp([1, 0, 0, 1, 1]))
-        assert c.p + c.n == c.total == 5
+        assert c.p + c.n == 5
 
 
 class TestMetrics:
@@ -121,13 +121,18 @@ class TestMatchEvents:
         assert res.per_kind["sleep_onset"].fp == 1
         assert res.per_kind["wake_time"].fn == 1
 
-    def test_list_of_events(self):
-        preds = [SleepEvents(sleep_onset=0, wake_time=600 * 60),
-                 SleepEvents(sleep_onset=86400)]
-        truth = [("sleep_onset", 60), ("wake_time", 600 * 60),
-                 ("sleep_onset", 86400 + 120)]
-        res = match_events(preds, truth)
-        assert res.totals().tp == 3
+    @pytest.mark.parametrize("tolerance", [float("nan"), -5.0, float("inf")])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        with pytest.raises(ValueError, match=f"tolerance must be finite and >= 0 "
+                                             f"minutes, got {tolerance}"):
+            match_events(SleepEvents(sleep_onset=1000), [("sleep_onset", 0)],
+                         tolerance_min=tolerance)
+
+    def test_zero_tolerance_matches_only_exact(self):
+        res = match_events(SleepEvents(sleep_onset=60, wake_time=600),
+                           [("sleep_onset", 60), ("wake_time", 660)], tolerance_min=0)
+        assert res.per_kind["sleep_onset"].tp == 1
+        assert res.per_kind["wake_time"].tp == 0
 
     def test_swap_symmetry(self):
         pred = [("sleep_onset", 0), ("sleep_onset", 100000)]
@@ -205,5 +210,5 @@ class TestPlotdata:
     def test_file_path_destination(self, tmp_path):
         hyp = Hypnogram(start=0, probs=np.full(3, 0.8))
         path = tmp_path / "plot.csv"
-        emit_plotdata(hyp, None, None, path)
+        emit_plotdata(hyp, SleepEvents(), None, path)
         assert len(path.read_text().splitlines()) == 4

@@ -534,6 +534,14 @@ class TestInferHypnogram:
         with pytest.raises(ValueError, match="not finite"):
             infer_hypnogram(model, series)
 
+    def test_short_series_overflowing_float32_rejected(self, small_trained):
+        # checked before the short-record return, as the stream checks each record
+        model, _, _ = small_trained
+        series = first_epochs(synth_generate(SynthConfig(seed=45, hours=2)), 10)
+        series.hr[5] = 1e308
+        with pytest.raises(ValueError, match="not finite"):
+            infer_hypnogram(model, series)
+
 
 def _bits(a):
     a = np.ascontiguousarray(a)
