@@ -375,6 +375,27 @@ def _serve_lines(model, rules, lines_in, write):
         write(em.format() + "\n")
 
 
+def _connection_lines(recv):
+    """The lines of the bytes that recv(n) returns until it returns none,
+    each yielded as soon as a \\n or a \\r ends it, so a client that ends
+    its lines with \\r waits for no further byte. A \\r\\n ends a line and
+    a blank one, which `_serve_lines` skips as the file readers skip it."""
+    rest = b""
+    while chunk := recv(1 << 16):
+        *lines, rest = (rest + chunk).replace(b"\r", b"\n").split(b"\n")
+        for line in lines:
+            yield line.decode()
+    if rest:
+        yield rest.decode()
+
+
+def _serve_connection(model, rules, conn):
+    """Serve one client on a connected socket: its lines as
+    `_connection_lines` splits them, each frame sent as soon as it is made."""
+    _serve_lines(model, rules, _connection_lines(conn.recv),
+                 lambda frame: conn.sendall(frame.encode()))
+
+
 def _cmd_serve(args):
     if args.port is not None and not 0 <= args.port <= 65535:
         raise ValueError(f"--port must be in 0-65535, got {args.port}")
@@ -389,9 +410,8 @@ def _cmd_serve(args):
     try:
         while True:
             conn, _ = srv.accept()
-            with conn, conn.makefile("rw", newline="\n") as fh:
-                _serve_lines(model, rules, fh, fh.write)
-                fh.flush()
+            with conn:
+                _serve_connection(model, rules, conn)
     except KeyboardInterrupt:
         return 0
     finally:

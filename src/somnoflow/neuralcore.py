@@ -2,18 +2,21 @@
 
 Layers operate on batched arrays: convolution-path tensors are shaped
 (batch, channels, length), dense-path tensors (batch, features). Each layer
-owns its parameters and gradient buffers; a forward call caches what the
-matching backward call needs. Everything is numpy; no autograd. A layer
-does only what the network needs of it: the network's convs read its input,
-so Conv1d's backward accumulates the weight and bias gradients and returns
-no input gradient, and MaxPool1d's windows do not overlap (stride = pool
-width), so its backward stores each gradient at one input.
+owns its parameters and gradient buffers; every forward call, in train or
+eval mode, caches what the matching backward call needs, so backward
+recomputes nothing: Conv1d keeps its im2col columns. Everything is numpy;
+no autograd. A layer does only what the network needs of it: the network's
+convs read its input, so Conv1d's backward accumulates the weight and bias
+gradients and returns no input gradient, and MaxPool1d's windows do not
+overlap (stride = pool width), so its backward stores each gradient at one
+input, in one flat indexed store.
 
 The forward math is written once, as functions on arrays: `conv1d` (im2col
-and one stacked matmul), `batchnorm`, `relu`, `maxpool1d` (which also
-returns the argmax) and `dense`. Each layer's forward calls its function and
-caches what backward needs; `sleepnet.RecordScorer` calls the same functions
-on its own stacked weights and caches nothing on a layer.
+and one stacked matmul, returning the columns too), `batchnorm`, `relu`,
+`maxpool1d` (which also returns the argmax) and `dense`. Each layer's
+forward calls its function and caches what backward needs;
+`sleepnet.RecordScorer` calls the same functions on its own stacked weights
+and caches nothing on a layer.
 
 A result must not depend on the batch or the neighbours it is computed
 with: `sleepnet.RecordScorer` runs a night's conv positions and windows as
@@ -37,13 +40,14 @@ A training step's cost at batch 32 is mostly numpy calls, not arithmetic,
 so `Adam(layers, lr)` binds itself to its layers once: their gradients
 become views of one buffer, with the moments as flat buffers beside it, and
 each `step()` is one flat update. Every op is elementwise, so the result is
-bit for bit the per-tensor update.
+bit for bit the per-tensor update. The step then flushes moments below the
+dtype's smallest normal to zero, since ops on subnormals run several times
+slower; that changes nothing while no moment is subnormal.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 BCE_EPS = 1e-7
 BN_MOMENTUM = 0.1
@@ -64,36 +68,39 @@ class NonFiniteGradientError(FloatingPointError):
 
 
 def sigmoid(x):
-    # split by sign to avoid overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) elementwise, as 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below, with e = exp(-|x|): exp never overflows, and no
+    mask gathers or scatters the two halves. -|x| is min(x, -x), which
+    keeps a NaN's sign and payload, as exp(x) on the negative half did."""
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def im2col(x, k):
     """(n, c*k, L-k+1) im2col columns of x (n, c, L), ordered (c, j) and
     C-contiguous whatever the layout of x: column entry (c, j, l) is
     x[:, c, l + j]."""
+    x = np.ascontiguousarray(x)  # a copy only of a strided x
     n, c, length = x.shape
     lout = length - k + 1
     sn, sc, sl = x.strides
-    # as_strided skips sliding_window_view's checks, most of a batch-1 call's cost
-    view = as_strided(x, (n, c, k, lout), (sn, sc, sl, sl), writeable=False)
+    # np.ndarray over x's buffer costs a seventh of as_strided, and raises
+    # if the view would reach past the buffer
+    view = np.ndarray((n, c, k, lout), x.dtype, x, 0, (sn, sc, sl, sl))
     return np.ascontiguousarray(view).reshape(n, c * k, lout)
 
 
 def conv1d(x, w, b):
     """Valid convolution of x (n, c, L) with w (o, c, k) plus b (o,):
-    (n, o, L-k+1)."""
+    (im2col columns of x, output (n, o, L-k+1))."""
+    cols = im2col(x, w.shape[2])
     # a stacked matmul runs one fixed-shape BLAS product per input, so an
     # input's output cannot depend on its batch; one flattened
     # (n*L', c*k) @ (c*k, o) GEMM would round differently as n changes
-    y = np.matmul(w.reshape(w.shape[0], -1), im2col(x, w.shape[2]))
+    y = np.matmul(w.reshape(w.shape[0], -1), cols)
     y += b[None, :, None]
-    return y
+    return cols, y
 
 
 def bn_inv_std(var):
@@ -149,9 +156,15 @@ def bce_loss(p, y):
     """
     p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     y = np.asarray(y, dtype=p.dtype)
-    loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    grad = (p - y) / (p * (1.0 - p))
-    return loss, grad
+    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p)), bce_grad(p, y)
+
+
+def bce_grad(p, y):
+    """bce_loss's gradient wrt p alone, elementwise: what a training step
+    reads."""
+    p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
+    y = np.asarray(y, dtype=p.dtype)
+    return (p - y) / (p * (1.0 - p))
 
 
 class Layer:
@@ -203,7 +216,7 @@ class Conv1d(Layer):
         self.params["b"] = np.zeros(out_channels, dtype=self.dtype)
         self.grads["w"] = np.zeros_like(self.params["w"])
         self.grads["b"] = np.zeros_like(self.params["b"])
-        self._x = None
+        self._cols = None
 
     def forward(self, x, train=False):
         _, c, length = x.shape
@@ -212,15 +225,16 @@ class Conv1d(Layer):
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         if k > length:
             raise ShapeError(f"{self.name}: kernel width {k} exceeds input length {length}")
-        self._x = x
-        return conv1d(x, self.params["w"], self.params["b"])
+        # every forward keeps its columns, eval-mode ones too, for backward
+        self._cols, y = conv1d(x, self.params["w"], self.params["b"])
+        return y
 
     def backward(self, dy):
         """Accumulate the weight and bias gradients. There is no input
         gradient: the network's convs read its input, which takes none."""
-        # dW: one (o, n*L') @ (n*L', c*k) GEMM; gradients need no batch-invariance.
-        # The columns are rebuilt here, so a forward caches no more than its input
-        self.grads["w"] += np.tensordot(dy, im2col(self._x, self.kernel_width),
+        # dW: one (o, n*L') @ (n*L', c*k) GEMM over the forward's columns;
+        # gradients need no batch-invariance
+        self.grads["w"] += np.tensordot(dy, self._cols,
                                         axes=([0, 2], [0, 2])).reshape(self.params["w"].shape)
         self.grads["b"] += dy.sum(axis=(0, 2))
 
@@ -259,10 +273,10 @@ class BatchNorm1d(Layer):
             mean = x.sum(axis=(0, 2)) / m
             centered = x - mean[None, :, None]
             var = (centered * centered).sum(axis=(0, 2)) / m
-            self.running_mean[...] = ((1.0 - BN_MOMENTUM) * self.running_mean
-                                      + BN_MOMENTUM * mean).astype(self.dtype)
-            self.running_var[...] = ((1.0 - BN_MOMENTUM) * self.running_var
-                                     + BN_MOMENTUM * var).astype(self.dtype)
+            # (1 - momentum) * running + momentum * batch, in place
+            for running, batch in ((self.running_mean, mean), (self.running_var, var)):
+                np.multiply(running, 1.0 - BN_MOMENTUM, out=running)
+                np.add(running, BN_MOMENTUM * batch, out=running)
         else:
             centered = x - self.running_mean[None, :, None]
             var = self.running_var
@@ -310,13 +324,14 @@ class MaxPool1d(Layer):
     def backward(self, dy):
         n, c, lout = dy.shape
         p = self.pool_width
+        length = self._in_shape[2]
         dx = np.zeros(self._in_shape, dtype=dy.dtype)
-        # the windows do not overlap, so each gradient is stored at its
-        # window's argmax in a (n, c, L', p) view of dx, and a NaN or inf one
-        # reaches no other input. + 0.0 turns a -0.0 gradient into +0.0, as
-        # adding it into the zeros would
-        view = dx[:, :, :lout * p].reshape(n, c, lout, p)
-        np.put_along_axis(view, self.argmax[..., None], (dy + 0.0)[..., None], axis=3)
+        # the windows do not overlap, so each gradient is stored once, at
+        # its window's argmax: flat index row * L + window * p + argmax in
+        # dx, and a NaN or inf one reaches no other input. + 0.0 turns a
+        # -0.0 gradient into +0.0, as adding it into the zeros would
+        starts = np.arange(0, n * c * length, length).reshape(n, c, 1) + np.arange(0, lout * p, p)
+        dx.reshape(-1)[starts + self.argmax] = dy + 0.0
         return dx
 
 
@@ -378,10 +393,10 @@ class Dropout(Layer):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.rate
-        mask = (self.rng.random(x.shape) >= self.rate).astype(x.dtype) / keep
-        self._mask = mask
-        return x * mask
+        # a kept unit's mask is 1 / keep rounded to x's dtype, a dropped one's 0
+        scale = x.dtype.type(1) / (1.0 - self.rate)
+        self._mask = (self.rng.random(x.shape) >= self.rate) * scale
+        return x * self._mask
 
     def backward(self, dy):
         if self._mask is None:
@@ -403,8 +418,9 @@ class Adam:
     each rebinds the gradients to its own buffer.
 
     A step checks the gradients with one isfinite, updates the flat moments
-    with whole-buffer ops, subtracts each parameter's slice and zeroes the
-    gradients in one fill. It is atomic: if any gradient holds NaN or inf,
+    with whole-buffer ops, flushes moments below the dtype's smallest normal
+    to zero, subtracts each parameter's slice and zeroes the gradients in
+    one fill. It is atomic: if any gradient holds NaN or inf,
     it raises NonFiniteGradientError naming the first such layer and
     parameter in list order, and changes no parameter, moment or step count.
     """
@@ -420,6 +436,7 @@ class Adam:
         dtype = dtypes.pop() if dtypes else None
         total = sum(p.size for _, _, p in trainable)
         self.m, self.v, self.g, self.upd = (np.zeros(total, dtype=dtype) for _ in range(4))
+        self._tiny = np.finfo(self.m.dtype).smallest_normal
         self._grads = []  # (layer name, param name, its gradient), named on a non-finite one
         self._params = []  # (parameter, its slice of upd shaped like it)
         start = 0
@@ -445,6 +462,10 @@ class Adam:
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
+        # a moment whose gradient stays 0 decays into the subnormals, where
+        # every op on it runs several times slower: flush those to 0
+        m[np.abs(m) < self._tiny] = 0
+        v[v < self._tiny] = 0
         mhat = m / (1.0 - ADAM_BETA1 ** t)
         vhat = v / (1.0 - ADAM_BETA2 ** t)
         # out= rounds to the parameters' dtype, as the per-tensor astype did

@@ -31,20 +31,19 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .datapipe import EPOCHS_PER_MINUTE, NormStats, make_windows, zscore
 from .datapipe import apply_normalizer  # noqa: F401  perfbench/layers.py traces it by this name
 from .events import Hypnogram
 from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
-                         MaxPool1d, ReLU, ShapeError, batchnorm, bce_loss, bn_inv_std,
-                         conv1d, dense, maxpool1d, relu, sigmoid)
+                         MaxPool1d, ReLU, ShapeError, batchnorm, bce_grad, bce_loss,
+                         bn_inv_std, conv1d, dense, maxpool1d, relu, sigmoid)
 
 MODEL_MAGIC = b"SLPN"
 MODEL_FORMAT_VERSION = 2
 # windows per forward call in _epoch_loss: layers keep their forward caches
-# (batchnorm xhat, pool argmax, relu masks), so a whole training set as one
-# batch would hold several MB more at peak
+# (conv columns, batchnorm xhat, pool argmax, relu masks), so a whole
+# training set as one batch would hold several MB more at peak
 INFER_CHUNK = 64
 # conv positions per tile in RecordScorer; even, so that no pool pair
 # straddles two tiles
@@ -363,16 +362,25 @@ def _prepare_xy(windows, model):
 
 def _objective(p_final, p_heads, y, aux_weight):
     """The training objective BCE(final) + aux_weight * sum BCE(head), each
-    BCE averaged over the batch: (loss, dL/dp_final, dL/dp_heads)."""
+    BCE averaged over the batch."""
     n = len(y)
-    loss, grad = bce_loss(p_final, y)
-    total = loss.sum() / n
-    if aux_weight == 0:  # the head terms add no loss, and 0 * grad would be -0.0
-        return float(total), grad / n, np.zeros_like(p_heads)
-    loss, grad_heads = bce_loss(p_heads, y[:, None])
+    total = bce_loss(p_final, y)[0].sum() / n
+    if aux_weight == 0:  # the head terms add no loss
+        return float(total)
+    loss = bce_loss(p_heads, y[:, None])[0]
     for i in range(p_heads.shape[1]):
         total += aux_weight * (loss[:, i].sum() / n)
-    return float(total), grad / n, aux_weight * grad_heads / n
+    return float(total)
+
+
+def _objective_grads(p_final, p_heads, y, aux_weight):
+    """The training objective's (dL/dp_final, dL/dp_heads), without the loss
+    that a step does not read."""
+    n = len(y)
+    grad = bce_grad(p_final, y) / n
+    if aux_weight == 0:  # 0 * grad would be -0.0 where grad < 0
+        return grad, np.zeros_like(p_heads)
+    return grad, aux_weight * bce_grad(p_heads, y[:, None]) / n
 
 
 def _epoch_loss(model, x, y, aux_weight):
@@ -384,7 +392,7 @@ def _epoch_loss(model, x, y, aux_weight):
     for s in range(0, len(x), INFER_CHUNK):
         xb, yb = x[s:s + INFER_CHUNK], y[s:s + INFER_CHUNK]
         p_final, p_heads = model.forward_batch(xb, train=False)
-        losses.append(_objective(p_final, p_heads, yb, aux_weight)[0] * len(xb))
+        losses.append(_objective(p_final, p_heads, yb, aux_weight) * len(xb))
         correct += int(np.sum((p_final >= 0.5) == yb))
     return sum(losses) / len(x), correct / len(x)
 
@@ -424,7 +432,7 @@ def train(model, train_windows, val_windows=None, hyper=None):
     for batches in _epochs(len(x), hyper):
         for idx in batches:
             p_final, p_heads = model.forward_batch(x[idx], train=True)
-            _, dLdp_final, dLdp_heads = _objective(p_final, p_heads, y[idx], aux_weight)
+            dLdp_final, dLdp_heads = _objective_grads(p_final, p_heads, y[idx], aux_weight)
             model.backward(dLdp_final, dLdp_heads)
             adam.step()
             for layer in frozen:  # Adam zeroes the others' gradients
@@ -485,7 +493,7 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
     for batches in _epochs(len(x), hyper):
         for idx in batches:
             p_final, p_heads = forward(idx)
-            _, dLdp_final, dLdp_heads = _objective(p_final, p_heads, y[idx], aux_weight)
+            dLdp_final, dLdp_heads = _objective_grads(p_final, p_heads, y[idx], aux_weight)
             model.backward(dLdp_final, dLdp_heads)
             adam.step()
     return model
@@ -625,13 +633,13 @@ class _Columns:
     def write(self, start, values):
         self.view(start, start + values.shape[1])[...] = values
 
-
-def _blocks(seq, width, step, count):
-    """(rows, count, width) view of column blocks [j*step, j*step + width)
-    of a (rows, n) array."""
-    if count == 1:  # the stream's case, without sliding_window_view's fixed cost
-        return seq[:, None, :width]
-    return sliding_window_view(seq, width, axis=1)[:, ::step]
+    def buffer(self, start, stop):
+        """(data, byte offset of column start in it), columns [start, stop)
+        made to exist: what np.ndarray needs to view them. An np.ndarray
+        view costs a seventh of as_strided, and raises if it would reach
+        past data."""
+        self.view(start, stop)
+        return self.data, (start - self.base) * self.data.itemsize
 
 
 @dataclass
@@ -801,9 +809,13 @@ class RecordScorer:
         stop = self.n_epochs - self._k_min + 1
         for first in range(start, stop, TILES_PER_PASS * TILE):
             n_tiles = min(TILES_PER_PASS, -(-(stop - first) // TILE))
-            x = self._epochs.view(first, first + n_tiles * TILE + self._k_max - 1)
-            tiles = _blocks(x, TILE + self._k_max - 1, TILE, n_tiles)      # (5, n_tiles, .)
-            y = conv1d(tiles.transpose(1, 0, 2), self._w, self._b)      # (n_tiles, rows, TILE)
+            width = TILE + self._k_max - 1
+            data, offset = self._epochs.buffer(first, first + (n_tiles - 1) * TILE + width)
+            rows, cols = data.strides
+            # tile t: epochs [first + t*TILE, first + t*TILE + width)
+            tiles = np.ndarray((n_tiles, data.shape[0], width), data.dtype, data, offset,
+                               (TILE * cols, rows, cols))
+            y = conv1d(tiles, self._w, self._b)[1]                     # (n_tiles, rows, TILE)
             y = batchnorm(y - self._mean[None, :, None], self._inv_std,
                           self._gamma, self._beta)[1]
             y = relu(y)[1]
@@ -819,14 +831,14 @@ class RecordScorer:
         of fc tiles [tile, tile + n_tiles): fc1 -> relu -> fc2, one product
         per head and tile."""
         n_heads, shift = len(g.members), g.shift
-        seq = g.cols.view(tile * TILE * shift,
-                          ((tile + n_tiles) * TILE - 1) * shift + g.pooled_len)
-        rows, cols = seq.strides
+        data, offset = g.cols.buffer(tile * TILE * shift,
+                                     ((tile + n_tiles) * TILE - 1) * shift + g.pooled_len)
+        rows, cols = data.strides
         # im2col: entry (tile, head, channel, tap, l) is pooled position
         # (tile * TILE + l) * shift + tap of the head's channel
-        view = as_strided(seq, (n_tiles, n_heads, g.n_filters, g.pooled_len, TILE),
-                          (TILE * shift * cols, g.n_filters * rows, rows, cols, shift * cols),
-                          writeable=False)
+        view = np.ndarray((n_tiles, n_heads, g.n_filters, g.pooled_len, TILE), data.dtype,
+                          data, offset,
+                          (TILE * shift * cols, g.n_filters * rows, rows, cols, shift * cols))
         x = np.ascontiguousarray(view).reshape(n_tiles, n_heads, -1, TILE)
         w1, b1, w2, b2 = g.fc
         h = np.matmul(w1, x)

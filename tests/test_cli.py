@@ -2,15 +2,18 @@ import inspect
 import io
 import math
 import re
+import socket
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import HUGE_FIELD, assert_clipped, corrupt_header
 from test_datapipe import _fuzz_text
-from somnoflow import evalkit, sleepnet
-from somnoflow.cli import _merge, _rule_config, _serve_lines, build_parser, run
+from somnoflow import evalkit, sleepnet, stream
+from somnoflow.cli import (_merge, _rule_config, _serve_connection, _serve_lines,
+                           build_parser, run)
 from somnoflow.datapipe import (CSV_COLUMNS, IngestError, SynthConfig, build_training_set,
                                 ingest_epochs, record_lines)
 from somnoflow.events import EventRuleConfig
@@ -556,6 +559,49 @@ class TestServe:
         monkeypatch.setattr(sys, "stdin", io.StringIO(payload, newline=None))
         assert run(["serve", "--model", str(workdir / "model.slpn")]) == 0
         assert capsys.readouterr().out == "err,malformed line: ''\n"
+
+    def test_lone_cr_ends_a_line_on_the_wire(self, workdir):
+        # a connection wrapped as serve --port wraps one; lines end with a
+        # lone \r, a \r\n split across two sends, or \n
+        model = sleepnet.load_model(workdir / "model.slpn")
+        text = (workdir / "night2.csv").read_text()
+        series = ingest_epochs(io.StringIO(text))
+        implied = [em.format() + "\n" for em in stream.batch_emissions(model, series)[0]]
+        records = record_lines(text)[1:]
+        server, client = socket.socketpair()
+
+        def serve():  # as _cmd_serve serves an accepted connection
+            with server:
+                _serve_connection(model, EventRuleConfig(), server)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        got = b""
+        try:
+            client.settimeout(30)
+            # 30 epochs fill the first window: its frame must come before
+            # any byte after the last \r is sent
+            client.sendall("".join(r + "\r" for r in records[:30]).encode())
+            while not got.endswith(b"\n"):
+                chunk = client.recv(1 << 16)
+                assert chunk, "the server closed the connection"
+                got += chunk
+            assert got.decode() == implied[0]
+            client.sendall(("\r".join(records[30:400]) + "\r").encode())
+            client.sendall(("\n" + "\r\n".join(records[400:]) + "\n").encode())
+            client.shutdown(socket.SHUT_WR)
+            while chunk := client.recv(1 << 16):
+                got += chunk
+        finally:
+            client.close()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        frames = got.decode().splitlines(keepends=True)
+        # the stream sends the onset when it is final, before later classes
+        events = [f for f in implied if f.startswith("event,")]
+        assert len(events) == 2
+        assert [f for f in frames if f not in events] == implied[:-2]
+        assert sorted(frames) == sorted(implied)
 
 
 def _first_err_row(model, text):

@@ -7,7 +7,7 @@ from somnoflow import sleepnet
 from somnoflow.neuralcore import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, BN_MOMENTUM, Adam,
                                   BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
                                   MaxPool1d, NonFiniteGradientError, ReLU, ShapeError,
-                                  bce_loss, dense, sigmoid)
+                                  BCE_EPS, bce_grad, bce_loss, dense, sigmoid)
 
 
 def naive_conv1d(x, w, b):
@@ -669,3 +669,149 @@ def test_infer_forward_is_pure():
     out1 = conv.forward(x).copy()
     out2 = conv.forward(x)
     np.testing.assert_array_equal(out1, out2)
+
+
+def masked_sigmoid(x):
+    """The sigmoid as it was written before: split by a sign mask, each half
+    gathered, computed and scattered back."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def put_along_axis_pool_backward(pool, dy):
+    """MaxPool1d.backward as it was written before: each gradient put at its
+    window's argmax in a (n, c, L', p) view of dx."""
+    n, c, lout = dy.shape
+    p = pool.pool_width
+    dx = np.zeros(pool._in_shape, dtype=dy.dtype)
+    view = dx[:, :, :lout * p].reshape(n, c, lout, p)
+    np.put_along_axis(view, pool.argmax[..., None], (dy + 0.0)[..., None], axis=3)
+    return dx
+
+
+class TestRewrittenOpsMatchOldFormulas:
+    """Each op that a training step was sped up in, against the formula it
+    replaced, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (466, 4)])
+    def test_sigmoid(self, dtype, shape):
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 88.5, -88.5, 89.0, -89.0,
+                            104.0, -104.0, 710.0, -710.0, 1e30, -1e30], dtype=dtype)
+        rng = np.random.default_rng(len(shape))
+        x = (rng.standard_normal(shape) * 30).astype(dtype)
+        flat = x.reshape(-1)
+        flat[:special.size] = special[:flat.size]
+        if flat.size > special.size:  # a NaN with a payload
+            flat[-1:].view(f"u{flat.itemsize}")[0] = bits(np.array([np.nan], dtype))[0] | 5
+        got = sigmoid(x)
+        assert got.dtype == x.dtype and got.shape == x.shape
+        np.testing.assert_array_equal(bits(got), bits(masked_sigmoid(x)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_maxpool_backward(self, p):
+        rng = np.random.default_rng(p)
+        for dtype in (np.float32, np.float64):
+            for length in range(p, p + 9):  # most lengths leave a remainder
+                x = pool_input("tied", rng, (4, 3, length), dtype)
+                pool = MaxPool1d("p", p)
+                out = pool.forward(x)
+                dy = rng.choice(np.array([-0.0, 0.0, 1.5, -2.0, np.nan, np.inf, -np.inf],
+                                         dtype=dtype), out.shape)
+                dx = pool.backward(dy)
+                want = put_along_axis_pool_backward(pool, dy)
+                np.testing.assert_array_equal(bits(dx), bits(want))
+                assert not np.any(bits(dx[:, :, out.shape[2] * p:]))  # remainder stays +0.0
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("layout", ["contiguous", "sliced", "transposed"])
+    def test_conv_backward_from_kept_columns(self, train, layout):
+        # the kept columns against columns rebuilt from the input, the way
+        # backward used to rebuild them
+        rng = np.random.default_rng(len(layout) + train)
+        for k in (1, 3, 7, 11, 30):
+            conv = Conv1d("c", 5, 8, k, rng=rng)
+            x = rng.standard_normal((9, 5, 30)).astype(np.float32)
+            if layout == "sliced":
+                x = np.pad(x, ((1, 1), (0, 2), (3, 4)))[1:-1, :5, 3:-4]
+            elif layout == "transposed":
+                x = np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
+            assert layout == "contiguous" or not x.flags.c_contiguous
+            y = conv.forward(x, train=train)
+            dy = rng.standard_normal(y.shape).astype(np.float32)
+            conv.backward(dy)
+            cols = np.ascontiguousarray(sliding_window_view(x, k, axis=2).transpose(0, 1, 3, 2))
+            want = np.tensordot(dy, cols.reshape(9, 5 * k, 31 - k),
+                                axes=([0, 2], [0, 2])).reshape(conv.params["w"].shape)
+            np.testing.assert_array_equal(bits(conv.grads["w"]), bits(want))
+            np.testing.assert_array_equal(bits(conv.grads["b"]), bits(dy.sum(axis=(0, 2))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.99])
+    def test_dropout_mask(self, dtype, rate):
+        d = Dropout("d", rate, np.random.default_rng(5))
+        old_rng = np.random.default_rng(5)
+        x = np.random.default_rng(6).standard_normal((32, 8, 6)).astype(dtype)
+        for _ in range(3):
+            got = d.forward(x, train=True)
+            if rate == 0.0:
+                assert got is x
+                continue
+            mask = (old_rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+            assert d._mask.dtype == x.dtype
+            np.testing.assert_array_equal(bits(d._mask), bits(mask))
+            np.testing.assert_array_equal(bits(got), bits(x * mask))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batchnorm_running_statistics(self, dtype):
+        # several blended steps, and a float64 input into a float32 layer
+        rng = np.random.default_rng(np.dtype(dtype).itemsize)
+        bn = BatchNorm1d("bn", 4, dtype=dtype)
+        mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        for step in range(6):
+            x = rng.standard_normal((8, 4, 20)) * 3 + step
+            x = x if step % 3 == 2 else x.astype(dtype)
+            bn.forward(x, train=True)
+            m = x.sum(axis=(0, 2)) / x[:, 0].size
+            v = ((x - m[None, :, None]) ** 2).sum(axis=(0, 2)) / x[:, 0].size
+            mean = ((1.0 - BN_MOMENTUM) * mean + BN_MOMENTUM * m).astype(dtype)
+            var = ((1.0 - BN_MOMENTUM) * var + BN_MOMENTUM * v).astype(dtype)
+            np.testing.assert_array_equal(bits(bn.running_mean), bits(mean))
+            np.testing.assert_array_equal(bits(bn.running_var), bits(var))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bce_grad(self, dtype):
+        rng = np.random.default_rng(9)
+        p = np.concatenate([[0.0, 1.0, 1e-9, 1 - 1e-9], rng.random(60)]).astype(dtype)
+        y = (rng.random(p.shape) < 0.5).astype(np.float64)
+        _, want = bce_loss(p, y)
+        np.testing.assert_array_equal(bits(bce_grad(p, y)), bits(want))
+        clipped = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
+        yc = y.astype(dtype)
+        np.testing.assert_array_equal(bits(want),
+                                      bits((clipped - yc) / (clipped * (1.0 - clipped))))
+
+
+class TestAdamSubnormals:
+    def test_zero_gradient_steps_leave_no_subnormal_moment(self):
+        # moments of every magnitude down to float32's normal limit, then
+        # 2,000 steps with no gradient: each would decay through the subnormals
+        rng = np.random.default_rng(0)
+        layers = [Dense("d", 40, 30, rng=rng), Dense("e", 30, 1, rng=rng)]
+        adam = Adam(layers)
+        for layer in layers:
+            for g in layer.grads.values():
+                g += (rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-18, 0, g.shape)
+                      ).astype(g.dtype)
+        adam.step()
+        tiny = np.finfo(np.float32).smallest_normal
+        assert np.any((adam.v > 0) & (adam.v < 1e-36))
+        for _ in range(2000):
+            adam.step()
+            for moment in (adam.m, adam.v):
+                assert not np.any((moment != 0) & (np.abs(moment) < tiny))
+        assert not np.any(adam.m) and np.any(adam.v)

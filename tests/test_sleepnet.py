@@ -17,14 +17,14 @@ import somnoflow as sf
 from somnoflow import sleepnet
 from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate, zscore
 from somnoflow.neuralcore import (BN_EPS, Adam, BatchNorm1d, ConfigError, Conv1d, Dense,
-                                  Layer, MaxPool1d, ReLU, ShapeError, sigmoid)
+                                  Layer, MaxPool1d, ReLU, ShapeError, bce_loss, sigmoid)
 from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, TILE,
                                 DigestMismatchError,
                                 HeadConfig, ModelConfig, ModelFormatError, RecordScorer,
                                 TrainingHyper, TruncatedFileError,
                                 VersionMismatchError, build_model, finetune_transfer,
                                 infer_hypnogram, load_model, save_model, train,
-                                _objective)
+                                _Columns, _objective, _objective_grads)
 from conftest import (corrupt_header, make_training_windows, tiled_probs,
                       train_small_model)
 
@@ -82,7 +82,7 @@ def reference_finetune(model, windows, hyper, include_intermediate_fc):
         for s in range(0, len(x), hyper.batch_size):
             idx = perm[s:s + hyper.batch_size]
             p_final, p_heads = model.forward_batch(x[idx], train=False)
-            _, d_final, d_heads = _objective(p_final, p_heads, y[idx], aux_weight)
+            d_final, d_heads = _objective_grads(p_final, p_heads, y[idx], aux_weight)
             model.backward(d_final, d_heads)
             adam.step()
             model.zero_grad()
@@ -244,6 +244,26 @@ class TestTrain:
         assert report.train_accuracy[-1] >= 0.85
         assert report.train_loss[-1] < report.train_loss[0]
 
+    @pytest.mark.parametrize("aux_weight", [0.0, 0.3])
+    def test_loss_and_gradients_apart_match_one_pass(self, aux_weight):
+        # the objective and its gradients, now computed apart, against the
+        # one pass over bce_loss that gave both
+        rng = np.random.default_rng(3)
+        p_final = np.concatenate([[0.0, 1.0, 0.5], rng.random(30)]).astype(np.float32)
+        p_heads = rng.random((33, 4)).astype(np.float32)
+        y = (rng.random(33) < 0.5).astype(np.float64)
+        loss, grad = bce_loss(p_final, y)
+        total, grad_heads = loss.sum() / 33, np.zeros_like(p_heads)
+        if aux_weight:
+            loss, grad_heads = bce_loss(p_heads, y[:, None])
+            for i in range(4):
+                total += aux_weight * (loss[:, i].sum() / 33)
+            grad_heads = aux_weight * grad_heads / 33
+        assert _objective(p_final, p_heads, y, aux_weight) == float(total)
+        for got, want in zip(_objective_grads(p_final, p_heads, y, aux_weight),
+                             (grad / 33, grad_heads)):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
     def test_frozen_layer_untouched(self):
         model = build_model(tiny_config())
         fc = model.trunk[0]
@@ -264,7 +284,6 @@ class TestTrain:
         x = np.stack([random_window(s).values for s in range(4)])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         p_final, p_heads = model.forward_batch(x, train=False)
-        from somnoflow.neuralcore import bce_loss
         _, g = bce_loss(p_final, y)
         model.backward(g / len(x), np.zeros_like(p_heads))
         head0, head1 = model.heads
@@ -643,6 +662,16 @@ class TestRecordScorer:
         whole = replay(model, z, [200])
         assert_same_scores(whole, tiled_probs(model, z))
         assert_same_scores(replay(model, z, [1] * 200), whole)
+
+    def test_column_views_stay_in_bounds(self):
+        # the scorer views its columns with np.ndarray, which raises where
+        # as_strided would read past the buffer
+        cols = _Columns(3, np.float32)
+        data, offset = cols.buffer(5, 12)
+        assert offset == 5 * data.itemsize
+        np.ndarray((3, data.shape[1] - 5), data.dtype, data, offset, data.strides)
+        with pytest.raises(ValueError):
+            np.ndarray((3, data.shape[1] - 4), data.dtype, data, offset, data.strides)
 
     def test_record_by_record_keeps_bounded_state(self, small_trained):
         # a day pushed one epoch at a time holds what later windows need, at
