@@ -379,14 +379,17 @@ def _connection_lines(recv):
     """The lines of the bytes that recv(n) returns until it returns none,
     each yielded as soon as a \\n or a \\r ends it, so a client that ends
     its lines with \\r waits for no further byte. A \\r\\n ends a line and
-    a blank one, which `_serve_lines` skips as the file readers skip it."""
+    a blank one, which `_serve_lines` skips as the file readers skip it.
+    A byte that is not UTF-8 decodes to a lone surrogate, as sys.stdin
+    decodes it, so its line gets the `err,` frame it gets on stdin and the
+    server goes on."""
     rest = b""
     while chunk := recv(1 << 16):
         *lines, rest = (rest + chunk).replace(b"\r", b"\n").split(b"\n")
         for line in lines:
-            yield line.decode()
+            yield line.decode(errors="surrogateescape")
     if rest:
-        yield rest.decode()
+        yield rest.decode(errors="surrogateescape")
 
 
 def _serve_connection(model, rules, conn):

@@ -40,9 +40,7 @@ A training step's cost at batch 32 is mostly numpy calls, not arithmetic,
 so `Adam(layers, lr)` binds itself to its layers once: their gradients
 become views of one buffer, with the moments as flat buffers beside it, and
 each `step()` is one flat update. Every op is elementwise, so the result is
-bit for bit the per-tensor update. The step then flushes moments below the
-dtype's smallest normal to zero, since ops on subnormals run several times
-slower; that changes nothing while no moment is subnormal.
+bit for bit the per-tensor update.
 """
 
 from __future__ import annotations
@@ -149,19 +147,18 @@ def dense(x, w, b):
 
 
 def bce_loss(p, y):
-    """Binary cross-entropy and its gradient wrt p.
+    """Binary cross-entropy, elementwise.
 
     p is clamped into [BCE_EPS, 1-BCE_EPS] before the logs, so the loss is
-    always finite. Returns (loss, dL/dp), both elementwise.
+    always finite.
     """
     p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     y = np.asarray(y, dtype=p.dtype)
-    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p)), bce_grad(p, y)
+    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
 def bce_grad(p, y):
-    """bce_loss's gradient wrt p alone, elementwise: what a training step
-    reads."""
+    """bce_loss's gradient wrt p, elementwise, with p clamped as there."""
     p = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     y = np.asarray(y, dtype=p.dtype)
     return (p - y) / (p * (1.0 - p))
@@ -394,7 +391,7 @@ class Dropout(Layer):
             self._mask = None
             return x
         # a kept unit's mask is 1 / keep rounded to x's dtype, a dropped one's 0
-        scale = x.dtype.type(1) / (1.0 - self.rate)
+        scale = x.dtype.type(1) / x.dtype.type(1.0 - self.rate)
         self._mask = (self.rng.random(x.shape) >= self.rate) * scale
         return x * self._mask
 
@@ -418,9 +415,8 @@ class Adam:
     each rebinds the gradients to its own buffer.
 
     A step checks the gradients with one isfinite, updates the flat moments
-    with whole-buffer ops, flushes moments below the dtype's smallest normal
-    to zero, subtracts each parameter's slice and zeroes the gradients in
-    one fill. It is atomic: if any gradient holds NaN or inf,
+    with whole-buffer ops, subtracts each parameter's slice and zeroes the
+    gradients in one fill. It is atomic: if any gradient holds NaN or inf,
     it raises NonFiniteGradientError naming the first such layer and
     parameter in list order, and changes no parameter, moment or step count.
     """
@@ -436,7 +432,6 @@ class Adam:
         dtype = dtypes.pop() if dtypes else None
         total = sum(p.size for _, _, p in trainable)
         self.m, self.v, self.g, self.upd = (np.zeros(total, dtype=dtype) for _ in range(4))
-        self._tiny = np.finfo(self.m.dtype).smallest_normal
         self._grads = []  # (layer name, param name, its gradient), named on a non-finite one
         self._params = []  # (parameter, its slice of upd shaped like it)
         start = 0
@@ -462,10 +457,6 @@ class Adam:
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        # a moment whose gradient stays 0 decays into the subnormals, where
-        # every op on it runs several times slower: flush those to 0
-        m[np.abs(m) < self._tiny] = 0
-        v[v < self._tiny] = 0
         mhat = m / (1.0 - ADAM_BETA1 ** t)
         vhat = v / (1.0 - ADAM_BETA2 ** t)
         # out= rounds to the parameters' dtype, as the per-tensor astype did

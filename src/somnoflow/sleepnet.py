@@ -364,10 +364,10 @@ def _objective(p_final, p_heads, y, aux_weight):
     """The training objective BCE(final) + aux_weight * sum BCE(head), each
     BCE averaged over the batch."""
     n = len(y)
-    total = bce_loss(p_final, y)[0].sum() / n
+    total = bce_loss(p_final, y).sum() / n
     if aux_weight == 0:  # the head terms add no loss
         return float(total)
-    loss = bce_loss(p_heads, y[:, None])[0]
+    loss = bce_loss(p_heads, y[:, None])
     for i in range(p_heads.shape[1]):
         total += aux_weight * (loss[:, i].sum() / n)
     return float(total)

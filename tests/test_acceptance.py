@@ -18,7 +18,7 @@ from somnoflow.datapipe import SynthConfig, build_training_set, synth_generate
 from somnoflow.events import (BinaryHypnogram, EventRuleConfig,
                               detect_sleep_time, detect_wake_time,
                               predict_events)
-from somnoflow.neuralcore import BatchNorm1d, Conv1d, Dense, MaxPool1d, bce_loss
+from somnoflow.neuralcore import BatchNorm1d, Conv1d, Dense, MaxPool1d, bce_grad, bce_loss
 from somnoflow.sleepnet import (DigestMismatchError, HeadConfig, ModelConfig,
                                 TrainingHyper, TruncatedFileError,
                                 VersionMismatchError, build_model,
@@ -131,18 +131,18 @@ def test_criterion_1_gradient_correctness(verdict):
 
         def model_loss():
             pf, ph = model.forward_batch(xm, train=True)
-            l, _ = bce_loss(pf, ym)
+            l = bce_loss(pf, ym)
             total = l.mean()
             for i in range(ph.shape[1]):
-                lh, _ = bce_loss(ph[:, i], ym)
+                lh = bce_loss(ph[:, i], ym)
                 total += aux * lh.mean()
             return float(total)
 
         pf, ph = model.forward_batch(xm, train=True)
-        _, gf = bce_loss(pf, ym)
+        gf = bce_grad(pf, ym)
         dheads = np.zeros_like(ph)
         for i in range(ph.shape[1]):
-            _, gh = bce_loss(ph[:, i], ym)
+            gh = bce_grad(ph[:, i], ym)
             dheads[:, i] = aux * gh / len(xm)
         model.zero_grad()
         model.backward(gf / len(xm), dheads)

@@ -603,6 +603,37 @@ class TestServe:
         assert [f for f in frames if f not in events] == implied[:-2]
         assert sorted(frames) == sorted(implied)
 
+    def test_non_utf8_byte_gets_err_frame_on_the_wire(self, workdir):
+        # a byte that is not UTF-8 gets its line the err frame that serve
+        # on stdin sends, and the connection goes on to the lines after it
+        model = sleepnet.load_model(workdir / "model.slpn")
+        server, client = socket.socketpair()
+        raised = []
+
+        def serve():
+            with server:
+                try:
+                    _serve_connection(model, EventRuleConfig(), server)
+                except Exception as exc:
+                    raised.append(exc)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        got = b""
+        try:
+            client.settimeout(30)
+            client.sendall(b"0,60,14,0.9,0.1\n\xff\n30,60,14,0.9,0.1\nx\n")
+            client.shutdown(socket.SHUT_WR)
+            while chunk := client.recv(1 << 16):
+                got += chunk
+        finally:
+            client.close()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert raised == []
+        assert got.decode() == ("err,malformed line: '\\udcff'\n"
+                                "err,malformed line: 'x'\n")
+
 
 def _first_err_row(model, text):
     """The row (the header being row 1) whose line first gets an `err,`

@@ -413,33 +413,34 @@ class TestDropout:
 
 class TestBceLoss:
     def test_perfect_prediction(self):
-        loss, _ = bce_loss(np.array([1.0]), np.array([1.0]))
+        loss = bce_loss(np.array([1.0]), np.array([1.0]))
         assert loss[0] < 1e-6
 
     def test_half(self):
-        loss0, _ = bce_loss(np.array([0.5]), np.array([0.0]))
-        loss1, _ = bce_loss(np.array([0.5]), np.array([1.0]))
+        loss0 = bce_loss(np.array([0.5]), np.array([0.0]))
+        loss1 = bce_loss(np.array([0.5]), np.array([1.0]))
         np.testing.assert_allclose([loss0[0], loss1[0]], np.log(2), rtol=1e-9)
 
     def test_point_nine(self):
-        loss, _ = bce_loss(np.array([0.9]), np.array([1.0]))
+        loss = bce_loss(np.array([0.9]), np.array([1.0]))
         np.testing.assert_allclose(loss[0], 0.105361, atol=1e-6)
 
     def test_gradient(self):
         p = np.array([0.3, 0.8])
         y = np.array([1.0, 0.0])
-        _, g = bce_loss(p, y)
+        g = bce_grad(p, y)
 
         def fd(i):
             h = 1e-7
-            lp, _ = bce_loss(p[i:i + 1] + h, y[i:i + 1])
-            lm, _ = bce_loss(p[i:i + 1] - h, y[i:i + 1])
+            lp = bce_loss(p[i:i + 1] + h, y[i:i + 1])
+            lm = bce_loss(p[i:i + 1] - h, y[i:i + 1])
             return (lp[0] - lm[0]) / (2 * h)
 
         np.testing.assert_allclose(g, [fd(0), fd(1)], rtol=1e-5)
 
     def test_extreme_inputs_finite(self):
-        loss, g = bce_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        p, y = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        loss, g = bce_loss(p, y), bce_grad(p, y)
         assert np.all(np.isfinite(loss)) and np.all(np.isfinite(g))
 
 
@@ -788,30 +789,8 @@ class TestRewrittenOpsMatchOldFormulas:
         rng = np.random.default_rng(9)
         p = np.concatenate([[0.0, 1.0, 1e-9, 1 - 1e-9], rng.random(60)]).astype(dtype)
         y = (rng.random(p.shape) < 0.5).astype(np.float64)
-        _, want = bce_loss(p, y)
-        np.testing.assert_array_equal(bits(bce_grad(p, y)), bits(want))
         clipped = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
         yc = y.astype(dtype)
-        np.testing.assert_array_equal(bits(want),
+        np.testing.assert_array_equal(bits(bce_grad(p, y)),
                                       bits((clipped - yc) / (clipped * (1.0 - clipped))))
 
-
-class TestAdamSubnormals:
-    def test_zero_gradient_steps_leave_no_subnormal_moment(self):
-        # moments of every magnitude down to float32's normal limit, then
-        # 2,000 steps with no gradient: each would decay through the subnormals
-        rng = np.random.default_rng(0)
-        layers = [Dense("d", 40, 30, rng=rng), Dense("e", 30, 1, rng=rng)]
-        adam = Adam(layers)
-        for layer in layers:
-            for g in layer.grads.values():
-                g += (rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-18, 0, g.shape)
-                      ).astype(g.dtype)
-        adam.step()
-        tiny = np.finfo(np.float32).smallest_normal
-        assert np.any((adam.v > 0) & (adam.v < 1e-36))
-        for _ in range(2000):
-            adam.step()
-            for moment in (adam.m, adam.v):
-                assert not np.any((moment != 0) & (np.abs(moment) < tiny))
-        assert not np.any(adam.m) and np.any(adam.v)

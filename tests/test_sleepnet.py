@@ -17,7 +17,8 @@ import somnoflow as sf
 from somnoflow import sleepnet
 from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate, zscore
 from somnoflow.neuralcore import (BN_EPS, Adam, BatchNorm1d, ConfigError, Conv1d, Dense,
-                                  Layer, MaxPool1d, ReLU, ShapeError, bce_loss, sigmoid)
+                                  Layer, MaxPool1d, ReLU, ShapeError, bce_grad, bce_loss,
+                                  sigmoid)
 from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, TILE,
                                 DigestMismatchError,
                                 HeadConfig, ModelConfig, ModelFormatError, RecordScorer,
@@ -245,17 +246,17 @@ class TestTrain:
         assert report.train_loss[-1] < report.train_loss[0]
 
     @pytest.mark.parametrize("aux_weight", [0.0, 0.3])
-    def test_loss_and_gradients_apart_match_one_pass(self, aux_weight):
-        # the objective and its gradients, now computed apart, against the
-        # one pass over bce_loss that gave both
+    def test_objective_and_its_gradients(self, aux_weight):
+        # the loss and its gradients, computed apart, against the objective
+        # written out from bce_loss and bce_grad
         rng = np.random.default_rng(3)
         p_final = np.concatenate([[0.0, 1.0, 0.5], rng.random(30)]).astype(np.float32)
         p_heads = rng.random((33, 4)).astype(np.float32)
         y = (rng.random(33) < 0.5).astype(np.float64)
-        loss, grad = bce_loss(p_final, y)
+        loss, grad = bce_loss(p_final, y), bce_grad(p_final, y)
         total, grad_heads = loss.sum() / 33, np.zeros_like(p_heads)
         if aux_weight:
-            loss, grad_heads = bce_loss(p_heads, y[:, None])
+            loss, grad_heads = bce_loss(p_heads, y[:, None]), bce_grad(p_heads, y[:, None])
             for i in range(4):
                 total += aux_weight * (loss[:, i].sum() / 33)
             grad_heads = aux_weight * grad_heads / 33
@@ -284,7 +285,7 @@ class TestTrain:
         x = np.stack([random_window(s).values for s in range(4)])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         p_final, p_heads = model.forward_batch(x, train=False)
-        _, g = bce_loss(p_final, y)
+        g = bce_grad(p_final, y)
         model.backward(g / len(x), np.zeros_like(p_heads))
         head0, head1 = model.heads
         assert all(np.all(v == 0) for v in head0.conv.grads.values())
