@@ -361,18 +361,20 @@ def _cmd_finetune(args):
 
 
 def _serve_lines(model, rules, lines_in, write):
-    """Feed each line to one stream and write its frames. A line that is
+    """Feed each line to one stream and write its frames, all of a line's
+    in one write(text) call as soon as the line is answered. A line that is
     empty once its line ending is removed is skipped, as the file readers
     skip a blank line; any other line gets frames or an `err,` frame."""
     stream = stream_mod.SleepStream(model, rules)
     for line in lines_in:
         if not line.rstrip("\r\n"):
             continue
-        for em in stream.feed_line(line):
-            write(em.format() + "\n")
+        frames = stream.feed_line(line)
+        if frames:
+            write("".join(em.format() + "\n" for em in frames))
     tail, _ = stream.finalize()
-    for em in tail:
-        write(em.format() + "\n")
+    if tail:
+        write("".join(em.format() + "\n" for em in tail))
 
 
 def _connection_lines(recv):
@@ -380,9 +382,9 @@ def _connection_lines(recv):
     each yielded as soon as a \\n or a \\r ends it, so a client that ends
     its lines with \\r waits for no further byte. A \\r\\n ends a line and
     a blank one, which `_serve_lines` skips as the file readers skip it.
-    A byte that is not UTF-8 decodes to a lone surrogate, as sys.stdin
-    decodes it, so its line gets the `err,` frame it gets on stdin and the
-    server goes on."""
+    A byte that is not UTF-8 decodes to a lone surrogate, so its line gets
+    an `err,` frame and the server goes on. `serve` reads stdin and each
+    `--port` connection through it."""
     rest = b""
     while chunk := recv(1 << 16):
         *lines, rest = (rest + chunk).replace(b"\r", b"\n").split(b"\n")
@@ -394,9 +396,10 @@ def _connection_lines(recv):
 
 def _serve_connection(model, rules, conn):
     """Serve one client on a connected socket: its lines as
-    `_connection_lines` splits them, each frame sent as soon as it is made."""
+    `_connection_lines` splits them, each line's frames sent as soon as
+    they are made."""
     _serve_lines(model, rules, _connection_lines(conn.recv),
-                 lambda frame: conn.sendall(frame.encode()))
+                 lambda frames: conn.sendall(frames.encode()))
 
 
 def _cmd_serve(args):
@@ -405,8 +408,12 @@ def _cmd_serve(args):
     model = load_model(args.model)
     rules = _rule_config(args)
     if args.port is None:
-        _serve_lines(model, rules, sys.stdin, sys.stdout.write)
-        sys.stdout.flush()
+        def write(frames):
+            # stdout is block-buffered on a pipe: a client waiting for this
+            # line's frames would otherwise get none until 8 KB or the end
+            sys.stdout.write(frames)
+            sys.stdout.flush()
+        _serve_lines(model, rules, _connection_lines(sys.stdin.buffer.read1), write)
         return 0
     srv = socket.create_server(("127.0.0.1", args.port))
     print(f"listening on 127.0.0.1:{args.port}", file=sys.stderr)

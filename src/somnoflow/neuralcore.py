@@ -11,19 +11,26 @@ gradients and returns no input gradient, and MaxPool1d's windows do not
 overlap (stride = pool width), so its backward stores each gradient at one
 input, in one flat indexed store.
 
-The forward math is written once, as functions on arrays: `conv1d` (im2col
-and one stacked matmul, returning the columns too), `batchnorm`, `relu`,
-`maxpool1d` (which also returns the argmax) and `dense`. Each layer's
-forward calls its function and caches what backward needs;
-`sleepnet.RecordScorer` calls the same functions on its own stacked weights
-and caches nothing on a layer.
+The forward math is written once, as functions on arrays: `im2col`,
+`conv1d` (one stacked matmul over im2col columns), `batchnorm`, `relu`,
+`maxpool1d` (which also stores the argmax when given an array for it) and
+`dense`. Each layer's forward calls its function and caches what backward
+needs; `sleepnet.RecordScorer` calls the same functions on its own stacked
+weights and caches nothing on a layer. The functions take their
+per-channel tensors already shaped to broadcast against the (n, c, L)
+activations: a layer passes each (c,) vector as v[:, None], and the scorer
+passes C-contiguous (c, L) planes, the vector repeated along L, over which
+each elementwise op runs as one flat loop instead of one of length L per
+channel. Either way every element meets the same operands in the same
+order, so the two give the same bits.
 
 A result must not depend on the batch or the neighbours it is computed
 with: `sleepnet.RecordScorer` runs a night's conv positions and windows as
 tiles of a fixed width, and the stream runs the tiles that hold its newest
 positions and window with the inputs past them zero-padded; the two must
-agree bit for bit. `conv1d` copies each input (a tile, or a training window)
-into C-contiguous im2col columns and runs one stacked matmul, which numpy
+agree bit for bit. Each input (a tile, or a training window) is copied into
+C-contiguous im2col columns, by `im2col` or by the scorer straight from its
+record buffer, and `conv1d` runs one stacked matmul over them, which numpy
 executes as one fixed-shape BLAS product per input. So the shape, and with
 it each column's summation order, is the same whatever the batch size or
 input layout, and a column does not depend on the values in the other
@@ -68,11 +75,11 @@ class NonFiniteGradientError(FloatingPointError):
 def sigmoid(x):
     """1 / (1 + exp(-x)) elementwise, as 1 / (1 + e) for x >= 0 and
     e / (1 + e) below, with e = exp(-|x|): exp never overflows, and no
-    mask gathers or scatters the two halves. -|x| is min(x, -x), which
-    keeps a NaN's sign and payload, as exp(x) on the negative half did."""
+    mask gathers or scatters the two halves, whose numerators one divide
+    shares. -|x| is min(x, -x), which keeps a NaN's sign and payload, as
+    exp(x) on the negative half did."""
     e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def im2col(x, k):
@@ -89,16 +96,16 @@ def im2col(x, k):
     return np.ascontiguousarray(view).reshape(n, c * k, lout)
 
 
-def conv1d(x, w, b):
-    """Valid convolution of x (n, c, L) with w (o, c, k) plus b (o,):
-    (im2col columns of x, output (n, o, L-k+1))."""
-    cols = im2col(x, w.shape[2])
+def conv1d(cols, w, b):
+    """Valid convolution with w (o, c, k) of the input whose (n, c*k, L')
+    im2col columns are cols, plus b shaped to broadcast against the
+    (n, o, L') output: the output."""
     # a stacked matmul runs one fixed-shape BLAS product per input, so an
     # input's output cannot depend on its batch; one flattened
     # (n*L', c*k) @ (c*k, o) GEMM would round differently as n changes
     y = np.matmul(w.reshape(w.shape[0], -1), cols)
-    y += b[None, :, None]
-    return cols, y
+    y += b
+    return y
 
 
 def bn_inv_std(var):
@@ -108,25 +115,30 @@ def bn_inv_std(var):
 
 def batchnorm(centered, inv_std, gamma, beta):
     """Batchnorm of (n, c, L) activations already centred on their channel
-    means: (xhat, gamma * xhat + beta)."""
-    xhat = centered * inv_std[None, :, None]
-    return xhat, gamma[None, :, None] * xhat + beta[None, :, None]
+    means, the per-channel tensors shaped to broadcast against them:
+    (xhat, gamma * xhat + beta)."""
+    xhat = centered * inv_std
+    y = gamma * xhat
+    y += beta
+    return xhat, y
 
 
-def relu(x):
-    """(mask, x * mask) with mask = x > 0."""
+def relu(x, out=None):
+    """(mask, x * mask) with mask = x > 0; the product goes to out if given,
+    which may be x itself."""
     mask = x > 0
-    return mask, x * mask
+    return mask, np.multiply(x, mask, out=out)
 
 
-def maxpool1d(x, p):
+def maxpool1d(x, p, argmax=None):
     """Max over the windows [i*p, (i+1)*p) along the last axis of x (n, c, L),
-    the remainder dropped: (out, argmax offset within each window). Ties
-    resolve to the lowest offset, and a NaN wins as in np.argmax."""
+    the remainder dropped. Ties resolve to the lowest offset, and a NaN
+    wins as in np.argmax. Given argmax, an intp array of zeros shaped like
+    the output, each window's offset of its max is stored there; inference
+    reads no argmax and passes none."""
     stop = x.shape[2] // p * p
     out = x[:, :, :stop:p].copy()
     bits = out.view(f"u{out.itemsize}")
-    arg = np.zeros(out.shape, dtype=np.intp)
     for i in range(1, p):
         xi = x[:, :, i:stop:p]
         # strictly greater, or the first NaN: argmax's pick
@@ -135,15 +147,18 @@ def maxpool1d(x, p):
         # lowest index on a tie of -0.0 and +0.0, and unlike np.where or a
         # masked copy it does not branch per element
         bits ^= (bits ^ xi.view(bits.dtype)) * later
-        np.maximum(arg, later * i, out=arg)
-    return out, arg
+        if argmax is not None:
+            np.maximum(argmax, later * i, out=argmax)
+    return out
 
 
 def dense(x, w, b):
     """x (n, in) times w (out, in) transposed, plus b (out,). x is made
     C-contiguous first: einsum's order of summation follows the layout of
     its operands, so a Fortran-ordered or strided x would round otherwise."""
-    return np.einsum("oi,ni->no", w, np.ascontiguousarray(x)) + b[None, :]
+    y = np.einsum("oi,ni->no", w, np.ascontiguousarray(x))
+    y += b
+    return y
 
 
 def bce_loss(p, y):
@@ -223,8 +238,8 @@ class Conv1d(Layer):
         if k > length:
             raise ShapeError(f"{self.name}: kernel width {k} exceeds input length {length}")
         # every forward keeps its columns, eval-mode ones too, for backward
-        self._cols, y = conv1d(x, self.params["w"], self.params["b"])
-        return y
+        self._cols = im2col(x, k)
+        return conv1d(self._cols, self.params["w"], self.params["b"][:, None])
 
     def backward(self, dy):
         """Accumulate the weight and bias gradients. There is no input
@@ -268,17 +283,18 @@ class BatchNorm1d(Layer):
                 raise ShapeError(f"{self.name}: need at least 2 samples per channel in train mode")
             # x.mean and x.var's own steps, with x - mean computed once
             mean = x.sum(axis=(0, 2)) / m
-            centered = x - mean[None, :, None]
+            centered = x - mean[:, None]
             var = (centered * centered).sum(axis=(0, 2)) / m
             # (1 - momentum) * running + momentum * batch, in place
             for running, batch in ((self.running_mean, mean), (self.running_var, var)):
                 np.multiply(running, 1.0 - BN_MOMENTUM, out=running)
                 np.add(running, BN_MOMENTUM * batch, out=running)
         else:
-            centered = x - self.running_mean[None, :, None]
+            centered = x - self.running_mean[:, None]
             var = self.running_var
         inv_std = bn_inv_std(var)
-        xhat, y = batchnorm(centered, inv_std, self.params["gamma"], self.params["beta"])
+        xhat, y = batchnorm(centered, inv_std[:, None], self.params["gamma"][:, None],
+                            self.params["beta"][:, None])
         self._cache = (xhat, inv_std, train, m)
         return y
 
@@ -314,9 +330,9 @@ class MaxPool1d(Layer):
         p = self.pool_width
         if p > x.shape[2]:
             raise ShapeError(f"{self.name}: pool width {p} exceeds input length {x.shape[2]}")
-        out, arg = maxpool1d(x, p)
-        self.argmax, self._in_shape = arg, x.shape
-        return out
+        n, c, length = x.shape
+        self.argmax, self._in_shape = np.zeros((n, c, length // p), np.intp), x.shape
+        return maxpool1d(x, p, self.argmax)
 
     def backward(self, dy):
         n, c, lout = dy.shape

@@ -645,14 +645,15 @@ class _Columns:
 @dataclass
 class _HeadGroup:
     """Heads that share a pool width and an fc width, in model order
-    (`members`), as one row range of the scorer's stack: each takes
-    `n_filters` rows, the group's most, and reads `pooled_len` taps, the
-    group's longest, with zero weights on the rows and taps it lacks.
-    `cols` is their pooled sequence, and `fc` their stacked fc1 and fc2
-    weights and biases."""
+    (`members`, an index array of the model's heads), as one row range of
+    the scorer's stack: each takes `n_filters` rows, the group's most, and
+    reads `pooled_len` taps, the group's longest, with zero weights on the
+    rows and taps it lacks. `cols` is their pooled sequence, and `fc` their
+    stacked fc1 and fc2 weights and biases, fc1's bias as a (heads, fc,
+    TILE) plane."""
 
     pool: int
-    members: list
+    members: np.ndarray
     n_filters: int
     pooled_len: int
     rows: slice
@@ -675,7 +676,12 @@ class RecordScorer:
     The scorer stacks the heads' conv, batchnorm and FC tensors into copies
     when it is built and reads the trunk's weights in place; the model must
     not change while a scorer is live. It calls the `neuralcore` functions,
-    never a layer's forward, so it writes nothing to the model.
+    never a layer's forward, so it writes nothing to the model. It passes
+    them its per-channel tensors (conv bias, batchnorm mean, inverse std,
+    gamma and beta, and fc1's bias) as C-contiguous planes, each vector
+    repeated along a tile's TILE positions, so that each elementwise op on
+    a pass is one flat loop rather than one of TILE elements per channel;
+    an element meets the same operands either way, and gets the same bits.
 
     The network runs as convolutions over the record, in tiles aligned to
     its start. Each tile is one fixed-shape matmul, and a column of such a
@@ -737,7 +743,7 @@ class RecordScorer:
         # has zero weights, a zero mean, unit variance and zero gamma and
         # beta, so it stays 0 through conv, batchnorm, relu and maxpool
         self._w = np.zeros((n_rows, model.config.input_features, self._k_max), dtype)
-        self._b, self._mean, self._gamma, self._beta = np.zeros((4, n_rows), dtype)
+        b, mean, gamma, beta = np.zeros((4, n_rows), dtype)
         var = np.ones(n_rows, dtype)
         self._groups = []
         first_row = 0
@@ -751,11 +757,11 @@ class RecordScorer:
                 h = heads[i]
                 rows = slice(first_row + j * f, first_row + j * f + h.conv.out_channels)
                 self._w[rows, :, :h.conv.kernel_width] = h.conv.params["w"]
-                self._b[rows] = h.conv.params["b"]
-                self._mean[rows] = h.bn.running_mean
+                b[rows] = h.conv.params["b"]
+                mean[rows] = h.bn.running_mean
                 var[rows] = h.bn.running_var
-                self._gamma[rows] = h.bn.params["gamma"]
-                self._beta[rows] = h.bn.params["beta"]
+                gamma[rows] = h.bn.params["gamma"]
+                beta[rows] = h.bn.params["beta"]
                 w1[j, :, :h.conv.out_channels, :h.pooled_len] = h.fc1.params["w"].reshape(
                     fc, h.conv.out_channels, h.pooled_len)
                 b1[j, :, 0] = h.fc1.params["b"]
@@ -763,10 +769,12 @@ class RecordScorer:
                 b2[j] = h.fc2.params["b"]
             rows = slice(first_row, first_row + len(group) * f)
             first_row = rows.stop
-            self._groups.append(_HeadGroup(pool, group, f, p, rows,
+            self._groups.append(_HeadGroup(pool, np.array(group), f, p, rows,
                                            _Columns(len(group) * f, dtype),
-                                           (w1.reshape(len(group), fc, f * p), b1, w2, b2)))
-        self._inv_std = bn_inv_std(var)
+                                           (w1.reshape(len(group), fc, f * p),
+                                            np.repeat(b1, TILE, axis=2), w2, b2)))
+        self._b, self._mean, self._inv_std, self._gamma, self._beta = (
+            np.repeat(v[:, None], TILE, axis=1) for v in (b, mean, bn_inv_std(var), gamma, beta))
         self._trunk = [(layer.params["w"], layer.params["b"])
                        for layer in model.trunk if layer.params]
 
@@ -797,7 +805,7 @@ class RecordScorer:
         # between each two
         t = sigmoid(logits)
         for i, (w, b) in enumerate(self._trunk):
-            t = dense(relu(t)[1] if i else t, w, b)
+            t = dense(relu(t, out=t)[1] if i else t, w, b)
         return sigmoid(t[:, 0]).astype(np.float64)
 
     def _pool_tiles(self):
@@ -809,18 +817,19 @@ class RecordScorer:
         stop = self.n_epochs - self._k_min + 1
         for first in range(start, stop, TILES_PER_PASS * TILE):
             n_tiles = min(TILES_PER_PASS, -(-(stop - first) // TILE))
-            width = TILE + self._k_max - 1
-            data, offset = self._epochs.buffer(first, first + (n_tiles - 1) * TILE + width)
+            data, offset = self._epochs.buffer(first, first + n_tiles * TILE + self._k_max - 1)
             rows, cols = data.strides
-            # tile t: epochs [first + t*TILE, first + t*TILE + width)
-            tiles = np.ndarray((n_tiles, data.shape[0], width), data.dtype, data, offset,
-                               (TILE * cols, rows, cols))
-            y = conv1d(tiles, self._w, self._b)[1]                     # (n_tiles, rows, TILE)
-            y = batchnorm(y - self._mean[None, :, None], self._inv_std,
-                          self._gamma, self._beta)[1]
-            y = relu(y)[1]
+            # im2col, copied once: entry (tile, feature, tap, l) is epoch
+            # first + tile*TILE + l + tap
+            view = np.ndarray((n_tiles, data.shape[0], self._k_max, TILE), data.dtype, data,
+                              offset, (TILE * cols, rows, cols, cols))
+            y = conv1d(np.ascontiguousarray(view).reshape(n_tiles, -1, TILE),
+                       self._w, self._b)                                # (n_tiles, rows, TILE)
+            y -= self._mean
+            y = batchnorm(y, self._inv_std, self._gamma, self._beta)[1]
+            relu(y, out=y)
             for g in self._groups:
-                pooled = maxpool1d(y[:, g.rows], g.pool)[0]
+                pooled = maxpool1d(y[:, g.rows], g.pool)
                 g.cols.write(first // g.pool,
                              pooled.transpose(1, 0, 2).reshape(pooled.shape[1], -1))
         self._done = self.n_epochs - self._k_max + 1
@@ -843,7 +852,7 @@ class RecordScorer:
         w1, b1, w2, b2 = g.fc
         h = np.matmul(w1, x)
         h += b1
-        out = np.matmul(w2, relu(h)[1])
+        out = np.matmul(w2, relu(h, out=h)[1])
         out += b2
         return out.transpose(0, 3, 1, 2).reshape(n_tiles * TILE, n_heads)
 

@@ -98,7 +98,7 @@ class SleepStream:
             return [Emission("err", (f"invalid feature values at {timestamp}",))]
         hr_diff = 0.0 if self._last_hr is None else hr - self._last_hr
         with np.errstate(over="ignore"):  # reported below
-            z = zscore(np.array([[hr], [br], [hr_conf], [movement], [hr_diff]]),
+            z = zscore(np.array((hr, br, hr_conf, movement, hr_diff))[:, None],
                        self.model.norm_stats)
         if not np.isfinite(z).all():
             return [Emission("err", (f"feature values at {timestamp} overflow "

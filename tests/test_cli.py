@@ -1,16 +1,22 @@
 import inspect
 import io
 import math
+import os
 import re
+import select
 import socket
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import HUGE_FIELD, assert_clipped, corrupt_header
 from test_datapipe import _fuzz_text
+import somnoflow
 from somnoflow import evalkit, sleepnet, stream
 from somnoflow.cli import (_merge, _rule_config, _serve_connection, _serve_lines,
                            build_parser, run)
@@ -542,7 +548,7 @@ class TestServe:
         data = (workdir / "night2.csv").read_text().splitlines()
         # header is not a valid epoch record: expect an err frame, then classes
         payload = "\n".join(data[:81]) + "\n"
-        monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload.encode())))
         assert run(["serve", "--model", str(workdir / "model.slpn")]) == 0
         out_lines = capsys.readouterr().out.splitlines()
         assert out_lines[0].startswith("err,")
@@ -556,9 +562,53 @@ class TestServe:
         # a blank line is skipped, as ingest skips it; a whitespace-only line
         # is a record that ingest rejects, so the stream answers it
         payload = "0,60,14,0.9,0.1\n\n \t\r\n\r\n30,60,14,0.9,0.1\n"
-        monkeypatch.setattr(sys, "stdin", io.StringIO(payload, newline=None))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload.encode())))
         assert run(["serve", "--model", str(workdir / "model.slpn")]) == 0
         assert capsys.readouterr().out == "err,malformed line: ''\n"
+
+    def test_stdin_pipe_answers_each_line_at_once(self, workdir):
+        # a client piping records into `somnoflow serve` reads each frame
+        # while its stdin is still open: stdout is block-buffered on a pipe
+        # unless PYTHONUNBUFFERED is set, so the child runs without it
+        model = sleepnet.load_model(workdir / "model.slpn")
+        text = (workdir / "night2.csv").read_text()
+        implied = [em.format() + "\n" for em in
+                   stream.batch_emissions(model, ingest_epochs(io.StringIO(text)))[0]]
+        records = record_lines(text)[1:]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(somnoflow.__file__).resolve().parents[1])]
+            + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "somnoflow.cli", "serve", "--model",
+             str(workdir / "model.slpn")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            bufsize=0, env=env)
+
+        def next_frame(timeout=30):
+            got, deadline = b"", time.monotonic() + timeout
+            while not got.endswith(b"\n"):
+                ready, _, _ = select.select([proc.stdout], [], [],
+                                            max(0.0, deadline - time.monotonic()))
+                assert ready, f"no frame within {timeout} s; got {got!r}"
+                chunk = os.read(proc.stdout.fileno(), 1)
+                assert chunk, "serve closed its stdout"
+                got += chunk
+            return got.decode()
+
+        try:
+            # 30 epochs fill the first window
+            proc.stdin.write("".join(r + "\n" for r in records[:30]).encode())
+            assert next_frame() == implied[0]
+            # the second window ends on a record ended by a lone \r, and no
+            # byte follows it
+            proc.stdin.write((records[30] + "\n" + records[31] + "\r").encode())
+            assert next_frame() == implied[1]
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdin.close()
+            proc.stdout.close()
 
     def test_lone_cr_ends_a_line_on_the_wire(self, workdir):
         # a connection wrapped as serve --port wraps one; lines end with a
@@ -637,8 +687,9 @@ class TestServe:
 
 def _first_err_row(model, text):
     """The row (the header being row 1) whose line first gets an `err,`
-    frame from `_serve_lines` fed the text's lines after the header, as
-    stdin reads them, or None when no line gets one."""
+    frame from `_serve_lines` fed the text's lines after the header, one
+    per row (`serve` also splits a \\r\\n into a line and a blank one, which
+    `_serve_lines` skips), or None when no line gets one."""
     lines = io.StringIO(text, newline=None).readlines()
     current, errs = [None], []
 

@@ -7,7 +7,8 @@ from somnoflow import sleepnet
 from somnoflow.neuralcore import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, BN_MOMENTUM, Adam,
                                   BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
                                   MaxPool1d, NonFiniteGradientError, ReLU, ShapeError,
-                                  BCE_EPS, bce_grad, bce_loss, dense, sigmoid)
+                                  BCE_EPS, batchnorm, bce_grad, bce_loss, bn_inv_std, conv1d,
+                                  dense, im2col, maxpool1d, relu, sigmoid)
 
 
 def naive_conv1d(x, w, b):
@@ -794,3 +795,109 @@ class TestRewrittenOpsMatchOldFormulas:
         np.testing.assert_array_equal(bits(bce_grad(p, y)),
                                       bits((clipped - yc) / (clipped * (1.0 - clipped))))
 
+
+
+def two_divide_sigmoid(x):
+    """The sigmoid as it was written before its halves shared one divide."""
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def argmax_select_maxpool1d(x, p):
+    """maxpool1d as it was written before inference dropped the argmax:
+    the same bit-select, building the argmax on every call: (out, argmax)."""
+    stop = x.shape[2] // p * p
+    out = x[:, :, :stop:p].copy()
+    bits = out.view(f"u{out.itemsize}")
+    arg = np.zeros(out.shape, dtype=np.intp)
+    for i in range(1, p):
+        xi = x[:, :, i:stop:p]
+        later = ~(xi <= out) & (out == out)
+        bits ^= (bits ^ xi.view(bits.dtype)) * later
+        np.maximum(arg, later * i, out=arg)
+    return out, arg
+
+
+def plane(v, width=sleepnet.TILE):
+    """v (c,) as RecordScorer stores it: a C-contiguous (c, width) plane."""
+    return np.repeat(v[:, None], width, axis=1)
+
+
+class TestClassFrameOpsMatchOldFormulas:
+    """Each op that scoring a class frame was sped up in, against the
+    formula it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(0,), (466, 4), (100_000,)])
+    def test_one_divide_sigmoid(self, dtype, shape):
+        nan_bits = bits(np.array([np.nan], dtype))[0]
+        payloads = np.array([nan_bits | 5, nan_bits | 1 << (np.dtype(dtype).itemsize * 8 - 1) | 3],
+                            dtype=nan_bits.dtype).view(dtype)  # +NaN and -NaN with payloads
+        special = np.concatenate([
+            [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1.0, -1.0],
+            payloads, np.linspace(88.7, 745.0, 40), -np.linspace(88.7, 745.0, 40)]).astype(dtype)
+        rng = np.random.default_rng(sum(shape))
+        # magnitudes from 1e-45 to 1e3
+        x = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-45, 3, shape)).astype(dtype)
+        flat = x.reshape(-1)
+        flat[:special.size] = special[:flat.size]
+        got = sigmoid(x)
+        assert got.dtype == x.dtype and got.shape == x.shape
+        np.testing.assert_array_equal(bits(got), bits(two_divide_sigmoid(x)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_maxpool_without_argmax(self, p):
+        rng = np.random.default_rng(30 + p)
+        values = [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan]
+        for dtype in (np.float32, np.float64):
+            for length in range(p, p + 9):  # most lengths leave a remainder
+                for chosen in (values[1:5], values[:6], values):  # ±0 ties, ±inf, NaN
+                    x = rng.choice(np.array(chosen, dtype=dtype), (3, 6, length))
+                    want, want_arg = argmax_select_maxpool1d(x, p)
+                    # the scorer pools a row range of its stack: a strided view
+                    for xin, w in ((x, want), (x[:, 1:4], want[:, 1:4])):
+                        np.testing.assert_array_equal(bits(maxpool1d(xin, p)), bits(w))
+                    arg = np.zeros(want_arg.shape, np.intp)
+                    np.testing.assert_array_equal(bits(maxpool1d(x, p, arg)), bits(want))
+                    np.testing.assert_array_equal(arg, want_arg)
+                    pool = MaxPool1d("p", p)
+                    np.testing.assert_array_equal(bits(pool.forward(x)), bits(want))
+                    np.testing.assert_array_equal(pool.argmax, want_arg)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plane_batchnorm(self, dtype):
+        rng = np.random.default_rng(np.dtype(dtype).itemsize + 40)
+        c, width = 24, sleepnet.TILE
+        y = (rng.standard_normal((3, c, width)) * 5).astype(dtype)
+        y.reshape(-1)[:5] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+        mean, gamma, beta = (rng.standard_normal((3, c)) * 2).astype(dtype)
+        inv_std = bn_inv_std(rng.random(c).astype(dtype) * 3)
+        xhat = (y - mean[None, :, None]) * inv_std[None, :, None]
+        want = gamma[None, :, None] * xhat + beta[None, :, None]
+        centered = y.copy()
+        centered -= plane(mean)
+        got_xhat, got = batchnorm(centered, plane(inv_std), plane(gamma), plane(beta))
+        np.testing.assert_array_equal(bits(got_xhat), bits(xhat))
+        np.testing.assert_array_equal(bits(got), bits(want))
+        # a layer's (c, 1) broadcast shapes
+        _, got = batchnorm(y - mean[:, None], inv_std[:, None], gamma[:, None], beta[:, None])
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_plane_conv_bias_and_relu_in_place(self):
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal((4, 5, sleepnet.TILE + 10)).astype(np.float32)
+        w = rng.standard_normal((16, 5, 11)).astype(np.float32)
+        b = rng.standard_normal(16).astype(np.float32)
+        cols = im2col(x, 11)
+        want = np.matmul(w.reshape(16, -1), cols) + b[None, :, None]
+        got = conv1d(cols, w, plane(b))
+        np.testing.assert_array_equal(bits(got), bits(want))
+        np.testing.assert_array_equal(bits(conv1d(cols, w, b[:, None])), bits(want))
+        got.reshape(-1)[:4] = want.reshape(-1)[:4] = [np.nan, -0.0, -np.inf, -1.0]
+        with np.errstate(invalid="ignore"):  # -inf * 0 is NaN either way
+            mask, out = relu(got, out=got)
+            want = want * (want > 0)
+        assert out is got
+        np.testing.assert_array_equal(bits(got), bits(want))
+        np.testing.assert_array_equal(mask, got > 0)
