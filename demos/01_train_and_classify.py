@@ -41,7 +41,7 @@ def main():
     model.norm_stats = stats
     model, report = sf.train(model, normed, None, TrainingHyper(n_epochs=10))
     print(f"trained {model.param_count()} parameters in {report.wall_time:.1f}s; "
-          f"final train accuracy {report.train_accuracy[-1] * 100:.1f}%")
+          f"final train accuracy {report.train_accuracy * 100:.1f}%")
 
     # 4. Per-minute probabilities on the held-out night, scored against truth.
     hyp = infer_hypnogram(model, test_night)

@@ -235,11 +235,11 @@ def _cmd_train(args):
                           n_epochs=args.epochs, seed=args.seed)
     model, report = train(model, tr, val, hyper)
     save_model(model, args.model)
-    last_val = f"{report.val_accuracy[-1] * 100:.2f}%" if report.val_accuracy else "n/a"
+    val_acc = "n/a" if report.val_accuracy is None else f"{report.val_accuracy * 100:.2f}%"
     print(f"trained on {len(tr)} windows ({n_val} validation) in "
-          f"{report.wall_time:.1f}s over {len(report.train_loss)} epochs")
-    print(f"final train accuracy {report.train_accuracy[-1] * 100:.2f}%, "
-          f"validation accuracy {last_val}")
+          f"{report.wall_time:.1f}s over {args.epochs} epochs")
+    print(f"kept epoch {report.best_epoch} of {args.epochs}: train accuracy "
+          f"{report.train_accuracy * 100:.2f}%, validation accuracy {val_acc}")
     print(f"model digest {report.digest[:16]} written to {args.model}")
     return 0
 
@@ -384,14 +384,20 @@ def _connection_lines(recv):
     a blank one, which `_serve_lines` skips as the file readers skip it.
     A byte that is not UTF-8 decodes to a lone surrogate, so its line gets
     an `err,` frame and the server goes on. `serve` reads stdin and each
-    `--port` connection through it."""
-    rest = b""
+    `--port` connection through it. Only each new chunk is split, and a
+    line's pieces are joined once, when it ends, so a line costs time
+    linear in its length however many chunks it spans."""
+    pieces = []  # the unended line, in the chunks it came in
     while chunk := recv(1 << 16):
-        *lines, rest = (rest + chunk).replace(b"\r", b"\n").split(b"\n")
-        for line in lines:
-            yield line.decode(errors="surrogateescape")
-    if rest:
-        yield rest.decode(errors="surrogateescape")
+        # \r -> \n maps byte for byte, so each chunk can be mapped alone
+        *ended, rest = chunk.replace(b"\r", b"\n").split(b"\n")
+        for piece in ended:
+            pieces.append(piece)
+            yield b"".join(pieces).decode(errors="surrogateescape")
+            pieces = []
+        pieces.append(rest)
+    if line := b"".join(pieces):
+        yield line.decode(errors="surrogateescape")
 
 
 def _serve_connection(model, rules, conn):

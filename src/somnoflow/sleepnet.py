@@ -128,6 +128,8 @@ class ModelConfig:
             raise ConfigError("aux_loss_weight must be >= 0")
         if not self.trunk_widths or self.trunk_widths[-1] != 1:
             raise ConfigError("trunk must end in a single output unit")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -157,12 +159,15 @@ class TrainingHyper:
 
 @dataclass
 class TrainReport:
-    train_loss: list = field(default_factory=list)
-    train_accuracy: list = field(default_factory=list)
-    val_loss: list = field(default_factory=list)
-    val_accuracy: list = field(default_factory=list)
-    wall_time: float = 0.0
-    digest: str = ""
+    """What `train` says of the model it returns: the epoch it kept
+    (1-based), that model's accuracy on the training windows and on the
+    validation windows (None without them), the seconds `train` took and
+    the model's digest."""
+    best_epoch: int
+    train_accuracy: float
+    val_accuracy: float | None
+    wall_time: float
+    digest: str
 
 
 class _Head:
@@ -409,7 +414,10 @@ def _epochs(n, hyper):
 def train(model, train_windows, val_windows=None, hyper=None):
     """Mini-batch Adam on BCE(final) + aux_weight * sum BCE(head).
 
-    Keeps the best-validation-loss parameters when a validation set is given.
+    With validation windows, scores them after every epoch and keeps the
+    epoch of the lowest validation loss; without them, or when no
+    validation loss is finite, keeps the last epoch. Scores the training
+    windows once, with the kept parameters, for the report.
     Raises on a single-class training set and on fewer than one epoch.
     """
     if hyper is None:
@@ -422,14 +430,12 @@ def train(model, train_windows, val_windows=None, hyper=None):
     x_val = y_val = None
     if val_windows:
         x_val, y_val = _prepare_xy(val_windows, model)
-    report = TrainReport()
     t0 = time.perf_counter()
     aux_weight = model.config.aux_loss_weight
     adam = Adam(model.param_layers(), lr=hyper.lr)
     frozen = [layer for layer in model.param_layers() if layer.frozen]
-    best = None
-    best_loss = np.inf
-    for batches in _epochs(len(x), hyper):
+    best, best_loss, best_epoch, val_accuracy = None, np.inf, hyper.n_epochs, None
+    for epoch, batches in enumerate(_epochs(len(x), hyper), 1):
         for idx in batches:
             p_final, p_heads = model.forward_batch(x[idx], train=True)
             dLdp_final, dLdp_heads = _objective_grads(p_final, p_heads, y[idx], aux_weight)
@@ -437,21 +443,17 @@ def train(model, train_windows, val_windows=None, hyper=None):
             adam.step()
             for layer in frozen:  # Adam zeroes the others' gradients
                 layer.zero_grad()
-        tr_loss, tr_acc = _epoch_loss(model, x, y, aux_weight)
-        report.train_loss.append(tr_loss)
-        report.train_accuracy.append(tr_acc)
         if x_val is not None:
             v_loss, v_acc = _epoch_loss(model, x_val, y_val, aux_weight)
-            report.val_loss.append(v_loss)
-            report.val_accuracy.append(v_acc)
             if v_loss < best_loss:
-                best_loss = v_loss
-                best = model.snapshot()
+                best, best_loss, best_epoch = model.snapshot(), v_loss, epoch
+            if epoch == best_epoch:
+                val_accuracy = v_acc
     if best is not None:
         model.restore(best)
-    report.wall_time = time.perf_counter() - t0
-    report.digest = model.digest()
-    return model, report
+    _, train_accuracy = _epoch_loss(model, x, y, aux_weight)
+    return model, TrainReport(best_epoch, train_accuracy, val_accuracy,
+                              time.perf_counter() - t0, model.digest())
 
 
 def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc=False):
@@ -602,7 +604,14 @@ def _model_from_header(header, payload):
                                    f"{layer.name}; expected true or false")
         layer.frozen = frozen
     if header["norm_stats"] is not None:
-        model.norm_stats = NormStats.from_dict(header["norm_stats"])
+        stats = NormStats.from_dict(header["norm_stats"])
+        # a NaN, infinite, zero or negative value here would pass every
+        # vitals check and then corrupt or mirror a normalized feature
+        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
+                and (stats.std > 0).all()):
+            raise ModelFormatError("model header norm_stats need finite means and "
+                                   "finite stds > 0")
+        model.norm_stats = stats
     # last, so that a malformed header gets its own error
     actual_digest = _file_digest(header, payload)
     if actual_digest != header["digest"]:

@@ -17,9 +17,9 @@ import pytest
 from conftest import HUGE_FIELD, assert_clipped, corrupt_header
 from test_datapipe import _fuzz_text
 import somnoflow
-from somnoflow import evalkit, sleepnet, stream
-from somnoflow.cli import (_merge, _rule_config, _serve_connection, _serve_lines,
-                           build_parser, run)
+from somnoflow import datapipe, evalkit, sleepnet, stream
+from somnoflow.cli import (_connection_lines, _merge, _rule_config, _serve_connection,
+                           _serve_lines, build_parser, run)
 from somnoflow.datapipe import (CSV_COLUMNS, IngestError, SynthConfig, build_training_set,
                                 ingest_epochs, record_lines)
 from somnoflow.events import EventRuleConfig
@@ -284,9 +284,35 @@ class TestDefaultsComeFromTheLibrary:
 
 
 class TestPipelineChain:
-    def test_train_reports_accuracy(self, workdir, capsys):
-        # re-check the training output text via a fresh tiny run? reuse model
-        assert (workdir / "model.slpn").exists()
+    def test_train_reports_accuracy(self, workdir, tmp_path, capsys):
+        # the printed epoch and accuracies are the saved model's, re-scored
+        # on the training and validation windows that train split off
+        data = [str(workdir / "night0.csv"), str(workdir / "night1.csv")]
+        path = tmp_path / "m.slpn"
+        assert run(["train", "--data", *data, "--model", str(path), "--epochs", "8",
+                    "--lr", "0.03", "--seed", "1", "--val-frac", "0.25"]) == 0
+        printed = re.search(r"^kept epoch (\d) of 8: train accuracy (\d+\.\d\d)%, "
+                            r"validation accuracy (\d+\.\d\d)%$",
+                            capsys.readouterr().out, re.MULTILINE)
+        assert printed
+        model = sleepnet.load_model(path)
+        windows = build_training_set([ingest_epochs(p) for p in data],
+                                     context_hours=datapipe.CONTEXT_HOURS, seed=1)
+        normed = [datapipe.apply_normalizer(w, model.norm_stats) for w in windows]
+        perm = np.random.default_rng(1).permutation(len(normed))
+        n_val = int(len(normed) * 0.25)
+        tr, val = [normed[i] for i in perm[n_val:]], [normed[i] for i in perm[:n_val]]
+        for split, accuracy in ((tr, printed[2]), (val, printed[3])):
+            x = np.stack([w.values for w in split])
+            y = np.array([w.label for w in split])
+            p_final, _ = model.forward_batch(x)
+            assert f"{np.mean((p_final >= 0.5) == y) * 100:.2f}" == accuracy
+        # the kept epoch's weights: the same run cut there, without validation
+        kept = int(printed[1])
+        assert kept < 8  # so the last epoch's accuracy would not do
+        _, report = sleepnet.train(sleepnet.build_model(ModelConfig(seed=1)), tr, None,
+                                   TrainingHyper(lr=0.03, n_epochs=kept, seed=1))
+        assert report.digest == model.digest()
 
     def test_infer_writes_hypnogram(self, workdir, tmp_path, capsys):
         hyp = tmp_path / "hyp.csv"
@@ -652,6 +678,36 @@ class TestServe:
         assert len(events) == 2
         assert [f for f in frames if f not in events] == implied[:-2]
         assert sorted(frames) == sorted(implied)
+
+    def test_line_reader_splits_as_the_whole_text_splits(self):
+        # random byte texts read in random chunks give the lines of the
+        # whole text split at each \n and \r, less an empty last one
+        rng = np.random.default_rng(5)
+        alphabet = np.frombuffer(b"ab \r\n\xff\xc3\xa9", np.uint8)
+        for _ in range(500):
+            data = rng.choice(alphabet, rng.integers(0, 60)).tobytes()
+            cuts = iter(rng.integers(1, 9, size=61))
+            source = io.BytesIO(data)
+            lines = list(_connection_lines(lambda n: source.read(next(cuts))))
+            *want, last = data.replace(b"\r", b"\n").split(b"\n")
+            want += [last] * bool(last)
+            assert lines == [w.decode(errors="surrogateescape") for w in want]
+
+    def test_line_reader_time_is_linear_in_line_length(self):
+        # one 16 MB line against one of 2 MB, read 64 KB at a time: about 8
+        # times as long when a line costs linear time, about 50 when every
+        # chunk re-split the whole unended line
+        def seconds(mb):
+            data = b"x" * (mb << 20) + b"\n"
+            best = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                lines = list(_connection_lines(io.BytesIO(data).read))
+                best = min(best, time.perf_counter() - t0)
+            assert [len(line) for line in lines] == [mb << 20]
+            return best
+
+        assert seconds(16) / seconds(2) < 20
 
     def test_non_utf8_byte_gets_err_frame_on_the_wire(self, workdir):
         # a byte that is not UTF-8 gets its line the err frame that serve

@@ -25,7 +25,8 @@ from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, 
                                 TrainingHyper, TruncatedFileError,
                                 VersionMismatchError, build_model, finetune_transfer,
                                 infer_hypnogram, load_model, save_model, train,
-                                _Columns, _objective, _objective_grads)
+                                _Columns, _epoch_loss, _objective, _objective_grads,
+                                _prepare_xy)
 from conftest import (corrupt_header, make_training_windows, tiled_probs,
                       train_small_model)
 
@@ -235,15 +236,41 @@ class TestTrain:
         assert digests[0] == digests[1]
 
     def test_report_lengths(self, small_trained):
+        # without validation windows the last of the 12 epochs is kept
         model, report, _ = small_trained
-        assert len(report.train_loss) == len(report.train_accuracy)
+        assert report.best_epoch == 12
+        assert report.val_accuracy is None
+        assert 0.0 <= report.train_accuracy <= 1.0
         assert report.wall_time > 0
         assert report.digest == model.digest()
 
     def test_learns_separable_data(self, small_trained):
-        _, report, _ = small_trained
-        assert report.train_accuracy[-1] >= 0.85
-        assert report.train_loss[-1] < report.train_loss[0]
+        model, report, normed = small_trained
+        x, y = _prepare_xy(normed, model)
+        aux_weight = model.config.aux_loss_weight
+        loss, accuracy = _epoch_loss(model, x, y, aux_weight)
+        assert report.train_accuracy == accuracy >= 0.85
+        untrained_loss, _ = _epoch_loss(build_model(model.config), x, y, aux_weight)
+        assert loss < untrained_loss
+
+    @pytest.mark.parametrize("n_val", [0, 20])
+    @pytest.mark.parametrize("n_epochs", [1, 3])
+    def test_training_set_scored_once(self, monkeypatch, n_val, n_epochs):
+        # every eval-mode forward: n_epochs validation passes, then one
+        # pass over the 130 training windows, INFER_CHUNK at a time
+        sizes = []
+        forward = sleepnet.SleepNetModel.forward_batch
+
+        def counting(model, x, train=False):
+            if not train:
+                sizes.append(len(x))
+            return forward(model, x, train)
+
+        monkeypatch.setattr(sleepnet.SleepNetModel, "forward_batch", counting)
+        windows = cohort(130 + n_val)
+        train(build_model(tiny_config()), windows[:130], windows[130:],
+              TrainingHyper(n_epochs=n_epochs))
+        assert sizes == [n_val] * (n_epochs if n_val else 0) + [INFER_CHUNK, INFER_CHUNK, 2]
 
     @pytest.mark.parametrize("aux_weight", [0.0, 0.3])
     def test_objective_and_its_gradients(self, aux_weight):
@@ -292,23 +319,52 @@ class TestTrain:
         assert any(np.any(v != 0) for v in head1.conv.grads.values())
 
     def test_best_validation_snapshot_kept(self):
+        # 20 training windows and a high rate, so that the validation loss
+        # turns up after a few of the 8 epochs
         pool = make_training_windows(n_subjects=2, hours=6)
         zeros = [w for w in pool if w.label == 0][:60]
         ones = [w for w in pool if w.label == 1][:60]
         windows = [w for pair in zip(zeros, ones) for w in pair]
-        split = len(windows) // 2
-        stats = sf.fit_normalizer(windows[:split])
+        stats = sf.fit_normalizer(windows[:60])
         normed = [sf.apply_normalizer(w, stats) for w in windows]
-        model = build_model(tiny_config(seed=2))
-        model.norm_stats = stats
-        model, report = train(model, normed[:split], normed[split:],
-                              TrainingHyper(n_epochs=4, seed=0))
-        best_epoch = int(np.argmin(report.val_loss))
-        # the retained parameters reproduce the best epoch's validation loss
-        from somnoflow.sleepnet import _epoch_loss, _prepare_xy
-        xv, yv = _prepare_xy(normed[split:], model)
-        loss, _ = _epoch_loss(model, xv, yv, model.config.aux_loss_weight)
-        assert loss == pytest.approx(report.val_loss[best_epoch], rel=1e-6)
+        tr, val = normed[:20], normed[60:]
+
+        def run(n_epochs, val_windows):
+            hyper = TrainingHyper(n_epochs=n_epochs, lr=0.03, batch_size=8, seed=0)
+            return train(build_model(tiny_config(seed=2)), tr, val_windows, hyper)
+
+        model, report = run(8, val)
+        # a run of k epochs without validation replays the first k epochs
+        # of that run bit for bit: its model is epoch k's
+        x_val, y_val = _prepare_xy(val, model)
+        runs = []
+        for k in range(1, 9):
+            model_k, report_k = run(k, None)
+            assert report_k.best_epoch == k
+            runs.append((_epoch_loss(model_k, x_val, y_val, model.config.aux_loss_weight),
+                         report_k))
+        val_losses = [loss for (loss, _), _ in runs]
+        kept = int(np.argmin(val_losses))
+        assert kept < 7  # an epoch other than the last is kept
+        (_, val_accuracy), report_kept = runs[kept]
+        assert report.best_epoch == kept + 1
+        assert report.digest == report_kept.digest == model.digest()
+        assert report.val_accuracy == val_accuracy
+        assert report.train_accuracy == report_kept.train_accuracy
+
+    def test_no_finite_validation_loss_keeps_last_epoch(self):
+        windows = cohort(40)
+        val = cohort(10, seed=1)
+        val[0].values[0, 0] = np.nan
+        model, report = train(build_model(tiny_config()), windows, val,
+                              TrainingHyper(n_epochs=3, batch_size=8))
+        _, last = train(build_model(tiny_config()), windows, None,
+                        TrainingHyper(n_epochs=3, batch_size=8))
+        assert report.best_epoch == 3
+        assert report.digest == last.digest
+        x_val, y_val = _prepare_xy(val, model)
+        assert report.val_accuracy == _epoch_loss(model, x_val, y_val,
+                                                  model.config.aux_loss_weight)[1]
 
 
 class TestFinetune:
@@ -475,6 +531,30 @@ class TestPersistence:
         save_model(self.make_model(), path)
         corrupt_header(path, case)
         with pytest.raises(ModelFormatError, match="header"):
+            load_model(path)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("config", "dtype", "int32", "dtype must be float32 or float64"),
+        ("norm_stats", "std", -1.0, "norm_stats"),
+        ("norm_stats", "mean", float("nan"), "norm_stats"),
+        ("norm_stats", "std", 0.0, "norm_stats"),
+    ], ids=["int32-dtype", "negative-std", "nan-mean", "zero-std"])
+    def test_unusable_header_value_rejected(self, tmp_path, section, key, value, message):
+        # the header is re-signed, so its digest and canonical form hold and
+        # only the value check can reject it
+        path = tmp_path / "m.slpn"
+        save_model(self.make_model(), path)
+        blob = path.read_bytes()
+        n = struct.unpack("<Q", blob[5:13])[0]
+        header, payload = json.loads(blob[13:13 + n]), blob[13 + n:]
+        if section == "config":
+            header["config"][key] = value
+        else:
+            header["norm_stats"][key][0] = value
+        header["digest"] = sleepnet._file_digest(header, payload)
+        raw = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(blob[:5] + struct.pack("<Q", len(raw)) + raw + payload)
+        with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
     def test_digit_changes_and_truncations_raise_format_error(self, tmp_path):
