@@ -12,14 +12,18 @@ heads' FC stacks) and retrains on a cohort's windows. The frozen part runs
 once per call, over the whole cohort; each step runs only the trainable
 layers above it, and backward stops at the lowest trainable layer.
 
-Training runs windows through `SleepNetModel.forward_batch`, which calls
-the layers. Inference runs a record through `RecordScorer`, which stacks the
-heads' weights once and runs the network as convolutions over the record:
-conv, batchnorm, relu and maxpool for all heads in one pass per tile of
-positions, then fc1 and fc2, a window's slice of the pooled sequence being
-im2col columns, as one batched product per tile of windows, and the trunk
-per window. It calls the `neuralcore` functions that the layers' forward
-methods are built on, so inference writes nothing to the model.
+A training step runs windows through `SleepNetModel.forward_batch`, which
+calls the layers, and each layer keeps what its backward reads. The eval
+passes over windows, which backward never follows, run the heads through
+`SleepNetModel.eval_heads` instead: the per-epoch and final scoring in
+`train`, and the frozen part of `finetune_transfer`. Inference runs a record
+through `RecordScorer`, which stacks the heads' weights once and runs the
+network as convolutions over the record: conv, batchnorm, relu and maxpool
+for all heads in one pass per tile of positions, then fc1 and fc2, a
+window's slice of the pooled sequence being im2col columns, as one batched
+product per tile of windows, and the trunk per window. Both call the
+`neuralcore` functions that the layers' forward methods are built on, so
+they write nothing to a head's layers.
 """
 
 from __future__ import annotations
@@ -37,13 +41,16 @@ from .datapipe import apply_normalizer  # noqa: F401  perfbench/layers.py traces
 from .events import Hypnogram
 from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
                          MaxPool1d, ReLU, ShapeError, batchnorm, bce_grad, bce_loss,
-                         bn_inv_std, conv1d, dense, maxpool1d, relu, sigmoid)
+                         bn_inv_std, conv1d, dense, im2col, maxpool1d, relu, sigmoid)
 
 MODEL_MAGIC = b"SLPN"
 MODEL_FORMAT_VERSION = 2
-# windows per forward call in _epoch_loss: layers keep their forward caches
-# (conv columns, batchnorm xhat, pool argmax, relu masks), so a whole
-# training set as one batch would hold several MB more at peak
+# windows per chunk in eval_heads, and per summed objective in _epoch_loss,
+# whose validation loss picks the kept epoch, so another value can change
+# trained digests. A chunk's temporaries stay small: the largest, the
+# width-11 head's im2col columns, are 280 KB; at 256 windows they were
+# mapped afresh on many calls, and a 2-epoch training run took about 2,000
+# page faults scoring
 INFER_CHUNK = 64
 # conv positions per tile in RecordScorer; even, so that no pool pair
 # straddles two tiles
@@ -299,6 +306,38 @@ class SleepNetModel:
         x = self.check_input(x)
         return self.fuse([h.forward(x, train) for h in self.heads], train)
 
+    def eval_heads(self, x, features=False):
+        """The heads in eval mode over windows x (N, 5, 30), INFER_CHUNK at a
+        time: the (N, H) head probabilities, or with features each head's
+        (N, F, pooled_len) pooled features. Bit for bit forward_batch's
+        p_heads and `_Head.features` in eval mode, through the `neuralcore`
+        functions that the layers call, as RecordScorer runs them: nothing
+        is cached and nothing on the model is written. Each head's conv
+        bias and batchnorm mean, inverse std, gamma and beta are passed as
+        C-contiguous (channels, conv length) planes, as in RecordScorer,
+        built here from the current tensors, which train, restore and
+        load_model write in place."""
+        x = self.check_input(x)
+        out = []
+        for h in self.heads:
+            conv_len = self.config.window_epochs - h.conv.kernel_width + 1
+            b, mean, inv_std, gamma, beta = (np.repeat(v[:, None], conv_len, axis=1) for v in (
+                h.conv.params["b"], h.bn.running_mean, bn_inv_std(h.bn.running_var),
+                h.bn.params["gamma"], h.bn.params["beta"]))
+            chunks = []
+            for s in range(0, len(x), INFER_CHUNK):
+                y = conv1d(im2col(x[s:s + INFER_CHUNK], h.conv.kernel_width),
+                           h.conv.params["w"], b)
+                y -= mean
+                y = batchnorm(y, inv_std, gamma, beta)[1]
+                z = maxpool1d(relu(y, out=y)[1], h.pool.pool_width)
+                if not features:
+                    z = dense(z.reshape(len(z), -1), h.fc1.params["w"], h.fc1.params["b"])
+                    z = dense(relu(z, out=z)[1], h.fc2.params["w"], h.fc2.params["b"])
+                chunks.append(z)
+            out.append(np.concatenate(chunks))
+        return out if features else sigmoid(np.concatenate(out, axis=1))
+
     def check_input(self, x):
         """x as the heads' dtype; ShapeError unless it is (N, 5, 30)."""
         x = np.asarray(x, dtype=self.heads[0].conv.dtype)
@@ -325,11 +364,15 @@ class SleepNetModel:
     def backward(self, dLdp_final, dLdp_heads):
         """Backward from the losses' gradients wrt the last forward's p_final
         and p_heads, through the trunk and into each head as far down as it
-        has a trainable layer (`_Head.backward`)."""
+        has a trainable layer (`_Head.backward`); with every head layer
+        frozen, as fine-tuning freezes them, it stops after the trunk."""
         p_heads, p_final = self._cache
         dt = (dLdp_final * p_final * (1.0 - p_final))[:, None]
         for layer in reversed(self.trunk):
             dt = layer.backward(dt)
+        # all() returns at the first trainable layer: in training, head 0's conv
+        if all(layer.frozen for head in self.heads for layer in head.param_layers()):
+            return
         dp_heads = dt + dLdp_heads
         d_head_logits = dp_heads * p_heads * (1.0 - p_heads)
         for i, head in enumerate(self.heads):
@@ -361,6 +404,11 @@ def _prepare_xy(windows, model):
         if w.label is None:
             raise ValueError("training windows must be labeled")
     x = np.stack([w.values for w in windows]).astype(model.heads[0].conv.dtype)
+    # a NaN or inf would make every loss NaN: a validation set's would keep
+    # the last epoch unannounced, a training set's fail Adam's gradient check
+    finite = np.isfinite(x.reshape(len(x), -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"training window {np.argmin(finite)} holds a NaN or inf")
     y = np.array([w.label for w in windows], dtype=np.float64)
     return x, y
 
@@ -389,15 +437,15 @@ def _objective_grads(p_final, p_heads, y, aux_weight):
 
 
 def _epoch_loss(model, x, y, aux_weight):
-    # INFER_CHUNK windows per forward: at 256, the forward temporaries (1.1 MB
-    # of im2col columns for the width-11 head) were mapped afresh on many
-    # calls, and a 2-epoch training run took about 2,000 page faults in here
+    """(mean objective, accuracy) of the model in eval mode on windows x,
+    the objective summed per INFER_CHUNK windows."""
+    all_p_heads = model.eval_heads(x)
     losses = []
     correct = 0
     for s in range(0, len(x), INFER_CHUNK):
-        xb, yb = x[s:s + INFER_CHUNK], y[s:s + INFER_CHUNK]
-        p_final, p_heads = model.forward_batch(xb, train=False)
-        losses.append(_objective(p_final, p_heads, yb, aux_weight) * len(xb))
+        p_heads, yb = all_p_heads[s:s + INFER_CHUNK], y[s:s + INFER_CHUNK]
+        p_final = model.trunk_forward(p_heads)
+        losses.append(_objective(p_final, p_heads, yb, aux_weight) * len(yb))
         correct += int(np.sum((p_final >= 0.5) == yb))
     return sum(losses) / len(x), correct / len(x)
 
@@ -462,34 +510,33 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
     Heads run in inference mode (running batchnorm stats, no dropout) so every
     frozen tensor, running statistics included, is bit-identical afterwards.
     A window's output does not depend on its batch, so the frozen part runs
-    once per call, INFER_CHUNK windows at a time, not once per epoch: it
+    once per call, not once per epoch, as `SleepNetModel.eval_heads`: it
     gives the heads' probabilities, or with include_intermediate_fc each
-    head's pooled features. Each step then runs the trainable layers above
-    them on its mini-batch, and Adam updates only those layers.
+    head's pooled features, and writes nothing to a layer. Each step then
+    runs the trainable layers above them on its mini-batch, backward stops
+    at the lowest of them, and Adam updates only those layers. Raises
+    before changing the model on windows that are empty, unlabeled, not
+    normalized or not finite, or of the wrong shape.
     """
     if not cohort_windows:
         raise ValueError("cohort set is empty")
     if hyper is None:
         hyper = TrainingHyper(n_epochs=FINETUNE_EPOCHS)
-    model.set_transfer_freeze(include_intermediate_fc)
     x, y = _prepare_xy(cohort_windows, model)
-    starts = range(0, len(x), INFER_CHUNK)
+    # before the freeze, so that windows of the wrong shape leave the model as it was
+    frozen = model.eval_heads(x, features=include_intermediate_fc)
+    model.set_transfer_freeze(include_intermediate_fc)
     if include_intermediate_fc:
-        x = model.check_input(x)
-        pooled = [np.concatenate([h.features(x[s:s + INFER_CHUNK], train=False) for s in starts])
-                  for h in model.heads]
         aux_weight = model.config.aux_loss_weight
 
         def forward(idx):
             return model.fuse([h.classify(z[idx], train=False)
-                               for h, z in zip(model.heads, pooled)])
+                               for h, z in zip(model.heads, frozen)])
     else:
-        cohort_p_heads = np.concatenate([model.forward_batch(x[s:s + INFER_CHUNK])[1]
-                                         for s in starts])
         aux_weight = 0.0  # no head layer is trainable
 
         def forward(idx):
-            p_heads = cohort_p_heads[idx]
+            p_heads = frozen[idx]
             return model.trunk_forward(p_heads), p_heads
     adam = Adam(model.param_layers(), lr=hyper.lr)
     for batches in _epochs(len(x), hyper):

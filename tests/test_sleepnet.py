@@ -18,7 +18,7 @@ from somnoflow import sleepnet
 from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate, zscore
 from somnoflow.neuralcore import (BN_EPS, Adam, BatchNorm1d, ConfigError, Conv1d, Dense,
                                   Layer, MaxPool1d, ReLU, ShapeError, bce_grad, bce_loss,
-                                  sigmoid)
+                                  conv1d, sigmoid)
 from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, TILE,
                                 DigestMismatchError,
                                 HeadConfig, ModelConfig, ModelFormatError, RecordScorer,
@@ -200,6 +200,54 @@ class TestForward:
         assert not changed[2:].any()
 
 
+class TestEvalHeads:
+    """eval_heads gives, bit for bit, forward_batch's eval-mode p_heads (and
+    through trunk_forward its p_final) and each head's eval-mode features."""
+
+    @staticmethod
+    def assert_equals_layers(model, x):
+        p_final, p_heads = model.forward_batch(x, train=False)
+        got = model.eval_heads(x)
+        np.testing.assert_array_equal(_bits(got), _bits(p_heads))
+        np.testing.assert_array_equal(_bits(model.trunk_forward(got)), _bits(p_final))
+        pooled = model.eval_heads(x, features=True)
+        assert len(pooled) == len(model.heads)
+        for head, z in zip(model.heads, pooled):
+            np.testing.assert_array_equal(
+                _bits(z), _bits(head.features(model.check_input(x), train=False)))
+
+    @pytest.mark.parametrize("n_windows", [1, 2, 63, 64, 65, 130])
+    def test_chunks(self, n_windows):
+        # a default-shaped model whose running statistics have moved
+        x = np.stack([w.values for w in cohort(n_windows, seed=n_windows)])
+        self.assert_equals_layers(fresh_finetune_base(0.25), x)
+
+    def test_float64_model(self):
+        model = build_model(ModelConfig(seed=5, dtype="float64"))
+        x = np.stack([w.values for w in cohort(70, seed=2)])
+        model.forward_batch(x, train=True)
+        assert model.eval_heads(x).dtype == np.float64
+        self.assert_equals_layers(model, x)
+
+    def test_after_train_steps(self):
+        # the planes come from the tensors as they are at each call
+        model = build_model(tiny_config(seed=6))
+        x = np.stack([w.values for w in cohort(70, seed=4)])
+        self.assert_equals_layers(model, x)
+        train(model, cohort(48, seed=3), None, TrainingHyper(n_epochs=2, batch_size=8, lr=0.01))
+        self.assert_equals_layers(model, x)
+
+    def test_mixed_kernel_pool_and_filter_widths(self):
+        # (kernel width, n_filters, pool width, fc width)
+        heads = [HeadConfig(kernel_width=k, n_filters=f, pool_width=pool, fc_width=fc,
+                            dropout_rate=0.2)
+                 for k, f, pool, fc in [(1, 3, 2, 4), (2, 8, 1, 64), (4, 1, 2, 9), (28, 5, 1, 4)]]
+        model = build_model(ModelConfig(heads=heads, trunk_widths=[4, 1], seed=7))
+        x = np.stack([w.values for w in cohort(70, seed=5)])
+        model.forward_batch(x, train=True)
+        self.assert_equals_layers(model, x)
+
+
 class TestTrainingHyper:
     @pytest.mark.parametrize("field, value", [("n_epochs", -1), ("n_epochs", -3),
                                               ("lr", -1.0), ("lr", 0.0),
@@ -256,21 +304,36 @@ class TestTrain:
     @pytest.mark.parametrize("n_val", [0, 20])
     @pytest.mark.parametrize("n_epochs", [1, 3])
     def test_training_set_scored_once(self, monkeypatch, n_val, n_epochs):
-        # every eval-mode forward: n_epochs validation passes, then one
-        # pass over the 130 training windows, INFER_CHUNK at a time
+        # every eval-mode pass of head 0's conv: n_epochs validation passes,
+        # then one pass over the 130 training windows, INFER_CHUNK at a time.
+        # Eval passes call sleepnet's conv1d; training steps run
+        # Conv1d.forward, which calls neuralcore's
+        model = build_model(tiny_config())
         sizes = []
-        forward = sleepnet.SleepNetModel.forward_batch
 
-        def counting(model, x, train=False):
-            if not train:
-                sizes.append(len(x))
-            return forward(model, x, train)
+        def counting(cols, w, b):
+            if w is model.heads[0].conv.params["w"]:
+                sizes.append(len(cols))
+            return conv1d(cols, w, b)
 
-        monkeypatch.setattr(sleepnet.SleepNetModel, "forward_batch", counting)
+        monkeypatch.setattr(sleepnet, "conv1d", counting)
         windows = cohort(130 + n_val)
-        train(build_model(tiny_config()), windows[:130], windows[130:],
-              TrainingHyper(n_epochs=n_epochs))
+        train(model, windows[:130], windows[130:], TrainingHyper(n_epochs=n_epochs))
         assert sizes == [n_val] * (n_epochs if n_val else 0) + [INFER_CHUNK, INFER_CHUNK, 2]
+
+    @pytest.mark.parametrize("n_windows", [1, 64, 130])
+    def test_epoch_loss_equals_per_chunk_forward(self, n_windows):
+        # the objective of forward_batch in eval mode, summed per INFER_CHUNK
+        # windows, and the accuracy, as they were computed before eval_heads
+        model = fresh_finetune_base(0.25)
+        x, y = _prepare_xy(cohort(n_windows, seed=8), model)
+        losses, correct = [], 0
+        for s in range(0, n_windows, INFER_CHUNK):
+            p_final, p_heads = model.forward_batch(x[s:s + INFER_CHUNK], train=False)
+            yb = y[s:s + INFER_CHUNK]
+            losses.append(_objective(p_final, p_heads, yb, 0.25) * len(yb))
+            correct += int(np.sum((p_final >= 0.5) == yb))
+        assert _epoch_loss(model, x, y, 0.25) == (sum(losses) / n_windows, correct / n_windows)
 
     @pytest.mark.parametrize("aux_weight", [0.0, 0.3])
     def test_objective_and_its_gradients(self, aux_weight):
@@ -353,18 +416,34 @@ class TestTrain:
         assert report.train_accuracy == report_kept.train_accuracy
 
     def test_no_finite_validation_loss_keeps_last_epoch(self):
+        # a finite window whose conv sums overflow float32: the inf, and
+        # the NaN that relu makes of -inf * 0, reach every validation loss
         windows = cohort(40)
         val = cohort(10, seed=1)
-        val[0].values[0, 0] = np.nan
-        model, report = train(build_model(tiny_config()), windows, val,
-                              TrainingHyper(n_epochs=3, batch_size=8))
+        val[0].values[...] = 3e38
+        with np.errstate(over="ignore", invalid="ignore"):
+            model, report = train(build_model(tiny_config()), windows, val,
+                                  TrainingHyper(n_epochs=3, batch_size=8))
+            x_val, y_val = _prepare_xy(val, model)
+            val_loss, val_accuracy = _epoch_loss(model, x_val, y_val,
+                                                 model.config.aux_loss_weight)
         _, last = train(build_model(tiny_config()), windows, None,
                         TrainingHyper(n_epochs=3, batch_size=8))
+        assert not np.isfinite(val_loss)
         assert report.best_epoch == 3
         assert report.digest == last.digest
-        x_val, y_val = _prepare_xy(val, model)
-        assert report.val_accuracy == _epoch_loss(model, x_val, y_val,
-                                                  model.config.aux_loss_weight)[1]
+        assert report.val_accuracy == val_accuracy
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_non_finite_window_rejected(self, which, value):
+        windows, val = cohort(40), cohort(10, seed=1)
+        (windows if which == "training" else val)[7].values[2, 5] = value
+        model = build_model(tiny_config())
+        before = model.digest()
+        with pytest.raises(ValueError, match="window 7 holds a NaN or inf"):
+            train(model, windows, val, TrainingHyper(n_epochs=1, batch_size=8))
+        assert model.digest() == before
 
 
 class TestFinetune:
@@ -445,22 +524,51 @@ class TestFinetune:
             finetune_transfer(model, cohort(10, shape=shape), TrainingHyper(n_epochs=1),
                               include_intermediate_fc)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("include_intermediate_fc", [False, True])
+    def test_non_finite_window_rejected(self, include_intermediate_fc, value):
+        # before anything on the model changes, its frozen flags included
+        model = fresh_finetune_base(0.25)
+        windows = cohort(10)
+        windows[3].values[0, 29] = value
+        with pytest.raises(ValueError, match="window 3 holds a NaN or inf"):
+            finetune_transfer(model, windows, TrainingHyper(n_epochs=1),
+                              include_intermediate_fc)
+        assert model.digest() == fresh_finetune_base(0.25).digest()
+        assert not any(layer.frozen for layer in model.param_layers())
+
     @pytest.mark.parametrize("n_epochs", [0, 1, 3])
     @pytest.mark.parametrize("include_intermediate_fc", [False, True])
     def test_heads_run_once_per_call(self, monkeypatch, include_intermediate_fc, n_epochs):
-        calls = {}
-        forward = Conv1d.forward
-
-        def counting(conv, x, train=False):
-            calls[conv.name] = calls.get(conv.name, 0) + 1
-            return forward(conv, x, train)
-
-        monkeypatch.setattr(Conv1d, "forward", counting)
+        # each head's conv runs once per INFER_CHUNK windows, through
+        # sleepnet's conv1d (eval_heads), never through Conv1d.forward
         model = fresh_finetune_base(0.25)
+        names = {id(head.conv.params["w"]): head.conv.name for head in model.heads}
+        calls = collections.Counter()
+
+        def counting(cols, w, b):
+            calls[names[id(w)]] += 1
+            return conv1d(cols, w, b)
+
+        monkeypatch.setattr(sleepnet, "conv1d", counting)
+        layer_calls = count_forward_calls(monkeypatch)
         finetune_transfer(model, cohort(130), TrainingHyper(n_epochs=n_epochs),
                           include_intermediate_fc)
         chunks = -(-130 // INFER_CHUNK)
         assert calls == {head.conv.name: chunks for head in model.heads}
+        assert not layer_calls["Conv1d"]
+
+    @pytest.mark.parametrize("include_intermediate_fc", [False, True])
+    def test_backward_stops_after_the_trunk_with_frozen_heads(self, monkeypatch,
+                                                              include_intermediate_fc):
+        calls = []
+        backward = sleepnet._Head.backward
+        monkeypatch.setattr(sleepnet._Head, "backward",
+                            lambda head, dlogit: calls.append(head) or backward(head, dlogit))
+        model = fresh_finetune_base(0.25)
+        finetune_transfer(model, cohort(40), TrainingHyper(n_epochs=1, batch_size=20),
+                          include_intermediate_fc)
+        assert calls == (model.heads * 2 if include_intermediate_fc else [])
 
 
 class TestPersistence:
@@ -793,6 +901,18 @@ def model_state(model):
     return out
 
 
+def head_state(model):
+    """model_state's pairs of the heads' layers."""
+    return [(name, value) for name, value in model_state(model) if name.startswith("head")]
+
+
+def assert_same_objects(before, after):
+    """The two lists of (name, object) pairs name the same objects."""
+    assert [name for name, _ in after] == [name for name, _ in before]
+    for (name, was), (_, now) in zip(before, after):
+        assert now is was, name
+
+
 class TestInferenceLeavesModelAlone:
     """Inference runs the neuralcore functions on the scorer's own arrays:
     no layer forward runs, and nothing on the model changes."""
@@ -806,22 +926,44 @@ class TestInferenceLeavesModelAlone:
         assert len(infer_hypnogram(model, night)) == 1426
         sf.stream.replay_series(model, first_epochs(night, 960))
         assert not calls
-        after = model_state(model)
-        assert [name for name, _ in after] == [name for name, _ in before]
-        for (name, was), (_, now) in zip(before, after):
-            assert now is was, name
+        assert_same_objects(before, model_state(model))
         assert model.digest() == digest
 
     def test_forward_batch_train_and_finetune_run_the_layers(self, monkeypatch):
+        # forward_batch and a training step run every layer; fine-tuning's
+        # frozen heads run as eval_heads, and only the trunk's layers
         model = build_model(tiny_config())
         x = np.stack([w.values for w in cohort(8)])
-        for run in (lambda: model.forward_batch(x),
-                    lambda: train(model, cohort(8), hyper=TrainingHyper(n_epochs=1)),
-                    lambda: finetune_transfer(model, cohort(8), TrainingHyper(n_epochs=1))):
+        every = {"Conv1d", "BatchNorm1d", "MaxPool1d", "ReLU", "Dense"}
+        for run, layers in ((lambda: model.forward_batch(x), every),
+                            (lambda: train(model, cohort(8), hyper=TrainingHyper(n_epochs=1)),
+                             every),
+                            (lambda: finetune_transfer(model, cohort(8),
+                                                       TrainingHyper(n_epochs=1)),
+                             {"ReLU", "Dense"})):
             calls = count_forward_calls(monkeypatch)
             run()
-            assert set(calls) == {"Conv1d", "BatchNorm1d", "MaxPool1d", "ReLU", "Dense"}
+            assert set(calls) == layers
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("features", [False, True])
+    def test_eval_heads_writes_nothing(self, small_trained, features):
+        model = small_trained[0]
+        before, digest = model_state(model), model.digest()
+        model.eval_heads(np.stack([w.values for w in cohort(70)]), features)
+        assert_same_objects(before, model_state(model))
+        assert model.digest() == digest
+
+    def test_epoch_loss_and_frozen_pass_write_no_head_layer(self, monkeypatch):
+        # _epoch_loss runs the trunk through trunk_forward, whose caches only
+        # backward reads; fine-tuning's heads, frozen, are only read
+        model = fresh_finetune_base(0.25)
+        model.set_transfer_freeze()
+        before = head_state(model)
+        x, y = _prepare_xy(cohort(70), model)
+        _epoch_loss(model, x, y, model.config.aux_loss_weight)
+        finetune_transfer(model, cohort(70), TrainingHyper(n_epochs=2))
+        assert_same_objects(before, head_state(model))
 
 
 def einsum_conv(x, w, b):
