@@ -138,6 +138,20 @@ class ModelConfig:
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
+    def n_values(self):
+        """The number of float32 values in a model file of this config, the
+        sizes of SleepNetModel.named_tensors counted without building it."""
+        n, width = 0, len(self.heads)
+        for h in self.heads:
+            pooled_len = (self.window_epochs - h.kernel_width + 1) // h.pool_width
+            # conv w and b; bn gamma, beta, running mean and var
+            n += h.n_filters * (self.input_features * h.kernel_width + 5)
+            n += (h.n_filters * pooled_len + 2) * h.fc_width + 1  # fc1 w, b; fc2 w, b
+        for w in self.trunk_widths:
+            n += (width + 1) * w
+            width = w
+        return n
+
     def to_dict(self):
         return asdict(self)
 
@@ -551,10 +565,18 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
 # --- persistence ------------------------------------------------------------
 
 def save_model(model, path):
-    """Container: magic `SLPN`, version byte, 8-byte LE header length, JSON
-    header (config, frozen flags, NormStats, tensor manifest, digest), then
-    raw little-endian float32 tensors in manifest order. The digest covers
-    the rest of the header and the payload (`_file_digest`)."""
+    """Write `_encode(model)` to path."""
+    with open(path, "wb") as fh:
+        fh.write(_encode(model))
+
+
+def _encode(model):
+    """The bytes of a model file. Container: magic `SLPN`, version byte,
+    8-byte LE header length, JSON header (config, frozen flags, NormStats,
+    tensor manifest, digest), then raw little-endian float32 tensors in
+    manifest order. The digest covers the rest of the header and the
+    payload (`_file_digest`). load_model accepts a file only if it is these
+    bytes for the model it describes."""
     tensors = model.named_tensors()
     payload = bytearray()
     manifest = []
@@ -572,12 +594,8 @@ def save_model(model, path):
     }
     header["digest"] = _file_digest(header, payload)
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(bytes([MODEL_FORMAT_VERSION]))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+    return (MODEL_MAGIC + bytes([MODEL_FORMAT_VERSION])
+            + struct.pack("<Q", len(header_bytes)) + header_bytes + payload)
 
 
 def load_model(path):
@@ -608,14 +626,15 @@ def load_model(path):
         model = _model_from_header(header, blob[13 + header_len:])
     except ModelFormatError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # a header value of the wrong type, e.g. `"frozen": []` or a config
-        # without `heads`
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        # a header value of the wrong type, e.g. `"frozen": []`, a config
+        # without `heads` or a NaN kernel width (OverflowError in rng.uniform)
         raise ModelFormatError(f"model header has a malformed value: {exc!r}") from exc
-    # the digest covers the header's values; this covers its bytes, e.g. a
-    # 17th significant digit changed by one that parses to the same float
-    if blob[13:13 + header_len] != json.dumps(header, sort_keys=True).encode():
-        raise ModelFormatError("model header is not in the canonical form save_model writes")
+    # the one rule, which covers what the digest cannot: the manifest, the
+    # flags, the payload's length, each digit of the header
+    if _encode(model) != blob:
+        raise ModelFormatError("model file is not what save_model writes for the "
+                               "model its header describes")
     return model
 
 
@@ -629,35 +648,33 @@ def _file_digest(header, payload):
 
 
 def _model_from_header(header, payload):
-    expected = max((m["offset"] + 4 * int(np.prod(m["shape"] or [1])))
-                   for m in header["manifest"]) if header["manifest"] else 0
-    if len(payload) < expected:
+    config = ModelConfig.from_dict(header["config"])
+    config.validate()
+    n_values = config.n_values()
+    # before SleepNetModel allocates: a config of 10^12 filters is refused
+    # here rather than by a MemoryError
+    if len(payload) < 4 * n_values:
         raise TruncatedFileError(
-            f"payload of {len(payload)} bytes, manifest requires {expected}")
-
-    model = SleepNetModel(ModelConfig.from_dict(header["config"]))
-    by_name = {m["name"]: m for m in header["manifest"]}
-    for name, arr in model.named_tensors():
-        if name not in by_name:
-            raise ModelFormatError(f"model header manifest lacks tensor {name}")
-        m = by_name[name]
-        count = int(np.prod(m["shape"])) if m["shape"] else 1
-        raw = np.frombuffer(payload, dtype="<f4", count=count, offset=m["offset"])
-        arr[...] = raw.reshape(m["shape"]).astype(arr.dtype)
+            f"model payload of {len(payload)} bytes; its config needs {4 * n_values}")
+    model = SleepNetModel(config)
+    tensors = model.named_tensors()
+    flat = np.frombuffer(payload, dtype="<f4", count=n_values)
+    parts = np.split(flat, np.cumsum([arr.size for _, arr in tensors])[:-1])
+    for (_, arr), part in zip(tensors, parts):
+        arr[...] = part.reshape(arr.shape)
     for layer in model.param_layers():
-        frozen = header["frozen"].get(layer.name, False)
-        if not isinstance(frozen, bool):
-            raise ModelFormatError(f"model header has a frozen flag {frozen!r} for "
-                                   f"{layer.name}; expected true or false")
-        layer.frozen = frozen
+        # a flag that is not a bool makes the file differ from _encode's
+        layer.frozen = header["frozen"].get(layer.name) is True
     if header["norm_stats"] is not None:
         stats = NormStats.from_dict(header["norm_stats"])
         # a NaN, infinite, zero or negative value here would pass every
         # vitals check and then corrupt or mirror a normalized feature
-        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
+        shape = (config.input_features,)
+        if not (stats.mean.shape == stats.std.shape == shape
+                and np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
                 and (stats.std > 0).all()):
-            raise ModelFormatError("model header norm_stats need finite means and "
-                                   "finite stds > 0")
+            raise ModelFormatError(f"model header norm_stats need {shape[0]} finite means "
+                                   f"and {shape[0]} finite stds > 0")
         model.norm_stats = stats
     # last, so that a malformed header gets its own error
     actual_digest = _file_digest(header, payload)

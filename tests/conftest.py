@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import somnoflow as sf
-from somnoflow import events, stream
+from somnoflow import events, sleepnet, stream
 from somnoflow.datapipe import ECHO_LIMIT
 from somnoflow.events import (BinaryHypnogram, Hypnogram, binarize, detect_sleep_time,
                               smooth_probs, suppress_short_runs)
@@ -78,6 +78,44 @@ def corrupt_header(path, case):
         raw = {"not-json": b"{not json", "not-utf8": b'{"\xff": 1}',
                "not-object": b"[]"}[case]
     path.write_bytes(blob[:5] + struct.pack("<Q", len(raw)) + raw + blob[13 + n:])
+
+
+def resign_header(path, mutate):
+    """Rewrite a saved model's header as mutate(header) leaves it, with its
+    digest recomputed over the payload and in the canonical JSON, so that
+    only a check of the values, or of the whole file against what
+    save_model writes, can reject it."""
+    blob = path.read_bytes()
+    n = struct.unpack("<Q", blob[5:13])[0]
+    header, payload = json.loads(blob[13:13 + n]), blob[13 + n:]
+    mutate(header)
+    header["digest"] = sleepnet._file_digest(header, payload)
+    raw = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:5] + struct.pack("<Q", len(raw)) + raw + payload)
+
+
+def _swap_bn_offsets(header):
+    entries = {m["name"]: m for m in header["manifest"]}
+    beta, gamma = entries["head0.bn.beta"], entries["head0.bn.gamma"]
+    beta["offset"], gamma["offset"] = gamma["offset"], beta["offset"]
+
+
+# header edits, for resign_header, of files that save_model never writes
+HOSTILE_HEADERS = {
+    "extra-manifest-entry": lambda h: h["manifest"].append(dict(h["manifest"][0])),
+    "extra-frozen-key": lambda h: h["frozen"].update({"trunk.relu0": False}),
+    "missing-frozen-key": lambda h: h["frozen"].pop("head0.conv"),
+    "string-format-version": lambda h: h.update(format_version="x"),
+    "extra-header-key": lambda h: h.update(comment=""),
+    "integer-norm-stat": lambda h: h["norm_stats"].update(
+        std=[1, *h["norm_stats"]["std"][1:]]),
+    "extra-norm-stats-key": lambda h: h["norm_stats"].update(var=h["norm_stats"]["std"]),
+    "swapped-bn-offsets": _swap_bn_offsets,
+    "n-filters-1e12": lambda h: h["config"]["heads"][0].update(n_filters=10**12),
+    "window-epochs-1e12": lambda h: h["config"].update(window_epochs=10**12),
+    "four-norm-stats": lambda h: h.update(norm_stats={k: v[:4] for k, v in
+                                                      h["norm_stats"].items()}),
+}
 
 
 def tiled_probs(model, z):

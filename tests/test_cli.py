@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import HUGE_FIELD, assert_clipped, corrupt_header
+from conftest import (HOSTILE_HEADERS, HUGE_FIELD, assert_clipped, corrupt_header,
+                      resign_header)
 from test_datapipe import _fuzz_text
 import somnoflow
 from somnoflow import datapipe, evalkit, sleepnet, stream
@@ -474,6 +475,22 @@ class TestPipelineChain:
         assert run(["infer", "--model", str(model), "--data",
                     str(workdir / "night2.csv")]) == 1
         assert "model header lacks manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["swapped-bn-offsets", "n-filters-1e12",
+                                      "four-norm-stats"])
+    def test_infer_rejects_hostile_model_header(self, workdir, tmp_path, capsys, case):
+        # a re-signed header gets an error that names the model, not a
+        # silently moved probability, a MemoryError traceback or numpy's
+        # broadcast error on the vitals
+        model = tmp_path / "bad.slpn"
+        model.write_bytes((workdir / "model.slpn").read_bytes())
+        resign_header(model, HOSTILE_HEADERS[case])
+        assert run(["infer", "--model", str(model), "--data",
+                    str(workdir / "night2.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: model ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("row", ["sleep_onset", "sleep_onset,inf"])
     def test_eval_rejects_truth_row_without_timestamp(self, workdir, tmp_path, capsys, row):

@@ -27,8 +27,8 @@ from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, 
                                 infer_hypnogram, load_model, save_model, train,
                                 _Columns, _epoch_loss, _objective, _objective_grads,
                                 _prepare_xy)
-from conftest import (corrupt_header, make_training_windows, tiled_probs,
-                      train_small_model)
+from conftest import (HOSTILE_HEADERS, corrupt_header, make_training_windows,
+                      resign_header, tiled_probs, train_small_model)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -652,16 +652,13 @@ class TestPersistence:
         # only the value check can reject it
         path = tmp_path / "m.slpn"
         save_model(self.make_model(), path)
-        blob = path.read_bytes()
-        n = struct.unpack("<Q", blob[5:13])[0]
-        header, payload = json.loads(blob[13:13 + n]), blob[13 + n:]
-        if section == "config":
-            header["config"][key] = value
-        else:
-            header["norm_stats"][key][0] = value
-        header["digest"] = sleepnet._file_digest(header, payload)
-        raw = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(blob[:5] + struct.pack("<Q", len(raw)) + raw + payload)
+
+        def mutate(header):
+            if section == "config":
+                header["config"][key] = value
+            else:
+                header["norm_stats"][key][0] = value
+        resign_header(path, mutate)
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
@@ -703,6 +700,91 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(ModelFormatError, match="magic"):
             load_model(path)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_HEADERS))
+    def test_hostile_header_rejected(self, tmp_path, case):
+        # the header is re-signed: only the sizes, the norm_stats values or
+        # the comparison with what save_model writes can reject it
+        path = tmp_path / "m.slpn"
+        save_model(self.make_model(), path)
+        resign_header(path, HOSTILE_HEADERS[case])
+        message = {"n-filters-1e12": "config needs", "window-epochs-1e12": "config needs",
+                   "four-norm-stats": "norm_stats need 5 finite means"}
+        with pytest.raises(ModelFormatError,
+                           match=message.get(case, "not what save_model writes")):
+            load_model(path)
+
+    def test_trailing_payload_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.slpn"
+        save_model(self.make_model(), path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        resign_header(path, lambda header: None)
+        with pytest.raises(ModelFormatError, match="not what save_model writes"):
+            load_model(path)
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig(),
+        tiny_config(),
+        ModelConfig(input_features=3, window_epochs=17, trunk_widths=[3, 5, 1], heads=[
+            HeadConfig(kernel_width=1, n_filters=2, pool_width=1, fc_width=3),
+            HeadConfig(kernel_width=3, n_filters=5, pool_width=2, fc_width=1),
+            HeadConfig(kernel_width=4, n_filters=1, pool_width=2, fc_width=7),
+            HeadConfig(kernel_width=16, n_filters=3, pool_width=2, fc_width=2)]),
+    ], ids=["default", "tiny", "mixed"])
+    def test_n_values_counts_named_tensors(self, config):
+        model = build_model(config)
+        assert config.n_values() == sum(arr.size for _, arr in model.named_tensors())
+
+    def test_fuzzed_header_leaf_loads_only_as_saved(self, tmp_path):
+        # every leaf of a saved header, and each edit of it, re-signed: the
+        # load raises ModelFormatError or returns a model that save_model
+        # writes as exactly the file's bytes
+        path = tmp_path / "m.slpn"
+        save_model(self.make_model(), path)
+        saved = path.read_bytes()
+        n = struct.unpack("<Q", saved[5:13])[0]
+        header = json.loads(saved[13:13 + n])
+        del header["digest"]
+        loaded = 0
+        for keys, value in _leaves(header):
+            for edit in _leaf_edits(value):
+                path.write_bytes(saved)
+                resign_header(path, functools.partial(_edit_leaf, keys=keys, edit=edit))
+                try:
+                    model = load_model(path)
+                except ModelFormatError:
+                    continue
+                assert sleepnet._encode(model) == path.read_bytes(), (keys, edit)
+                loaded += 1
+        assert loaded  # e.g. another seed: the config holds, the weights are the file's
+
+
+_DELETE = object()
+
+
+def _leaves(node, keys=()):
+    """(key path, value) of each leaf of a JSON value."""
+    if not isinstance(node, (dict, list)):
+        yield keys, node
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from _leaves(child, keys + (key,))
+
+
+def _leaf_edits(value):
+    """A type swap, +-1 for a number, 0, -1, 10^12, NaN and deletion."""
+    swap = {bool: int, int: float, float: str, str: lambda v: [v]}[type(value)]
+    numeric = [] if isinstance(value, str) else [value + 1, value - 1]
+    return [swap(value), *numeric, 0, -1, 10**12, float("nan"), _DELETE]
+
+
+def _edit_leaf(header, keys, edit):
+    *path, last = keys
+    parent = functools.reduce(lambda node, key: node[key], path, header)
+    if edit is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = edit
 
 
 class TestInferHypnogram:
