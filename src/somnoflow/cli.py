@@ -422,7 +422,8 @@ def _cmd_serve(args):
         _serve_lines(model, rules, _connection_lines(sys.stdin.buffer.read1), write)
         return 0
     srv = socket.create_server(("127.0.0.1", args.port))
-    print(f"listening on 127.0.0.1:{args.port}", file=sys.stderr)
+    # the bound port: with --port 0 the system picks it
+    print(f"listening on 127.0.0.1:{srv.getsockname()[1]}", file=sys.stderr)
     try:
         while True:
             conn, _ = srv.accept()

@@ -9,7 +9,8 @@ no autograd. A layer does only what the network needs of it: the network's
 convs read its input, so Conv1d's backward accumulates the weight and bias
 gradients and returns no input gradient, and MaxPool1d's windows do not
 overlap (stride = pool width), so its backward stores each gradient at one
-input, in one flat indexed store.
+input, in one flat indexed store. A frozen layer's backward takes no
+gradient; BatchNorm1d's and Dense's still return the input gradient.
 
 The forward math is written once, as functions on arrays: `im2col`,
 `conv1d` (one stacked matmul over im2col columns), `batchnorm`, `relu`,
@@ -242,8 +243,10 @@ class Conv1d(Layer):
         return conv1d(self._cols, self.params["w"], self.params["b"][:, None])
 
     def backward(self, dy):
-        """Accumulate the weight and bias gradients. There is no input
-        gradient: the network's convs read its input, which takes none."""
+        """Accumulate the weight and bias gradients, none if frozen. There is
+        no input gradient: the network's convs read its input, which takes none."""
+        if self.frozen:
+            return
         # dW: one (o, n*L') @ (n*L', c*k) GEMM over the forward's columns;
         # gradients need no batch-invariance
         self.grads["w"] += np.tensordot(dy, self._cols,
@@ -300,8 +303,9 @@ class BatchNorm1d(Layer):
 
     def backward(self, dy):
         xhat, inv_std, train, m = self._cache
-        self.grads["gamma"] += np.einsum("ncl,ncl->c", dy, xhat)
-        self.grads["beta"] += dy.sum(axis=(0, 2))
+        if not self.frozen:
+            self.grads["gamma"] += np.einsum("ncl,ncl->c", dy, xhat)
+            self.grads["beta"] += dy.sum(axis=(0, 2))
         dxhat = dy * self.params["gamma"][None, :, None]
         if not train:
             return dxhat * inv_std[None, :, None]
@@ -372,8 +376,9 @@ class Dense(Layer):
         return dense(x, self.params["w"], self.params["b"])
 
     def backward(self, dy):
-        self.grads["w"] += np.einsum("no,ni->oi", dy, self._x)
-        self.grads["b"] += dy.sum(axis=0)
+        if not self.frozen:
+            self.grads["w"] += np.einsum("no,ni->oi", dy, self._x)
+            self.grads["b"] += dy.sum(axis=0)
         return np.einsum("oi,no->ni", self.params["w"], dy)
 
 

@@ -12,11 +12,14 @@ heads' FC stacks) and retrains on a cohort's windows. The frozen part runs
 once per call, over the whole cohort; each step runs only the trainable
 layers above it, and backward stops at the lowest trainable layer.
 
-A training step runs windows through `SleepNetModel.forward_batch`, which
-calls the layers, and each layer keeps what its backward reads. The eval
-passes over windows, which backward never follows, run the heads through
-`SleepNetModel.eval_heads` instead: the per-epoch and final scoring in
-`train`, and the frozen part of `finetune_transfer`. Inference runs a record
+`train` and `finetune_transfer` share one mini-batch loop, `_fit`, and
+differ in the forward they give it: a training step runs windows through
+`SleepNetModel.forward_batch`, which calls the layers, each keeping what
+its backward reads. A frozen layer's backward takes no gradient, and Adam
+steps only the others. The eval passes over windows, which backward never
+follows, run the heads through `SleepNetModel.eval_heads` instead: the
+per-epoch and final scoring in `train`, one pass each, and the frozen part
+of `finetune_transfer`. Inference runs a record
 through `RecordScorer`, which stacks the heads' weights once and runs the
 network as convolutions over the record: conv, batchnorm, relu and maxpool
 for all heads in one pass per tile of positions, then fc1 and fc2, a
@@ -45,12 +48,10 @@ from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
 
 MODEL_MAGIC = b"SLPN"
 MODEL_FORMAT_VERSION = 2
-# windows per chunk in eval_heads, and per summed objective in _epoch_loss,
-# whose validation loss picks the kept epoch, so another value can change
-# trained digests. A chunk's temporaries stay small: the largest, the
-# width-11 head's im2col columns, are 280 KB; at 256 windows they were
-# mapped afresh on many calls, and a 2-epoch training run took about 2,000
-# page faults scoring
+# windows per chunk in eval_heads. A chunk's temporaries stay small: the
+# largest, the width-11 head's im2col columns, are 280 KB; at 256 windows
+# they were mapped afresh on many calls, and a 2-epoch training run took
+# about 2,000 page faults scoring
 INFER_CHUNK = 64
 # conv positions per tile in RecordScorer; even, so that no pool pair
 # straddles two tiles
@@ -118,6 +119,8 @@ class ModelConfig:
         for i, width in enumerate(self.trunk_widths):
             sizes[f"trunk_widths[{i}]"] = width
         for name, size in sizes.items():
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise ConfigError(f"{name} must be an int, got {size!r}")
             if size < 1:
                 raise ConfigError(f"{name} must be >= 1, got {size}")
         for h in self.heads:
@@ -451,26 +454,29 @@ def _objective_grads(p_final, p_heads, y, aux_weight):
 
 
 def _epoch_loss(model, x, y, aux_weight):
-    """(mean objective, accuracy) of the model in eval mode on windows x,
-    the objective summed per INFER_CHUNK windows."""
-    all_p_heads = model.eval_heads(x)
-    losses = []
-    correct = 0
-    for s in range(0, len(x), INFER_CHUNK):
-        p_heads, yb = all_p_heads[s:s + INFER_CHUNK], y[s:s + INFER_CHUNK]
-        p_final = model.trunk_forward(p_heads)
-        losses.append(_objective(p_final, p_heads, yb, aux_weight) * len(yb))
-        correct += int(np.sum((p_final >= 0.5) == yb))
-    return sum(losses) / len(x), correct / len(x)
+    """(objective, accuracy) of the model in eval mode on windows x, in one
+    pass over all of them."""
+    p_heads = model.eval_heads(x)
+    p_final = model.trunk_forward(p_heads)
+    return (_objective(p_final, p_heads, y, aux_weight),
+            int(np.sum((p_final >= 0.5) == y)) / len(x))
 
 
-def _epochs(n, hyper):
-    """Each epoch's mini-batches: arrays of indices into the n examples, in
-    an order shuffled by a generator seeded with hyper.seed."""
+def _fit(model, forward, y, hyper, aux_weight):
+    """Mini-batch Adam on the objective over the len(y) examples, shuffled
+    each epoch by a generator seeded with hyper.seed: per mini-batch of
+    indices idx, forward(idx) -> (p_final, p_heads), backward, one Adam
+    step. Yields each epoch's number, from 1, after its steps."""
+    adam = Adam(model.param_layers(), lr=hyper.lr)
     rng = np.random.default_rng(hyper.seed)
-    for _ in range(hyper.n_epochs):
-        perm = rng.permutation(n)
-        yield [perm[s:s + hyper.batch_size] for s in range(0, n, hyper.batch_size)]
+    for epoch in range(1, hyper.n_epochs + 1):
+        perm = rng.permutation(len(y))
+        for s in range(0, len(y), hyper.batch_size):
+            idx = perm[s:s + hyper.batch_size]
+            p_final, p_heads = forward(idx)
+            model.backward(*_objective_grads(p_final, p_heads, y[idx], aux_weight))
+            adam.step()
+        yield epoch
 
 
 def train(model, train_windows, val_windows=None, hyper=None):
@@ -494,17 +500,9 @@ def train(model, train_windows, val_windows=None, hyper=None):
         x_val, y_val = _prepare_xy(val_windows, model)
     t0 = time.perf_counter()
     aux_weight = model.config.aux_loss_weight
-    adam = Adam(model.param_layers(), lr=hyper.lr)
-    frozen = [layer for layer in model.param_layers() if layer.frozen]
     best, best_loss, best_epoch, val_accuracy = None, np.inf, hyper.n_epochs, None
-    for epoch, batches in enumerate(_epochs(len(x), hyper), 1):
-        for idx in batches:
-            p_final, p_heads = model.forward_batch(x[idx], train=True)
-            dLdp_final, dLdp_heads = _objective_grads(p_final, p_heads, y[idx], aux_weight)
-            model.backward(dLdp_final, dLdp_heads)
-            adam.step()
-            for layer in frozen:  # Adam zeroes the others' gradients
-                layer.zero_grad()
+    for epoch in _fit(model, lambda idx: model.forward_batch(x[idx], train=True), y, hyper,
+                      aux_weight):
         if x_val is not None:
             v_loss, v_acc = _epoch_loss(model, x_val, y_val, aux_weight)
             if v_loss < best_loss:
@@ -552,13 +550,8 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
         def forward(idx):
             p_heads = frozen[idx]
             return model.trunk_forward(p_heads), p_heads
-    adam = Adam(model.param_layers(), lr=hyper.lr)
-    for batches in _epochs(len(x), hyper):
-        for idx in batches:
-            p_final, p_heads = forward(idx)
-            dLdp_final, dLdp_heads = _objective_grads(p_final, p_heads, y[idx], aux_weight)
-            model.backward(dLdp_final, dLdp_heads)
-            adam.step()
+    for _ in _fit(model, forward, y, hyper, aux_weight):
+        pass
     return model
 
 

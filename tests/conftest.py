@@ -113,9 +113,23 @@ HOSTILE_HEADERS = {
     "swapped-bn-offsets": _swap_bn_offsets,
     "n-filters-1e12": lambda h: h["config"]["heads"][0].update(n_filters=10**12),
     "window-epochs-1e12": lambda h: h["config"].update(window_epochs=10**12),
+    # True equals 1, so on a model of pool width 1 (`pool_width_one`) every
+    # shape still holds
+    "pool-width-true": lambda h: h["config"]["heads"][0].update(pool_width=True),
     "four-norm-stats": lambda h: h.update(norm_stats={k: v[:4] for k, v in
                                                       h["norm_stats"].items()}),
 }
+
+
+def pool_width_one(model):
+    """A model of model's config with every head's pool width 1, freshly
+    initialised, with model's normalization statistics."""
+    config = sf.ModelConfig.from_dict(model.config.to_dict())
+    for head in config.heads:
+        head.pool_width = 1
+    out = sf.build_model(config)
+    out.norm_stats = model.norm_stats
+    return out
 
 
 def tiled_probs(model, z):

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import io
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (HOSTILE_HEADERS, HUGE_FIELD, assert_clipped, corrupt_header,
-                      resign_header)
+                      pool_width_one, resign_header)
 from test_datapipe import _fuzz_text
 import somnoflow
 from somnoflow import datapipe, evalkit, sleepnet, stream
@@ -477,13 +478,17 @@ class TestPipelineChain:
         assert "model header lacks manifest" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["swapped-bn-offsets", "n-filters-1e12",
-                                      "four-norm-stats"])
+                                      "four-norm-stats", "pool-width-true"])
     def test_infer_rejects_hostile_model_header(self, workdir, tmp_path, capsys, case):
         # a re-signed header gets an error that names the model, not a
         # silently moved probability, a MemoryError traceback or numpy's
         # broadcast error on the vitals
         model = tmp_path / "bad.slpn"
-        model.write_bytes((workdir / "model.slpn").read_bytes())
+        if case == "pool-width-true":
+            sleepnet.save_model(pool_width_one(sleepnet.load_model(workdir / "model.slpn")),
+                                model)
+        else:
+            model.write_bytes((workdir / "model.slpn").read_bytes())
         resign_header(model, HOSTILE_HEADERS[case])
         assert run(["infer", "--model", str(model), "--data",
                     str(workdir / "night2.csv")]) == 1
@@ -618,15 +623,11 @@ class TestServe:
         implied = [em.format() + "\n" for em in
                    stream.batch_emissions(model, ingest_epochs(io.StringIO(text)))[0]]
         records = record_lines(text)[1:]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(somnoflow.__file__).resolve().parents[1])]
-            + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
         proc = subprocess.Popen(
             [sys.executable, "-m", "somnoflow.cli", "serve", "--model",
              str(workdir / "model.slpn")],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            bufsize=0, env=env)
+            bufsize=0, env=_child_env())
 
         def next_frame(timeout=30):
             got, deadline = b"", time.monotonic() + timeout
@@ -652,6 +653,41 @@ class TestServe:
             proc.wait(timeout=30)
             proc.stdin.close()
             proc.stdout.close()
+
+    def test_port_zero_serves_clients_in_turn(self, workdir):
+        # `serve --port 0` names the port the system gave it, and the
+        # accept loop serves one client after another, each on a fresh
+        # stream: a client gets the bytes that _serve_lines writes for its
+        # lines in-process
+        model = sleepnet.load_model(workdir / "model.slpn")
+        records = record_lines((workdir / "night2.csv").read_text())[1:]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "somnoflow.cli", "serve", "--model",
+             str(workdir / "model.slpn"), "--port", "0"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env=_child_env())
+        try:
+            ready, _, _ = select.select([proc.stderr], [], [], 30)
+            assert ready, "serve named no port within 30 s"
+            line = proc.stderr.readline().decode()
+            named = re.fullmatch(r"listening on 127\.0\.0\.1:(\d+)\n", line)
+            assert named and int(named.group(1)) != 0, line
+            for lines in (records[:200], records[200:300] + ["x"]):
+                text = "".join(line + "\n" for line in lines)
+                want = []
+                _serve_lines(model, EventRuleConfig(), lines, want.append)
+                got = b""
+                with socket.create_connection(("127.0.0.1", int(named.group(1))),
+                                              timeout=30) as client:
+                    client.sendall(text.encode())
+                    client.shutdown(socket.SHUT_WR)
+                    while chunk := client.recv(1 << 16):
+                        got += chunk
+                assert want and got.decode() == "".join(want)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stderr.close()
 
     def test_lone_cr_ends_a_line_on_the_wire(self, workdir):
         # a connection wrapped as serve --port wraps one; lines end with a
@@ -758,6 +794,17 @@ class TestServe:
                                 "err,malformed line: 'x'\n")
 
 
+def _child_env():
+    """The environment for a `python -m somnoflow.cli` child: this
+    somnoflow first on its path, and no PYTHONUNBUFFERED, so that its
+    stdout is block-buffered on a pipe as a client's would be."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(somnoflow.__file__).resolve().parents[1])]
+        + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+    return env
+
+
 def _first_err_row(model, text):
     """The row (the header being row 1) whose line first gets an `err,`
     frame from `_serve_lines` fed the text's lines after the header, one
@@ -829,3 +876,18 @@ class TestFileAndWireParity:
                 whitespace_first += 1
         assert mismatches == 0
         assert 300 < accepted < 2700 and whitespace_first > 100
+
+
+def test_model_digest_runs_parse(tmp_path):
+    # tools/model_digests.py's runs parse as the CLI's commands, so a
+    # renamed flag fails here; nothing is trained
+    path = Path(__file__).resolve().parents[1] / "tools" / "model_digests.py"
+    spec = importlib.util.spec_from_file_location("model_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    commands = []
+    for name, argv in tool.commands(tmp_path):
+        args = build_parser().parse_args(argv)
+        commands.append(args.command)
+        assert (args.model if args.command == "train" else args.out) == str(tmp_path / name)
+    assert commands == ["train"] * 4 + ["finetune"] * 2

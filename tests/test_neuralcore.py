@@ -629,6 +629,43 @@ class TestMaxPoolBackward:
                 np.testing.assert_array_equal(bits(pool.backward(dy)), bits(want))
 
 
+class TestFrozenBackward:
+    """A frozen layer's backward accumulates no gradient and returns the
+    input gradient of the same layer unfrozen, bit for bit (Conv1d returns
+    none either way)."""
+
+    @staticmethod
+    def make(kind):
+        rng = np.random.default_rng(3)
+        if kind == "conv":
+            return Conv1d("c", 3, 4, 5, rng=rng), (6, 3, 20)
+        if kind == "dense":
+            return Dense("d", 12, 5, rng=rng), (6, 12)
+        bn = BatchNorm1d("bn", 4)
+        for v in (bn.params["gamma"], bn.params["beta"], bn.running_mean):
+            v[...] = rng.standard_normal(4)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, 4)
+        return bn, (6, 4, 20)
+
+    @pytest.mark.parametrize("kind, train", [("conv", True), ("bn", True), ("bn", False),
+                                             ("dense", True)],
+                             ids=["conv", "bn-train", "bn-eval", "dense"])
+    def test_no_gradient_same_input_gradient(self, kind, train):
+        rng = np.random.default_rng(8)
+        (live, shape), (frozen, _) = self.make(kind), self.make(kind)
+        frozen.frozen = True
+        x = rng.standard_normal(shape).astype(np.float32)
+        dy = rng.standard_normal(live.forward(x, train).shape).astype(np.float32)
+        frozen.forward(x, train)
+        dx_live, dx_frozen = live.backward(dy), frozen.backward(dy)
+        assert all(np.any(g != 0) for g in live.grads.values())
+        assert all(np.all(g == 0) for g in frozen.grads.values())
+        if kind == "conv":
+            assert dx_live is None and dx_frozen is None
+        else:
+            np.testing.assert_array_equal(bits(dx_frozen), bits(dx_live))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_all_layers_gradcheck(seed):
     """Analytic vs central finite differences for every layer type. The

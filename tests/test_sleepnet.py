@@ -28,7 +28,7 @@ from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, 
                                 _Columns, _epoch_loss, _objective, _objective_grads,
                                 _prepare_xy)
 from conftest import (HOSTILE_HEADERS, corrupt_header, make_training_windows,
-                      resign_header, tiled_probs, train_small_model)
+                      pool_width_one, resign_header, tiled_probs, train_small_model)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -124,17 +124,22 @@ class TestBuild:
         with pytest.raises(ConfigError, match="no pooled position"):
             build_model(ModelConfig(heads=[HeadConfig(kernel_width=30)]))
 
-    @pytest.mark.parametrize("field", ["input_features", "window_epochs", "trunk_widths",
-                                       "kernel_width", "n_filters", "pool_width",
-                                       "fc_width"])
-    def test_size_below_one_rejected(self, field):
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=field + suffix)
+        for field in ("input_features", "window_epochs", "trunk_widths", "kernel_width",
+                      "n_filters", "pool_width", "fc_width")
+        for value, suffix in ((0, ""), (True, "-true"), (2.0, "-float"),
+                              (float("nan"), "-nan"))])
+    def test_size_below_one_rejected(self, field, value):
+        # a size is an int >= 1: a bool, a whole float or a NaN is no size
         if field == "trunk_widths":
-            config = ModelConfig(trunk_widths=[0, 1])
+            config = ModelConfig(trunk_widths=[value, 1])
         elif field in ("input_features", "window_epochs"):
-            config = ModelConfig(**{field: 0})
+            config = ModelConfig(**{field: value})
         else:
-            config = ModelConfig(heads=[HeadConfig(**{field: 0})])
-        with pytest.raises(ConfigError, match=f"{field}.* must be >= 1, got 0"):
+            config = ModelConfig(heads=[HeadConfig(**{field: value})])
+        message = "must be >= 1, got 0" if value == 0 else f"must be an int, got {value!r}"
+        with pytest.raises(ConfigError, match=f"{field}.* {message}"):
             build_model(config)
 
     @pytest.mark.parametrize("weight", [-0.1, float("nan")])
@@ -323,17 +328,27 @@ class TestTrain:
 
     @pytest.mark.parametrize("n_windows", [1, 64, 130])
     def test_epoch_loss_equals_per_chunk_forward(self, n_windows):
-        # the objective of forward_batch in eval mode, summed per INFER_CHUNK
-        # windows, and the accuracy, as they were computed before eval_heads
+        # the objective and the accuracy of one forward_batch in eval mode
+        # over all the windows, whatever chunks eval_heads computes in
         model = fresh_finetune_base(0.25)
         x, y = _prepare_xy(cohort(n_windows, seed=8), model)
-        losses, correct = [], 0
-        for s in range(0, n_windows, INFER_CHUNK):
-            p_final, p_heads = model.forward_batch(x[s:s + INFER_CHUNK], train=False)
-            yb = y[s:s + INFER_CHUNK]
-            losses.append(_objective(p_final, p_heads, yb, 0.25) * len(yb))
-            correct += int(np.sum((p_final >= 0.5) == yb))
-        assert _epoch_loss(model, x, y, 0.25) == (sum(losses) / n_windows, correct / n_windows)
+        p_final, p_heads = model.forward_batch(x, train=False)
+        want = (_objective(p_final, p_heads, y, 0.25),
+                int(np.sum((p_final >= 0.5) == y)) / n_windows)
+        got = _epoch_loss(model, x, y, 0.25)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("aux_weight", [0.0, 0.25])
+    def test_epoch_loss_independent_of_infer_chunk(self, monkeypatch, aux_weight):
+        # INFER_CHUNK is eval_heads' compute chunk only: the validation
+        # loss, which picks the kept epoch, does not depend on it
+        model = fresh_finetune_base(0.25)
+        x, y = _prepare_xy(cohort(130, seed=8), model)
+        results = []
+        for chunk in (1, 7, 64, 512):
+            monkeypatch.setattr(sleepnet, "INFER_CHUNK", chunk)
+            results.append([v.hex() for v in _epoch_loss(model, x, y, aux_weight)])
+        assert results == [results[0]] * 4
 
     @pytest.mark.parametrize("aux_weight", [0.0, 0.3])
     def test_objective_and_its_gradients(self, aux_weight):
@@ -706,10 +721,12 @@ class TestPersistence:
         # the header is re-signed: only the sizes, the norm_stats values or
         # the comparison with what save_model writes can reject it
         path = tmp_path / "m.slpn"
-        save_model(self.make_model(), path)
+        model = self.make_model()
+        save_model(pool_width_one(model) if case == "pool-width-true" else model, path)
         resign_header(path, HOSTILE_HEADERS[case])
         message = {"n-filters-1e12": "config needs", "window-epochs-1e12": "config needs",
-                   "four-norm-stats": "norm_stats need 5 finite means"}
+                   "four-norm-stats": "norm_stats need 5 finite means",
+                   "pool-width-true": "pool_width must be an int, got True"}
         with pytest.raises(ModelFormatError,
                            match=message.get(case, "not what save_model writes")):
             load_model(path)
