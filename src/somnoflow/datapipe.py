@@ -435,6 +435,10 @@ class SynthConfig:
     single_sleep_period: bool = False
 
     def validate(self):
+        for name in ("hours", "mean_sleep_min", "mean_wake_min", "duration_sigma",
+                     "transition_blur_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.hours < 1.0:
             raise ValueError(f"record length must be >= 1 h, got {self.hours}")
         if self.mean_sleep_min <= 0 or self.mean_wake_min <= 0:
@@ -536,8 +540,10 @@ def build_training_set(series_list, context_hours=CONTEXT_HOURS, seed=0):
 
     Keeps windows whose end timestamp lies within +-context_hours of some
     transition in their series, then down-samples the majority class (seeded).
-    context_hours <= 0 keeps every labeled window.
+    context_hours <= 0 keeps every labeled window; NaN raises ValueError.
     """
+    if math.isnan(context_hours):
+        raise ValueError("context_hours must be a number of hours, got nan")
     windows = []
     any_transitions = False
     for series in series_list:

@@ -123,17 +123,23 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be an int, got {size!r}")
             if size < 1:
                 raise ConfigError(f"{name} must be >= 1, got {size}")
-        for h in self.heads:
-            if self.window_epochs - h.kernel_width + 1 < h.pool_width:
-                raise ConfigError(f"kernel width {h.kernel_width} and pool width "
-                                  f"{h.pool_width} leave no pooled position in a "
-                                  f"window of {self.window_epochs} epochs")
-            if EPOCHS_PER_MINUTE % h.pool_width:
-                # scoring takes window t's pooled features as a slice of the
-                # record's pooled sequence, which needs whole pool strides
-                # per 1-minute shift
-                raise ConfigError(f"pool width {h.pool_width} does not divide the "
-                                  f"{EPOCHS_PER_MINUTE}-epoch window shift")
+        # heads differ only in the resolution they read a window at, their
+        # kernel width; RecordScorer stacks them as one
+        for name in ("n_filters", "pool_width", "fc_width"):
+            values = [getattr(h, name) for h in self.heads]
+            if len(set(values)) > 1:
+                raise ConfigError(f"heads differ in {name} {values}; they may differ "
+                                  f"in kernel width only")
+        pool, k_max = self.heads[0].pool_width, max(h.kernel_width for h in self.heads)
+        if self.window_epochs - k_max + 1 < pool:
+            raise ConfigError(f"kernel width {k_max} and pool width {pool} leave no "
+                              f"pooled position in a window of {self.window_epochs} epochs")
+        if EPOCHS_PER_MINUTE % pool:
+            # scoring takes window t's pooled features as a slice of the
+            # record's pooled sequence, which needs whole pool strides per
+            # 1-minute shift
+            raise ConfigError(f"pool width {pool} does not divide the "
+                              f"{EPOCHS_PER_MINUTE}-epoch window shift")
         if not self.aux_loss_weight >= 0:  # rejects NaN as well
             raise ConfigError("aux_loss_weight must be >= 0")
         if not self.trunk_widths or self.trunk_widths[-1] != 1:
@@ -558,9 +564,11 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
 # --- persistence ------------------------------------------------------------
 
 def save_model(model, path):
-    """Write `_encode(model)` to path."""
+    """Write `_encode(model)` to path; a model `_encode` refuses leaves no
+    file."""
+    blob = _encode(model)
     with open(path, "wb") as fh:
-        fh.write(_encode(model))
+        fh.write(blob)
 
 
 def _encode(model):
@@ -569,7 +577,11 @@ def _encode(model):
     tensor manifest, digest), then raw little-endian float32 tensors in
     manifest order. The digest covers the rest of the header and the
     payload (`_file_digest`). load_model accepts a file only if it is these
-    bytes for the model it describes."""
+    bytes for the model it describes. Raises ValueError for a model that is
+    not float32, whose tensors the file would round."""
+    if model.config.dtype != "float32":
+        raise ValueError(f"a model file holds float32 tensors; this model is "
+                         f"{model.config.dtype}")
     tensors = model.named_tensors()
     payload = bytearray()
     manifest = []
@@ -643,6 +655,9 @@ def _file_digest(header, payload):
 def _model_from_header(header, payload):
     config = ModelConfig.from_dict(header["config"])
     config.validate()
+    if config.dtype != "float32":
+        raise ModelFormatError(f"model header config dtype {config.dtype!r}; a model file "
+                               f"holds float32 only")
     n_values = config.n_values()
     # before SleepNetModel allocates: a config of 10^12 filters is refused
     # here rather than by a MemoryError
@@ -708,30 +723,6 @@ class _Columns:
         return self.data, (start - self.base) * self.data.itemsize
 
 
-@dataclass
-class _HeadGroup:
-    """Heads that share a pool width and an fc width, in model order
-    (`members`, an index array of the model's heads), as one row range of
-    the scorer's stack: each takes `n_filters` rows, the group's most, and
-    reads `pooled_len` taps, the group's longest, with zero weights on the
-    rows and taps it lacks. `cols` is their pooled sequence, and `fc` their
-    stacked fc1 and fc2 weights and biases, fc1's bias as a (heads, fc,
-    TILE) plane."""
-
-    pool: int
-    members: np.ndarray
-    n_filters: int
-    pooled_len: int
-    rows: slice
-    cols: _Columns
-    fc: tuple
-
-    @property
-    def shift(self):
-        """Pooled positions per 1-minute window shift."""
-        return EPOCHS_PER_MINUTE // self.pool
-
-
 class RecordScorer:
     """Final sleep probability of each 1-minute window of one record, from
     its z-scored (5, n) epochs pushed in pieces of any size: the one
@@ -762,9 +753,7 @@ class RecordScorer:
       [t*TILE, (t+1)*TILE), read from epochs [t*TILE, t*TILE + TILE + K - 1);
       TILES_PER_PASS tiles run per pass. batchnorm and relu act per channel
       and position on the stack.
-    - maxpool: the heads are grouped by pool width and fc width (a
-      `_HeadGroup`), and each group pools its rows in one call into its
-      pooled sequence.
+    - maxpool: one call pools the stack's rows into the pooled sequence.
     - fc1 -> relu -> fc2: window w of a head reads pooled positions
       [w*shift, w*shift + pooled_len), shift being the pool strides per
       2-epoch window shift, flattened in (channel, tap) order: im2col order.
@@ -773,10 +762,8 @@ class RecordScorer:
       1-tap one. They run in tiles of TILE windows, at most FC_CHUNK windows
       per pass: one (fc, n_filters * pooled_len) @ (n_filters * pooled_len,
       TILE) product per head and tile, and a (1, fc) @ (fc, TILE) one, all
-      heads of a group in one batched matmul. A head's zero-weight rows and
-      taps are trailing zero terms of each sum, which a BLAS product adds
-      without changing it; its fc width is never padded, because a
-      matrix-vector product (fc2's) does not keep that for every length.
+      heads in one batched matmul. A head's zero-weight taps are trailing
+      zero terms of each sum, which a BLAS product adds without changing it.
     - the trunk runs per window on the (m, heads) logits.
 
     A push recomputes the conv tiles from the first one that holds a
@@ -797,48 +784,32 @@ class RecordScorer:
         self._k_max, self._k_min = max(widths), min(widths)
         dtype = heads[0].conv.dtype
         self._epochs = _Columns(model.config.input_features, dtype)
-        self._n_heads = len(heads)
-        by_key = {}
+        # every head has the same filter count, pool width and fc width
+        # (ModelConfig.validate)
+        f = heads[0].conv.out_channels
+        fc = heads[0].fc1.params["w"].shape[0]
+        self._pool = heads[0].pool.pool_width
+        self._shift = EPOCHS_PER_MINUTE // self._pool  # pooled positions per window shift
+        self._pooled_len = max(h.pooled_len for h in heads)  # the narrowest kernel's
+        self._pooled = _Columns(len(heads) * f, dtype)
+        # the stack's tensors, head after head; conv and fc1 weights are
+        # written into zeros, which pad each head's taps to the longest
+        self._w = np.zeros((len(heads) * f, model.config.input_features, self._k_max), dtype)
+        b, mean, var, gamma, beta = np.empty((5, len(heads) * f), dtype)
+        w1 = np.zeros((len(heads), fc, f, self._pooled_len), dtype)
         for i, h in enumerate(heads):
-            by_key.setdefault((h.pool.pool_width, h.fc1.params["w"].shape[0]), []).append(i)
-        # (pool width, fc width, members, rows per member) per group
-        groups = [(*key, group, max(heads[i].conv.out_channels for i in group))
-                  for key, group in sorted(by_key.items())]
-        n_rows = sum(len(group) * f for _, _, group, f in groups)
-        # the stack's tensors, written per head into zeros; a padding row
-        # has zero weights, a zero mean, unit variance and zero gamma and
-        # beta, so it stays 0 through conv, batchnorm, relu and maxpool
-        self._w = np.zeros((n_rows, model.config.input_features, self._k_max), dtype)
-        b, mean, gamma, beta = np.zeros((4, n_rows), dtype)
-        var = np.ones(n_rows, dtype)
-        self._groups = []
-        first_row = 0
-        for pool, fc, group, f in groups:
-            p = max(heads[i].pooled_len for i in group)
-            w1 = np.zeros((len(group), fc, f, p), dtype)
-            b1 = np.empty((len(group), fc, 1), dtype)
-            w2 = np.empty((len(group), 1, fc), dtype)
-            b2 = np.empty((len(group), 1, 1), dtype)
-            for j, i in enumerate(group):
-                h = heads[i]
-                rows = slice(first_row + j * f, first_row + j * f + h.conv.out_channels)
-                self._w[rows, :, :h.conv.kernel_width] = h.conv.params["w"]
-                b[rows] = h.conv.params["b"]
-                mean[rows] = h.bn.running_mean
-                var[rows] = h.bn.running_var
-                gamma[rows] = h.bn.params["gamma"]
-                beta[rows] = h.bn.params["beta"]
-                w1[j, :, :h.conv.out_channels, :h.pooled_len] = h.fc1.params["w"].reshape(
-                    fc, h.conv.out_channels, h.pooled_len)
-                b1[j, :, 0] = h.fc1.params["b"]
-                w2[j] = h.fc2.params["w"]
-                b2[j] = h.fc2.params["b"]
-            rows = slice(first_row, first_row + len(group) * f)
-            first_row = rows.stop
-            self._groups.append(_HeadGroup(pool, np.array(group), f, p, rows,
-                                           _Columns(len(group) * f, dtype),
-                                           (w1.reshape(len(group), fc, f * p),
-                                            np.repeat(b1, TILE, axis=2), w2, b2)))
+            rows = slice(i * f, (i + 1) * f)
+            self._w[rows, :, :h.conv.kernel_width] = h.conv.params["w"]
+            b[rows] = h.conv.params["b"]
+            mean[rows] = h.bn.running_mean
+            var[rows] = h.bn.running_var
+            gamma[rows] = h.bn.params["gamma"]
+            beta[rows] = h.bn.params["beta"]
+            w1[i, :, :, :h.pooled_len] = h.fc1.params["w"].reshape(fc, f, h.pooled_len)
+        self._w1 = w1.reshape(len(heads), fc, -1)
+        self._b1 = np.repeat(np.stack([h.fc1.params["b"][:, None] for h in heads]), TILE, axis=2)
+        self._w2 = np.stack([h.fc2.params["w"] for h in heads])
+        self._b2 = np.stack([h.fc2.params["b"][:, None] for h in heads])
         self._b, self._mean, self._inv_std, self._gamma, self._beta = (
             np.repeat(v[:, None], TILE, axis=1) for v in (b, mean, bn_inv_std(var), gamma, beta))
         self._trunk = [(layer.params["w"], layer.params["b"])
@@ -854,19 +825,16 @@ class RecordScorer:
         if stop <= first:
             return np.empty(0)
         self._pool_tiles()
-        logits = np.empty((stop - first, self._n_heads), self._w.dtype)
+        logits = np.empty((stop - first, len(self._w1)), self._w.dtype)
         tiles_per_pass = FC_CHUNK // TILE
         for tile in range(first // TILE, -(-stop // TILE), tiles_per_pass):
             start, end = max(first, tile * TILE), min(stop, (tile + tiles_per_pass) * TILE)
-            for g in self._groups:
-                out = self._fc_tiles(g, tile, -(-(end - tile * TILE) // TILE))
-                logits[start - first:end - first, g.members] = \
-                    out[start - tile * TILE:end - tile * TILE]
+            out = self._fc_tiles(tile, -(-(end - tile * TILE) // TILE))
+            logits[start - first:end - first] = out[start - tile * TILE:end - tile * TILE]
         self.n_windows = stop
         kept = self._done // TILE * TILE
         self._epochs.keep = kept
-        for g in self._groups:
-            g.cols.keep = min(stop // TILE * TILE * g.shift, kept // g.pool)
+        self._pooled.keep = min(stop // TILE * TILE * self._shift, kept // self._pool)
         # the model's fuse: sigmoid, then the trunk's dense layers with a relu
         # between each two
         t = sigmoid(logits)
@@ -878,7 +846,7 @@ class RecordScorer:
         """Run conv -> bn -> relu -> maxpool on the tiles from the one that
         holds the first position not final for the widest kernel to the one
         that holds the narrowest kernel's newest position, TILES_PER_PASS
-        tiles per pass, and write them to the pooled sequences."""
+        tiles per pass, and write them to the pooled sequence."""
         start = self._done // TILE * TILE
         stop = self.n_epochs - self._k_min + 1
         for first in range(start, stop, TILES_PER_PASS * TILE):
@@ -893,34 +861,30 @@ class RecordScorer:
                        self._w, self._b)                                # (n_tiles, rows, TILE)
             y -= self._mean
             y = batchnorm(y, self._inv_std, self._gamma, self._beta)[1]
-            relu(y, out=y)
-            for g in self._groups:
-                pooled = maxpool1d(y[:, g.rows], g.pool)
-                g.cols.write(first // g.pool,
-                             pooled.transpose(1, 0, 2).reshape(pooled.shape[1], -1))
+            pooled = maxpool1d(relu(y, out=y)[1], self._pool)
+            self._pooled.write(first // self._pool,
+                               pooled.transpose(1, 0, 2).reshape(pooled.shape[1], -1))
         self._done = self.n_epochs - self._k_max + 1
 
-    @staticmethod
-    def _fc_tiles(g, tile, n_tiles):
-        """(n_tiles * TILE, heads) logits of group g's heads on the windows
-        of fc tiles [tile, tile + n_tiles): fc1 -> relu -> fc2, one product
-        per head and tile."""
-        n_heads, shift = len(g.members), g.shift
-        data, offset = g.cols.buffer(tile * TILE * shift,
-                                     ((tile + n_tiles) * TILE - 1) * shift + g.pooled_len)
+    def _fc_tiles(self, tile, n_tiles):
+        """(n_tiles * TILE, heads) logits on the windows of fc tiles
+        [tile, tile + n_tiles): fc1 -> relu -> fc2, one product per head and
+        tile."""
+        shift, taps = self._shift, self._pooled_len
+        data, offset = self._pooled.buffer(tile * TILE * shift,
+                                           ((tile + n_tiles) * TILE - 1) * shift + taps)
         rows, cols = data.strides
-        # im2col: entry (tile, head, channel, tap, l) is pooled position
-        # (tile * TILE + l) * shift + tap of the head's channel
-        view = np.ndarray((n_tiles, n_heads, g.n_filters, g.pooled_len, TILE), data.dtype,
-                          data, offset,
-                          (TILE * shift * cols, g.n_filters * rows, rows, cols, shift * cols))
-        x = np.ascontiguousarray(view).reshape(n_tiles, n_heads, -1, TILE)
-        w1, b1, w2, b2 = g.fc
-        h = np.matmul(w1, x)
-        h += b1
-        out = np.matmul(w2, relu(h, out=h)[1])
-        out += b2
-        return out.transpose(0, 3, 1, 2).reshape(n_tiles * TILE, n_heads)
+        # im2col: entry (tile, row, tap, l) is pooled position
+        # (tile * TILE + l) * shift + tap of the row, a row being a head's
+        # channel
+        view = np.ndarray((n_tiles, data.shape[0], taps, TILE), data.dtype, data, offset,
+                          (TILE * shift * cols, rows, cols, shift * cols))
+        x = np.ascontiguousarray(view).reshape(n_tiles, len(self._w1), -1, TILE)
+        h = np.matmul(self._w1, x)
+        h += self._b1
+        out = np.matmul(self._w2, relu(h, out=h)[1])
+        out += self._b2
+        return out.transpose(0, 3, 1, 2).reshape(n_tiles * TILE, len(self._w1))
 
 
 def infer_hypnogram(model, series):

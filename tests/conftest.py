@@ -111,7 +111,10 @@ HOSTILE_HEADERS = {
         std=[1, *h["norm_stats"]["std"][1:]]),
     "extra-norm-stats-key": lambda h: h["norm_stats"].update(var=h["norm_stats"]["std"]),
     "swapped-bn-offsets": _swap_bn_offsets,
-    "n-filters-1e12": lambda h: h["config"]["heads"][0].update(n_filters=10**12),
+    "n-filters-1e12": lambda h: [head.update(n_filters=10**12)
+                                 for head in h["config"]["heads"]],
+    "mixed-fc-width": lambda h: h["config"]["heads"][0].update(fc_width=17),
+    "float64-dtype": lambda h: h["config"].update(dtype="float64"),
     "window-epochs-1e12": lambda h: h["config"].update(window_epochs=10**12),
     # True equals 1, so on a model of pool width 1 (`pool_width_one`) every
     # shape still holds

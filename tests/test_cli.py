@@ -68,6 +68,18 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert run(["synth", "--hours", "0.1", "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("flag", ["--hours", "--mean-sleep-min", "--mean-wake-min",
+                                      "--transition-blur-min"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_synth_rejects_non_finite_option(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "x.csv"
+        assert run(["synth", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        field = flag[2:].replace("-", "_")
+        assert f"error: {field} must be finite, got {value}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
@@ -403,6 +415,14 @@ class TestPipelineChain:
                     "--epochs", "0"]) == 1
         err = capsys.readouterr().err
         assert "n_epochs" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_rejects_nan_context_hours(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.slpn"
+        assert run(["train", "--data", str(workdir / "night0.csv"), "--model", str(out),
+                    "--context-hours", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert "error: context_hours" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-0.5", "1", "1.5", "nan"])

@@ -156,6 +156,17 @@ class TestBuild:
         with pytest.raises(ConfigError, match="pool width"):
             build_model(ModelConfig(heads=[HeadConfig(pool_width=pool_width)]))
 
+    @pytest.mark.parametrize("field, value", [("pool_width", 1), ("n_filters", 8),
+                                              ("fc_width", 64)],
+                             ids=["mixed-pool-widths", "mixed-n-filters", "mixed-fc-widths"])
+    def test_heads_differing_in_more_than_kernel_width_rejected(self, field, value):
+        # the scorer stacks the heads as one: they share every width but the
+        # kernel's
+        heads = [HeadConfig(kernel_width=k) for k in (1, 2, 4, 28)]
+        setattr(heads[2], field, value)
+        with pytest.raises(ConfigError, match=f"heads differ in {field}"):
+            build_model(ModelConfig(heads=heads))
+
     def test_no_heads_rejected(self):
         with pytest.raises(ConfigError):
             build_model(ModelConfig(heads=[]))
@@ -243,10 +254,10 @@ class TestEvalHeads:
         self.assert_equals_layers(model, x)
 
     def test_mixed_kernel_pool_and_filter_widths(self):
-        # (kernel width, n_filters, pool width, fc width)
-        heads = [HeadConfig(kernel_width=k, n_filters=f, pool_width=pool, fc_width=fc,
-                            dropout_rate=0.2)
-                 for k, f, pool, fc in [(1, 3, 2, 4), (2, 8, 1, 64), (4, 1, 2, 9), (28, 5, 1, 4)]]
+        # heads differ in kernel width only; pool width 1 keeps every conv
+        # position
+        heads = [HeadConfig(kernel_width=k, n_filters=3, pool_width=1, fc_width=9,
+                            dropout_rate=0.2) for k in (1, 2, 4, 28)]
         model = build_model(ModelConfig(heads=heads, trunk_widths=[4, 1], seed=7))
         x = np.stack([w.values for w in cohort(70, seed=5)])
         model.forward_batch(x, train=True)
@@ -614,6 +625,14 @@ class TestPersistence:
         save_model(model, path)
         assert load_model(path).digest() == model.digest()
 
+    def test_float64_model_not_saved(self, tmp_path):
+        # a file holds float32 tensors, so a float64 model would come back
+        # with other weights
+        path = tmp_path / "m.slpn"
+        with pytest.raises(ValueError, match="float32"):
+            save_model(build_model(ModelConfig(seed=5, dtype="float64")), path)
+        assert not path.exists()
+
     def test_corrupt_payload_byte(self, tmp_path):
         path = tmp_path / "m.slpn"
         save_model(self.make_model(), path)
@@ -726,7 +745,9 @@ class TestPersistence:
         resign_header(path, HOSTILE_HEADERS[case])
         message = {"n-filters-1e12": "config needs", "window-epochs-1e12": "config needs",
                    "four-norm-stats": "norm_stats need 5 finite means",
-                   "pool-width-true": "pool_width must be an int, got True"}
+                   "pool-width-true": "pool_width must be an int, got True",
+                   "mixed-fc-width": "heads differ in fc_width",
+                   "float64-dtype": "float32 only"}
         with pytest.raises(ModelFormatError,
                            match=message.get(case, "not what save_model writes")):
             load_model(path)
@@ -743,10 +764,8 @@ class TestPersistence:
         ModelConfig(),
         tiny_config(),
         ModelConfig(input_features=3, window_epochs=17, trunk_widths=[3, 5, 1], heads=[
-            HeadConfig(kernel_width=1, n_filters=2, pool_width=1, fc_width=3),
-            HeadConfig(kernel_width=3, n_filters=5, pool_width=2, fc_width=1),
-            HeadConfig(kernel_width=4, n_filters=1, pool_width=2, fc_width=7),
-            HeadConfig(kernel_width=16, n_filters=3, pool_width=2, fc_width=2)]),
+            HeadConfig(kernel_width=k, n_filters=3, pool_width=2, fc_width=7)
+            for k in (1, 3, 4, 16)]),
     ], ids=["default", "tiny", "mixed"])
     def test_n_values_counts_named_tensors(self, config):
         model = build_model(config)
@@ -928,22 +947,12 @@ class TestRecordScorer:
         whole = RecordScorer(model).push(z)
         np.testing.assert_array_equal(_bits(replay(model, z, sizes)[0]), _bits(whole))
 
-    @pytest.mark.parametrize("heads", [
-        [(k, 4, 1, 4) for k in (1, 2, 4, 28)],
-        [(k, 4, 2, 4) for k in (1, 2, 4, 28)],
-        [(1, 4, 2, 4), (2, 4, 1, 4), (4, 4, 1, 4), (28, 4, 2, 4)],
-        [(1, 3, 2, 4), (2, 8, 2, 4), (4, 1, 2, 4), (28, 5, 2, 4)],
-        [(1, 3, 2, 64), (2, 8, 2, 4), (4, 1, 2, 9), (28, 5, 2, 64)],
-    ], ids=["1", "2", "mixed-pool-widths", "mixed-n-filters", "mixed-fc-widths"])
-    def test_other_kernel_and_pool_widths(self, small_trained, heads):
-        # heads as (kernel width, n_filters, pool width, fc width). Even
-        # kernels end a window's conv positions mid pool pair; k = 1 and
-        # k = 28 give the longest and the shortest conv rows. Heads are
-        # grouped by pool width and fc width, and a group's heads need not be
-        # neighbours in the model; an fc width of 64 runs fc2 on another
-        # matrix-vector kernel than 4 or 9
-        heads = [HeadConfig(kernel_width=k, n_filters=f, fc_width=fc, dropout_rate=0.0,
-                            pool_width=pool) for k, f, pool, fc in heads]
+    @pytest.mark.parametrize("pool_width", [1, 2], ids=["1", "2"])
+    def test_other_kernel_and_pool_widths(self, small_trained, pool_width):
+        # even kernels end a window's conv positions mid pool pair; k = 1
+        # and k = 28 give the longest and the shortest conv rows
+        heads = [HeadConfig(kernel_width=k, n_filters=4, fc_width=4, dropout_rate=0.0,
+                            pool_width=pool_width) for k in (1, 2, 4, 28)]
         model = build_model(ModelConfig(heads=heads, trunk_widths=[4, 1], seed=4))
         model.norm_stats = small_trained[0].norm_stats
         z = day_z(model, 200)
@@ -970,8 +979,7 @@ class TestRecordScorer:
         widths = set()
         for i in range(2880):
             scorer.push(z[:, i:i + 1])
-            widths.update(c.data.shape[1] for c in (scorer._epochs,
-                                                    *(g.cols for g in scorer._groups)))
+            widths.update(c.data.shape[1] for c in (scorer._epochs, scorer._pooled))
         assert max(widths) <= 2 * (2 * TILE + model.config.window_epochs)
 
 

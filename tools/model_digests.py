@@ -1,12 +1,16 @@
 """Print the SHA-256 of the model file that each of six fixed CLI training
-runs writes, one `<model file> <sha256>` line per run.
+runs writes, one `<model file> <sha256>` line per run, and after it a
+`<model file> scores <sha256>` line: the hash of the float64 bytes of the
+probabilities that `infer_hypnogram` gives with that model on each of the
+three nights.
 
     PYTHONPATH=src python tools/model_digests.py
 
 In a temporary directory it synthesizes three nights (seeds 1-3) and runs
 four `train` and two `finetune` commands through `somnoflow.cli.run`. A
-change meant to keep training bit for bit should print the same lines as
-its parent: run the script on both checkouts and diff the two outputs.
+change meant to keep training or scoring bit for bit should print the same
+lines as its parent: run the script on both checkouts and diff the two
+outputs.
 """
 
 import contextlib
@@ -18,6 +22,8 @@ import tempfile
 from pathlib import Path
 
 from somnoflow.cli import run
+from somnoflow.datapipe import ingest_epochs
+from somnoflow.sleepnet import infer_hypnogram, load_model
 
 NIGHT_SEEDS = (1, 2, 3)
 
@@ -63,9 +69,14 @@ def main():
         d = Path(tmp)
         for seed in NIGHT_SEEDS:
             _run(["synth", "--seed", str(seed), "--out", str(d / f"night{seed}.csv")])
+        nights = [ingest_epochs(str(d / f"night{seed}.csv")) for seed in NIGHT_SEEDS]
         for name, argv in commands(d):
             _run(argv)
             print(name, hashlib.sha256((d / name).read_bytes()).hexdigest(), flush=True)
+            model, scores = load_model(d / name), hashlib.sha256()
+            for night in nights:
+                scores.update(infer_hypnogram(model, night).probs.astype("<f8").tobytes())
+            print(name, "scores", scores.hexdigest(), flush=True)
 
 
 if __name__ == "__main__":
