@@ -463,8 +463,10 @@ def run(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    command = "somnoflow"
     try:
         args = parser.parse_args(argv)
+        command = args.command
         args = _merge(args, parser, argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
@@ -474,6 +476,12 @@ def run(argv=None):
         return 2
     except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # sizes are not bounded before allocating: a request too large for
+        # this machine, such as synth --hours 1e7, ends here
+        print(f"error: {command}: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 1
 
 

@@ -23,8 +23,8 @@ import contextlib
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from dataclasses import dataclass, field
+from itertools import starmap, zip_longest
 
 import numpy as np
 
@@ -310,14 +310,19 @@ def read_rows(source, columns, what):
 
 def write_epochs(series, dest):
     """Write a series back to the epoch CSV schema (label column included
-    whenever any epoch is labeled)."""
+    whenever any epoch is labeled). The bytes are those of `write_rows` on
+    the formatted fields: a number never needs quoting, so each row is one
+    format call, and the file one write."""
     labeled = bool(np.any(series.labels >= 0))
-    cols = [series.timestamps.tolist()]
-    cols += [map("{:.6f}".format, v)
-             for v in (series.hr, series.br, series.hr_conf, series.movement)]
+    cols = [series.timestamps.tolist(), series.hr.tolist(), series.br.tolist(),
+            series.hr_conf.tolist(), series.movement.tolist()]
+    row = "{},{:.6f},{:.6f},{:.6f},{:.6f}"
     if labeled:
         cols.append(["" if label < 0 else label for label in series.labels.tolist()])
-    write_rows(dest, list(CSV_COLUMNS) + (["label"] if labeled else []), zip(*cols))
+        row += ",{}"
+    header = list(CSV_COLUMNS) + (["label"] if labeled else [])
+    with open_text(dest, "w") as fh:
+        fh.write(",".join(header) + "\n" + "".join(starmap((row + "\n").format, zip(*cols))))
 
 
 def write_transitions(transitions, dest):
@@ -345,6 +350,38 @@ def read_transitions(source):
     return out
 
 
+def _cut_windows(series, window_epochs=30):
+    """Every window of a series, as arrays over windows: window i covers
+    epochs [2i, 2i + window_epochs). Returns (values, labels, last): values
+    is a (count, 5, window_epochs) view of the feature matrix by window
+    start, labels the final minute's label, or -1 where its two epochs
+    disagree or are unlabeled, and last the index of each window's last
+    epoch. None, with a warning, for a series shorter than one window."""
+    n = len(series)
+    if n < window_epochs:
+        warnings.warn(f"series of {n} epochs shorter than one {window_epochs}-epoch window")
+        return None
+    mat = series.feature_matrix()
+    last = np.arange(window_epochs - 1, n, EPOCHS_PER_MINUTE)
+    rows, cols = mat.strides
+    # np.ndarray over mat's buffer, as im2col views its input
+    values = np.ndarray((len(last), mat.shape[0], window_epochs), mat.dtype, mat, 0,
+                        (EPOCHS_PER_MINUTE * cols, rows, cols))
+    l1, l2 = series.labels[last - 1], series.labels[last]
+    return values, np.where((l1 == l2) & (l1 >= 0), l1, -1), last
+
+
+def _feature_windows(series, cut, idx):
+    """The FeatureWindows of the windows idx of a `_cut_windows` cut. Each
+    gets a copy of its values, so that a kept window does not keep the
+    record's whole feature matrix alive."""
+    values, labels, last = cut
+    end = series.timestamps[last[idx]].tolist()
+    label_ts = series.timestamps[last[idx] - 1].tolist()
+    return [FeatureWindow(values[i].copy(), t + EPOCH_SECONDS, lt, None if label < 0 else label)
+            for i, t, lt, label in zip(idx.tolist(), end, label_ts, labels[idx].tolist())]
+
+
 def make_windows(series, window_epochs=30):
     """Cut rolling windows: window i covers epochs [2i, 2i + window_epochs).
 
@@ -352,26 +389,10 @@ def make_windows(series, window_epochs=30):
     window stays unlabeled. A series shorter than one window yields an empty
     list with a warning.
     """
-    n = len(series)
-    if n < window_epochs:
-        warnings.warn(f"series of {n} epochs shorter than one {window_epochs}-epoch window")
+    cut = _cut_windows(series, window_epochs)
+    if cut is None:
         return []
-    mat = series.feature_matrix()
-    out = []
-    count = (n - window_epochs) // EPOCHS_PER_MINUTE + 1
-    for i in range(count):
-        s = i * EPOCHS_PER_MINUTE
-        e = s + window_epochs
-        l1 = int(series.labels[e - 2])
-        l2 = int(series.labels[e - 1])
-        label = l1 if (l1 == l2 and l1 >= 0) else None
-        out.append(FeatureWindow(
-            values=mat[:, s:e].copy(),
-            end_timestamp=int(series.timestamps[e - 1]) + EPOCH_SECONDS,
-            label_timestamp=int(series.timestamps[e - 2]),
-            label=label,
-        ))
-    return out
+    return _feature_windows(series, cut, np.arange(len(cut[0])))
 
 
 def fit_normalizer(windows):
@@ -404,7 +425,9 @@ def zscore(values, stats):
 
 def apply_normalizer(window, stats):
     """Z-score a window; the result is float32 and flagged normalized."""
-    return replace(window, values=zscore(window.values, stats), normalized=True)
+    # built directly: dataclasses.replace cost as much again as the z-score
+    return FeatureWindow(zscore(window.values, stats), window.end_timestamp,
+                         window.label_timestamp, window.label, normalized=True)
 
 
 @dataclass
@@ -535,6 +558,26 @@ def _series_transitions(series):
     return [int(series.timestamps[i]) for i in idx]
 
 
+def _near_transition(last_ts, trans, horizon):
+    """Whether each window, by the timestamp of its last epoch, ends within
+    horizon seconds of a transition: |last_ts + EPOCH_SECONDS - t| <= horizon
+    for some t, decided exactly, as on Python ints, in one comparison.
+    For integers that is last_ts in [t - EPOCH_SECONDS - reach, t -
+    EPOCH_SECONDS + reach] with reach = floor(horizon); each bound is
+    clipped to int64, where the timestamps lie, and a span outside it
+    dropped."""
+    if not trans:
+        return np.zeros(len(last_ts), dtype=bool)
+    if math.isinf(horizon):
+        return np.ones(len(last_ts), dtype=bool)
+    reach, lim = math.floor(horizon), np.iinfo(np.int64)
+    spans = [(t - EPOCH_SECONDS - reach, t - EPOCH_SECONDS + reach) for t in map(int, trans)]
+    spans = np.array([(max(lo, lim.min), min(hi, lim.max)) for lo, hi in spans
+                      if lo <= lim.max and hi >= lim.min], dtype=np.int64).reshape(-1, 2)
+    ts = last_ts[:, None]
+    return ((spans[:, 0] <= ts) & (ts <= spans[:, 1])).any(axis=1)
+
+
 def build_training_set(series_list, context_hours=CONTEXT_HOURS, seed=0):
     """Labeled windows near state transitions, class-balanced.
 
@@ -550,16 +593,14 @@ def build_training_set(series_list, context_hours=CONTEXT_HOURS, seed=0):
         trans = _series_transitions(series)
         if trans:
             any_transitions = True
-        for w in make_windows(series):
-            if w.label is None:
-                continue
-            if context_hours > 0:
-                if not trans:
-                    continue
-                horizon = context_hours * 3600
-                if not any(abs(w.end_timestamp - t) <= horizon for t in trans):
-                    continue
-            windows.append(w)
+        cut = _cut_windows(series)
+        if cut is None:
+            continue
+        _, labels, last = cut
+        keep = labels >= 0
+        if context_hours > 0:
+            keep &= _near_transition(series.timestamps[last], trans, context_hours * 3600)
+        windows += _feature_windows(series, cut, np.flatnonzero(keep))
     if not any_transitions:
         raise ValueError("no transitions found in any input series")
     if not windows:

@@ -45,10 +45,13 @@ per channel and position. `tests/test_sleepnet.py::TestBatchInvariance` and
 threads.
 
 A training step's cost at batch 32 is mostly numpy calls, not arithmetic,
-so `Adam(layers, lr)` binds itself to its layers once: their gradients
-become views of one buffer, with the moments as flat buffers beside it, and
-each `step()` is one flat update. Every op is elementwise, so the result is
-bit for bit the per-tensor update.
+so `Adam(layers, lr)` binds itself to its layers once: their parameters and
+gradients become views of two flat buffers, with the moments as flat
+buffers beside them, and each `step()` is one flat update. Every op is
+elementwise, so the result is bit for bit the per-tensor update. For the
+same reason the backward passes build no more temporaries than they need:
+BatchNorm1d's computes its input gradient in place, and MaxPool1d keeps its
+scatter offsets for the last input shape.
 """
 
 from __future__ import annotations
@@ -248,9 +251,13 @@ class Conv1d(Layer):
         if self.frozen:
             return
         # dW: one (o, n*L') @ (n*L', c*k) GEMM over the forward's columns;
-        # gradients need no batch-invariance
-        self.grads["w"] += np.tensordot(dy, self._cols,
-                                        axes=([0, 2], [0, 2])).reshape(self.params["w"].shape)
+        # gradients need no batch-invariance. These are the transposes,
+        # reshapes and dot that np.tensordot(dy, cols, ([0, 2], [0, 2])) runs,
+        # without its Python prologue
+        gw = self.grads["w"]
+        gw += np.dot(dy.transpose(1, 0, 2).reshape(dy.shape[1], -1),
+                     self._cols.transpose(0, 2, 1).reshape(-1, self._cols.shape[1])
+                     ).reshape(gw.shape)
         self.grads["b"] += dy.sum(axis=(0, 2))
 
 
@@ -306,13 +313,17 @@ class BatchNorm1d(Layer):
         if not self.frozen:
             self.grads["gamma"] += np.einsum("ncl,ncl->c", dy, xhat)
             self.grads["beta"] += dy.sum(axis=(0, 2))
-        dxhat = dy * self.params["gamma"][None, :, None]
-        if not train:
-            return dxhat * inv_std[None, :, None]
-        sum_dxhat = dxhat.sum(axis=(0, 2))
-        sum_dxhat_xhat = np.einsum("ncl,ncl->c", dxhat, xhat)
-        dx = (dxhat - (sum_dxhat[None, :, None] + xhat * sum_dxhat_xhat[None, :, None]) / m)
-        return dx * inv_std[None, :, None]
+        dxhat = dy * self.params["gamma"][:, None]
+        if train:
+            # dxhat - (sum_dxhat + xhat * sum_dxhat_xhat) / m, in dxhat and
+            # one temporary, each op with its operands in that order
+            sum_dxhat = dxhat.sum(axis=(0, 2))
+            t = xhat * np.einsum("ncl,ncl->c", dxhat, xhat)[:, None]
+            np.add(sum_dxhat[:, None], t, out=t)
+            t /= m
+            dxhat -= t
+        dxhat *= inv_std[:, None]
+        return dxhat
 
 
 class MaxPool1d(Layer):
@@ -329,6 +340,7 @@ class MaxPool1d(Layer):
             raise ConfigError(f"{name}: pool_width must be >= 1, got {pool_width}")
         self.pool_width = pool_width
         self.argmax = self._in_shape = None
+        self._starts = (None, None)  # (input shape, backward's flat offsets for it)
 
     def forward(self, x, train=False):
         p = self.pool_width
@@ -346,9 +358,12 @@ class MaxPool1d(Layer):
         # the windows do not overlap, so each gradient is stored once, at
         # its window's argmax: flat index row * L + window * p + argmax in
         # dx, and a NaN or inf one reaches no other input. + 0.0 turns a
-        # -0.0 gradient into +0.0, as adding it into the zeros would
-        starts = np.arange(0, n * c * length, length).reshape(n, c, 1) + np.arange(0, lout * p, p)
-        dx.reshape(-1)[starts + self.argmax] = dy + 0.0
+        # -0.0 gradient into +0.0, as adding it into the zeros would. The
+        # offsets row * L + window * p depend on the input shape only
+        if self._starts[0] != self._in_shape:
+            self._starts = (self._in_shape, np.arange(0, n * c * length, length).reshape(n, c, 1)
+                            + np.arange(0, lout * p, p))
+        dx.reshape(-1)[self._starts[1] + self.argmax] = dy + 0.0
         return dx
 
 
@@ -427,17 +442,20 @@ class Adam:
     update per step.
 
     The trainable set is fixed at construction: the parameters of the
-    layers that are not frozen then, which must share one dtype. Their
-    gradients become views of one flat buffer, which backward accumulates
-    into; a gradient already accumulated is kept. Frozen layers are skipped
-    entirely: their parameters, gradients and moments stay untouched.
-    Freezing or thawing a layer, or rebinding a gradient array, needs a new
-    Adam, and only one Adam per layer list should be live at a time, since
-    each rebinds the gradients to its own buffer.
+    layers that are not frozen then, which must share one dtype. They and
+    their gradients become views of two flat buffers, holding the same
+    values: backward accumulates into the one, and a gradient already
+    accumulated is kept; a step updates the other. So a parameter array
+    held from before an Adam was built is no longer the layer's; read
+    parameters through `layer.params`. Frozen layers are skipped entirely:
+    their parameters, gradients and moments stay untouched. Freezing or
+    thawing a layer, or rebinding a parameter or gradient array, needs a
+    new Adam, and only one Adam per layer list should be live at a time,
+    since each rebinds the tensors to its own buffers.
 
     A step checks the gradients with one isfinite, updates the flat moments
-    with whole-buffer ops, subtracts each parameter's slice and zeroes the
-    gradients in one fill. It is atomic: if any gradient holds NaN or inf,
+    and parameters with whole-buffer ops and zeroes the gradients in one
+    fill. It is atomic: if any gradient holds NaN or inf,
     it raises NonFiniteGradientError naming the first such layer and
     parameter in list order, and changes no parameter, moment or step count.
     """
@@ -452,17 +470,17 @@ class Adam:
             raise ConfigError(f"Adam needs one parameter dtype, got {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else None
         total = sum(p.size for _, _, p in trainable)
-        self.m, self.v, self.g, self.upd = (np.zeros(total, dtype=dtype) for _ in range(4))
+        self.m, self.v, self.g, self.upd, self._p = (np.zeros(total, dtype=dtype)
+                                                     for _ in range(5))
         self._grads = []  # (layer name, param name, its gradient), named on a non-finite one
-        self._params = []  # (parameter, its slice of upd shaped like it)
         start = 0
         for layer, pname, p in trainable:
             sl = slice(start, start + p.size)
             start += p.size
-            self.g[sl] = layer.grads[pname].reshape(-1)
-            layer.grads[pname] = self.g[sl].reshape(p.shape)
+            for flat, tensors in ((self._p, layer.params), (self.g, layer.grads)):
+                flat[sl] = tensors[pname].reshape(-1)
+                tensors[pname] = flat[sl].reshape(p.shape)
             self._grads.append((layer.name, pname, layer.grads[pname]))
-            self._params.append((p, self.upd[sl].reshape(p.shape)))
 
     def step(self):
         if not np.isfinite(self.g).all():
@@ -482,6 +500,5 @@ class Adam:
         vhat = v / (1.0 - ADAM_BETA2 ** t)
         # out= rounds to the parameters' dtype, as the per-tensor astype did
         np.divide(self.lr * mhat, np.sqrt(vhat) + ADAM_EPS, out=self.upd)
-        for p, upd in self._params:
-            p -= upd
+        self._p -= self.upd
         g[...] = 0

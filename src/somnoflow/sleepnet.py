@@ -140,8 +140,9 @@ class ModelConfig:
             # 1-minute shift
             raise ConfigError(f"pool width {pool} does not divide the "
                               f"{EPOCHS_PER_MINUTE}-epoch window shift")
-        if not self.aux_loss_weight >= 0:  # rejects NaN as well
-            raise ConfigError("aux_loss_weight must be >= 0")
+        if not 0 <= self.aux_loss_weight < float("inf"):  # rejects NaN as well
+            raise ConfigError(f"aux_loss_weight must be finite and >= 0, "
+                              f"got {self.aux_loss_weight}")
         if not self.trunk_widths or self.trunk_widths[-1] != 1:
             raise ConfigError("trunk must end in a single output unit")
         if self.dtype not in ("float32", "float64"):
@@ -334,8 +335,9 @@ class SleepNetModel:
         time: the (N, H) head probabilities, or with features each head's
         (N, F, pooled_len) pooled features. Bit for bit forward_batch's
         p_heads and `_Head.features` in eval mode, through the `neuralcore`
-        functions that the layers call, as RecordScorer runs them: nothing
-        is cached and nothing on the model is written. Each head's conv
+        functions that the layers call, as RecordScorer runs them, with
+        batchnorm's float ops done in place on the chunk: nothing is cached
+        and nothing on the model is written. Each head's conv
         bias and batchnorm mean, inverse std, gamma and beta are passed as
         C-contiguous (channels, conv length) planes, as in RecordScorer,
         built here from the current tensors, which train, restore and
@@ -351,8 +353,12 @@ class SleepNetModel:
             for s in range(0, len(x), INFER_CHUNK):
                 y = conv1d(im2col(x[s:s + INFER_CHUNK], h.conv.kernel_width),
                            h.conv.params["w"], b)
+                # batchnorm's products and sum, in place: gamma * xhat is
+                # xhat * gamma, as IEEE multiplication commutes
                 y -= mean
-                y = batchnorm(y, inv_std, gamma, beta)[1]
+                y *= inv_std
+                y *= gamma
+                y += beta
                 z = maxpool1d(relu(y, out=y)[1], h.pool.pool_width)
                 if not features:
                     z = dense(z.reshape(len(z), -1), h.fc1.params["w"], h.fc1.params["b"])
@@ -387,19 +393,26 @@ class SleepNetModel:
     def backward(self, dLdp_final, dLdp_heads):
         """Backward from the losses' gradients wrt the last forward's p_final
         and p_heads, through the trunk and into each head as far down as it
-        has a trainable layer (`_Head.backward`); with every head layer
-        frozen, as fine-tuning freezes them, it stops after the trunk."""
+        has a trainable layer (`_Head.backward`). It stops after the trunk
+        when every head layer is frozen, as fine-tuning freezes them, or
+        when dLdp_heads is None: `_fit` passes None when it has found every
+        head layer frozen, once per fit, since the frozen set is fixed for
+        its Adam's life."""
         p_heads, p_final = self._cache
         dt = (dLdp_final * p_final * (1.0 - p_final))[:, None]
         for layer in reversed(self.trunk):
             dt = layer.backward(dt)
-        # all() returns at the first trainable layer: in training, head 0's conv
-        if all(layer.frozen for head in self.heads for layer in head.param_layers()):
+        if dLdp_heads is None or not self._heads_trainable():
             return
         dp_heads = dt + dLdp_heads
         d_head_logits = dp_heads * p_heads * (1.0 - p_heads)
         for i, head in enumerate(self.heads):
             head.backward(d_head_logits[:, i:i + 1])
+
+    def _heads_trainable(self):
+        """Whether a head layer is trainable; all() returns at the first
+        trainable layer: in training, head 0's conv."""
+        return not all(layer.frozen for head in self.heads for layer in head.param_layers())
 
     def set_transfer_freeze(self, include_intermediate_fc=False):
         """Freeze all head parameters; leave the trunk trainable. With
@@ -449,11 +462,14 @@ def _objective(p_final, p_heads, y, aux_weight):
     return float(total)
 
 
-def _objective_grads(p_final, p_heads, y, aux_weight):
+def _objective_grads(p_final, p_heads, y, aux_weight, into_heads=True):
     """The training objective's (dL/dp_final, dL/dp_heads), without the loss
-    that a step does not read."""
+    that a step does not read; dL/dp_heads is None unless into_heads, for a
+    backward that stops after the trunk."""
     n = len(y)
     grad = bce_grad(p_final, y) / n
+    if not into_heads:
+        return grad, None
     if aux_weight == 0:  # 0 * grad would be -0.0 where grad < 0
         return grad, np.zeros_like(p_heads)
     return grad, aux_weight * bce_grad(p_heads, y[:, None]) / n
@@ -474,13 +490,18 @@ def _fit(model, forward, y, hyper, aux_weight):
     indices idx, forward(idx) -> (p_final, p_heads), backward, one Adam
     step. Yields each epoch's number, from 1, after its steps."""
     adam = Adam(model.param_layers(), lr=hyper.lr)
+    # once per fit, what each step would redo: the labels in the heads'
+    # dtype, as bce_grad casts them, and, since the frozen set is fixed for
+    # the Adam's life, whether backward goes past the trunk
+    y = y.astype(model.heads[0].conv.dtype)
+    into_heads = model._heads_trainable()
     rng = np.random.default_rng(hyper.seed)
     for epoch in range(1, hyper.n_epochs + 1):
         perm = rng.permutation(len(y))
         for s in range(0, len(y), hyper.batch_size):
             idx = perm[s:s + hyper.batch_size]
             p_final, p_heads = forward(idx)
-            model.backward(*_objective_grads(p_final, p_heads, y[idx], aux_weight))
+            model.backward(*_objective_grads(p_final, p_heads, y[idx], aux_weight, into_heads))
             adam.step()
         yield epoch
 

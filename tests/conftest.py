@@ -121,6 +121,8 @@ HOSTILE_HEADERS = {
     "pool-width-true": lambda h: h["config"]["heads"][0].update(pool_width=True),
     "four-norm-stats": lambda h: h.update(norm_stats={k: v[:4] for k, v in
                                                       h["norm_stats"].items()}),
+    # json writes the float inf as Infinity, and reads it back
+    "aux-weight-inf": lambda h: h["config"].update(aux_loss_weight=float("inf")),
 }
 
 

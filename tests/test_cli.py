@@ -80,6 +80,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_memory_error_is_exit_1(self, capsys, tmp_path, monkeypatch):
+        # what a size too large for the machine gets, e.g. synth --hours 1e7;
+        # no test asks for a real huge allocation
+        def no_memory(config):
+            raise MemoryError("Unable to allocate 8.94 GiB")
+        monkeypatch.setattr(datapipe, "synth_generate", no_memory)
+        out = tmp_path / "x.csv"
+        assert run(["synth", "--hours", "8", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: synth: out of memory: Unable to allocate 8.94 GiB\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
@@ -415,6 +428,16 @@ class TestPipelineChain:
                     "--epochs", "0"]) == 1
         err = capsys.readouterr().err
         assert "n_epochs" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1.0"])
+    def test_train_rejects_aux_weight_not_finite_and_non_negative(self, workdir, tmp_path,
+                                                                  capsys, value):
+        out = tmp_path / "m.slpn"
+        assert run(["train", "--data", str(workdir / "night0.csv"), "--model", str(out),
+                    "--aux-weight", value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: aux_loss_weight must be finite and >= 0, got {value}\n"
         assert not out.exists()
 
     def test_train_rejects_nan_context_hours(self, workdir, tmp_path, capsys):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from somnoflow import sleepnet
+from somnoflow import datapipe, sleepnet
 from somnoflow.neuralcore import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, BN_EPS, BN_MOMENTUM, Adam,
                                   BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
                                   MaxPool1d, NonFiniteGradientError, ReLU, ShapeError,
@@ -732,6 +734,92 @@ def put_along_axis_pool_backward(pool, dy):
     return dx
 
 
+def old_batchnorm_backward(bn, dy):
+    """BatchNorm1d.backward's input gradient as it was written before it
+    worked in place."""
+    xhat, inv_std, train, m = bn._cache
+    dxhat = dy * bn.params["gamma"][None, :, None]
+    if not train:
+        return dxhat * inv_std[None, :, None]
+    sum_dxhat = dxhat.sum(axis=(0, 2))
+    sum_dxhat_xhat = np.einsum("ncl,ncl->c", dxhat, xhat)
+    dx = (dxhat - (sum_dxhat[None, :, None] + xhat * sum_dxhat_xhat[None, :, None]) / m)
+    return dx * inv_std[None, :, None]
+
+
+def old_make_windows(series, window_epochs=30):
+    """datapipe.make_windows as it was written before it cut a record's
+    windows as arrays: one window at a time."""
+    n = len(series)
+    if n < window_epochs:
+        return []
+    mat = series.feature_matrix()
+    out = []
+    for i in range((n - window_epochs) // 2 + 1):
+        s = i * 2
+        e = s + window_epochs
+        l1 = int(series.labels[e - 2])
+        l2 = int(series.labels[e - 1])
+        out.append(datapipe.FeatureWindow(
+            values=mat[:, s:e].copy(),
+            end_timestamp=int(series.timestamps[e - 1]) + 30,
+            label_timestamp=int(series.timestamps[e - 2]),
+            label=l1 if (l1 == l2 and l1 >= 0) else None))
+    return out
+
+
+def old_build_training_set(series_list, context_hours, seed):
+    """datapipe.build_training_set as it was written before: the
+    transition test per window, on Python ints."""
+    windows = []
+    for series in series_list:
+        trans = datapipe._series_transitions(series)
+        for w in old_make_windows(series):
+            if w.label is None:
+                continue
+            if context_hours > 0:
+                horizon = context_hours * 3600
+                if not any(abs(w.end_timestamp - t) <= horizon for t in trans):
+                    continue
+            windows.append(w)
+    rng = np.random.default_rng(seed)
+    by_class = {0: [], 1: []}
+    for w in windows:
+        by_class[w.label].append(w)
+    n = min(len(by_class[0]), len(by_class[1]))
+    kept = []
+    for cls in (0, 1):
+        group = by_class[cls]
+        if len(group) > n:
+            idx = rng.choice(len(group), size=n, replace=False)
+            group = [group[i] for i in sorted(idx)]
+        kept.extend(group)
+    kept.sort(key=lambda w: (w.end_timestamp, w.label))
+    return kept
+
+
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("end_timestamp", "label_timestamp", "label", "normalized"):
+            assert type(getattr(g, name)) is type(getattr(w, name)), name
+            assert getattr(g, name) == getattr(w, name), name
+        assert g.values.dtype == w.values.dtype and g.values.shape == w.values.shape
+        np.testing.assert_array_equal(bits(g.values), bits(w.values))
+        # its own copy, C-contiguous: no view of the record's feature matrix
+        assert g.values.base is None and g.values.flags.c_contiguous
+
+
+def window_series(n, labels, start=600, transitions=(), seed=0):
+    rng = np.random.default_rng(seed)
+    hr = 60 + 10 * rng.standard_normal(n)
+    return datapipe.EpochSeries(
+        timestamps=start + 30 * np.arange(n, dtype=np.int64), hr=hr,
+        br=14 + rng.standard_normal(n), hr_conf=rng.random(n), movement=rng.random(n),
+        hr_diff=datapipe.compute_hr_diff(hr), labels=np.asarray(labels, dtype=np.int64),
+        transitions=list(transitions))
+
+
 class TestRewrittenOpsMatchOldFormulas:
     """Each op that a training step was sped up in, against the formula it
     replaced, bit for bit."""
@@ -831,6 +919,130 @@ class TestRewrittenOpsMatchOldFormulas:
         yc = y.astype(dtype)
         np.testing.assert_array_equal(bits(bce_grad(p, y)),
                                       bits((clipped - yc) / (clipped * (1.0 - clipped))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_weight_gradient_is_tensordot(self, dtype):
+        # backward inlines np.tensordot's own transposes, reshapes and dot;
+        # two backward calls accumulate
+        rng = np.random.default_rng(np.dtype(dtype).itemsize + 60)
+        for n, k in ((1, 3), (32, 5), (32, 11), (466, 7)):
+            conv = Conv1d("c", 5, 16, k, rng=rng, dtype=dtype)
+            want = np.zeros_like(conv.grads["w"])
+            for _ in range(2):
+                y = conv.forward(rng.standard_normal((n, 5, 30)).astype(dtype), train=True)
+                dy = rng.standard_normal(y.shape).astype(dtype)
+                conv.backward(dy)
+                want += np.tensordot(dy, conv._cols, axes=([0, 2], [0, 2])).reshape(want.shape)
+            np.testing.assert_array_equal(bits(conv.grads["w"]), bits(want))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_batchnorm_backward_in_place(self, dtype, train):
+        rng = np.random.default_rng(np.dtype(dtype).itemsize + 70 + train)
+        bn = BatchNorm1d("bn", 6, dtype=dtype)
+        bn.params["gamma"][...] = rng.standard_normal(6) * 2
+        bn.params["gamma"][0] = -0.0
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5], dtype=dtype)
+        for n, length in ((1, 2), (4, 28), (32, 20)):
+            bn.forward((rng.standard_normal((n, 6, length)) * 3).astype(dtype), train=True)
+            if not train:
+                bn.forward((rng.standard_normal((n, 6, length)) * 3).astype(dtype))
+            dy = rng.standard_normal((n, 6, length)).astype(dtype)
+            # channel 1 one NaN, channel 2 +inf, channel 3 both infinities,
+            # channel 4 -0.0 and +0.0 only; channels 0 and 5 finite
+            dy[0, 1, 0] = np.nan
+            dy[0, 2, -1] = np.inf
+            dy[:, 3, :1], dy[:, 3, -1:] = np.inf, -np.inf
+            dy[:, 4] = rng.choice(special[3:5], (n, length))
+            dy[-1, 5, :] = special[5]
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = old_batchnorm_backward(bn, dy)
+                got = bn.backward(dy)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_maxpool_backward_offsets_follow_the_shape(self):
+        # the cached scatter offsets are rebuilt when the input shape
+        # changes, and backward leaves the argmax as the forward stored it
+        rng = np.random.default_rng(80)
+        pool = MaxPool1d("p", 2)
+        for shape in ((4, 3, 9), (2, 5, 12), (2, 5, 13), (4, 3, 9), (1, 16, 28)):
+            x = pool_input("tied", rng, shape, np.float32)
+            out = pool.forward(x, train=True)
+            argmax = pool.argmax.copy()
+            dy = rng.choice(np.array([-0.0, 0.0, 1.5, -2.0, np.nan, np.inf], np.float32),
+                            out.shape)
+            for _ in range(2):
+                dx = pool.backward(dy)
+                np.testing.assert_array_equal(bits(dx), bits(put_along_axis_pool_backward(pool,
+                                                                                          dy)))
+                np.testing.assert_array_equal(pool.argmax, argmax)
+
+    def test_flat_parameter_adam_across_restore_and_freeze(self):
+        # the parameters live in Adam's flat buffer: updated in one
+        # subtraction, written through by restore, and read through
+        # named_tensors, snapshot and the model file
+        def make():
+            model = sleepnet.build_model(sleepnet.ModelConfig())
+            model.heads[1].bn.frozen = model.trunk[0].frozen = True
+            return model
+        model, ref = make(), make()
+        frozen = model.heads[1].bn.params["gamma"]
+        adam, state, lr = Adam(model.param_layers(), 0.01), {}, 0.01
+        assert model.heads[1].bn.params["gamma"] is frozen
+        start, ref_start = model.snapshot(), ref.snapshot()
+        rng = np.random.default_rng(90)
+        for step in range(8):
+            set_random_grads(rng, model.param_layers(), ref.param_layers())
+            adam.step()
+            reference_adam_step(state, lr, ref.param_layers())
+            if step == 3:
+                model.restore(start)
+                ref.restore(ref_start)
+            assert_same_params(model.param_layers(), ref.param_layers())
+            assert sleepnet._encode(model) == sleepnet._encode(ref)
+        np.testing.assert_array_equal(bits(frozen), bits(dict(start)["head1.bn.gamma"]))
+
+    @pytest.mark.parametrize("n", [29, 30, 31, 32, 33, 61])
+    def test_make_windows(self, n):
+        rng = np.random.default_rng(n)
+        cases = [np.zeros(n), np.ones(n), np.full(n, -1), rng.choice([-1, 0, 1], n),
+                 np.repeat([0, 1], n)[::2][:n]]
+        # the final minute's two epochs disagree, or one is unlabeled
+        for a, b in ((0, 1), (1, 0), (-1, 1), (1, -1), (-1, -1)):
+            labels = np.ones(n)
+            labels[-2:] = a, b
+            cases.append(labels)
+        for labels in cases:
+            series = window_series(n, labels)
+            if n < 30:
+                with pytest.warns(UserWarning, match="shorter than one"):
+                    assert datapipe.make_windows(series) == []
+            else:
+                assert_same_windows(datapipe.make_windows(series), old_make_windows(series))
+
+    @pytest.mark.parametrize("context_hours", [-1.0, 0, 0.25, 1, 1.5, float("inf")])
+    def test_build_training_set_and_apply_normalizer(self, context_hours):
+        rng = np.random.default_rng(100)
+        labels = np.resize(np.repeat(rng.choice([0, 1], 60), rng.integers(2, 40, 60)), 960)
+        labels[rng.integers(0, 960, 40)] = -1
+        night = window_series(960, labels, start=22 * 3600, seed=1)
+        # a record with its transitions from the labels, one from a sidecar
+        # (one transition far off, one before the record), one without any
+        flat = window_series(200, np.ones(200), start=10 ** 6, seed=2)
+        sidecar = window_series(300, np.repeat([0, 1, 0], 100), start=5 * 10 ** 6, seed=3,
+                                transitions=[("sleep_onset", 5 * 10 ** 6 + 3000),
+                                             ("wake_time", 5 * 10 ** 6 - 7200)])
+        for records in ([night], [night, flat, sidecar], [flat, sidecar]):
+            got = datapipe.build_training_set(records, context_hours=context_hours, seed=4)
+            want = old_build_training_set(records, context_hours, seed=4)
+            assert_same_windows(got, want)
+            stats = datapipe.fit_normalizer(want)
+            assert_same_windows([datapipe.apply_normalizer(w, stats) for w in got],
+                                [replace(w, values=datapipe.zscore(w.values, stats),
+                                         normalized=True) for w in want])
+        with pytest.raises(ValueError, match="no transitions"):
+            datapipe.build_training_set([flat], context_hours=context_hours)
 
 
 

@@ -747,7 +747,8 @@ class TestPersistence:
                    "four-norm-stats": "norm_stats need 5 finite means",
                    "pool-width-true": "pool_width must be an int, got True",
                    "mixed-fc-width": "heads differ in fc_width",
-                   "float64-dtype": "float32 only"}
+                   "float64-dtype": "float32 only",
+                   "aux-weight-inf": "aux_loss_weight must be finite"}
         with pytest.raises(ModelFormatError,
                            match=message.get(case, "not what save_model writes")):
             load_model(path)

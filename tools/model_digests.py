@@ -5,12 +5,19 @@ probabilities that `infer_hypnogram` gives with that model on each of the
 three nights.
 
     PYTHONPATH=src python tools/model_digests.py
+    PYTHONPATH=src python tools/model_digests.py --write
 
 In a temporary directory it synthesizes three nights (seeds 1-3) and runs
 four `train` and two `finetune` commands through `somnoflow.cli.run`. A
 change meant to keep training or scoring bit for bit should print the same
 lines as its parent: run the script on both checkouts and diff the two
 outputs.
+
+--write puts the lines in tests/golden/model_digests.txt instead, after
+`# ` lines naming the build that made them: numpy version, BLAS and CPU
+model. Bits are defined per build, so tests/test_golden.py compares the
+file with a fresh run on that build only. A change that moves the bits on
+purpose rewrites the file and lists each old and new line.
 """
 
 import contextlib
@@ -21,11 +28,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from somnoflow.cli import run
 from somnoflow.datapipe import ingest_epochs
 from somnoflow.sleepnet import infer_hypnogram, load_model
 
 NIGHT_SEEDS = (1, 2, 3)
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden" / "model_digests.txt"
 
 
 def commands(d):
@@ -63,8 +73,25 @@ def _run(argv):
         sys.exit(f"somnoflow {' '.join(argv)} exited {code}")
 
 
-def main():
-    os.environ.pop("SOMNOFLOW_SEED", None)  # the seeds are the commands' own
+def build_lines():
+    """`# ` lines naming this build: numpy version, BLAS name and version,
+    CPU model."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    cpu = "unknown"
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as fh:
+        cpu = next((line.split(":", 1)[1].strip() for line in fh
+                    if line.startswith("model name")), cpu)
+    return [f"# numpy {np.__version__}", f"# blas {blas}", f"# cpu {cpu}"]
+
+
+def digest_lines():
+    """The two lines of each run, in run order. The caller's SOMNOFLOW_SEED
+    must be unset: the seeds are the commands' own."""
+    out = []
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for seed in NIGHT_SEEDS:
@@ -72,11 +99,25 @@ def main():
         nights = [ingest_epochs(str(d / f"night{seed}.csv")) for seed in NIGHT_SEEDS]
         for name, argv in commands(d):
             _run(argv)
-            print(name, hashlib.sha256((d / name).read_bytes()).hexdigest(), flush=True)
+            out.append(f"{name} {hashlib.sha256((d / name).read_bytes()).hexdigest()}")
             model, scores = load_model(d / name), hashlib.sha256()
             for night in nights:
                 scores.update(infer_hypnogram(model, night).probs.astype("<f8").tobytes())
-            print(name, "scores", scores.hexdigest(), flush=True)
+            out.append(f"{name} scores {scores.hexdigest()}")
+    return out
+
+
+def main():
+    os.environ.pop("SOMNOFLOW_SEED", None)
+    lines = digest_lines()
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text("\n".join(build_lines() + lines) + "\n")
+        print(f"wrote {GOLDEN}")
+    elif sys.argv[1:]:
+        sys.exit("usage: model_digests.py [--write]")
+    else:
+        print("\n".join(lines))
 
 
 if __name__ == "__main__":
