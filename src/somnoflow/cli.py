@@ -400,14 +400,6 @@ def _connection_lines(recv):
         yield line.decode(errors="surrogateescape")
 
 
-def _serve_connection(model, rules, conn):
-    """Serve one client on a connected socket: its lines as
-    `_connection_lines` splits them, each line's frames sent as soon as
-    they are made."""
-    _serve_lines(model, rules, _connection_lines(conn.recv),
-                 lambda frames: conn.sendall(frames.encode()))
-
-
 def _cmd_serve(args):
     if args.port is not None and not 0 <= args.port <= 65535:
         raise ValueError(f"--port must be in 0-65535, got {args.port}")
@@ -428,7 +420,8 @@ def _cmd_serve(args):
         while True:
             conn, _ = srv.accept()
             with conn:
-                _serve_connection(model, rules, conn)
+                _serve_lines(model, rules, _connection_lines(conn.recv),
+                             lambda frames: conn.sendall(frames.encode()))
     except KeyboardInterrupt:
         return 0
     finally:

@@ -187,21 +187,6 @@ def _label_value(field):
     return label if label in (0, 1) else None
 
 
-def _parse_row(row, row_no, has_label):
-    """Raise the IngestError for the first of one row's own faults: fields
-    that do not parse, a timestamp outside int64, invalid vitals, a bad
-    label. The 30 s step is checked across rows, by `_step_error`."""
-    try:
-        ts, hr, br, hr_conf, movement = parse_record(row)
-    except ValueError as exc:
-        raise IngestError(f"row {row_no}: unparseable values: {clipped_repr(row)}") from exc
-    error = timestamp_error(ts) or vitals_error(hr, br, hr_conf, movement)
-    if error is not None:
-        raise IngestError(f"row {row_no}: {error}")
-    if has_label and len(row) > 5 and _label_value(row[5]) is None:
-        raise IngestError(f"row {row_no}: label must be 0 or 1, got {clipped_repr(row[5])}")
-
-
 def _step_error(ts, prev_ts):
     """Why the step from prev_ts to ts is not one epoch."""
     step = ts - prev_ts
@@ -235,8 +220,10 @@ def ingest_epochs(source):
     order raises an IngestError naming it.
 
     The file is parsed by columns: each column is converted with one float()
-    pass and checked with array ops; only the row that fails is re-read,
-    by `_parse_row`, to word its error.
+    pass and checked with array ops, and the first bad row's error is worded
+    from those columns as the one-row checks word it: unparseable fields (a
+    non-finite timestamp too, as in `parse_record`), then `timestamp_error`,
+    `vitals_error`, the label and `_step_error`.
     """
     with open_text(source) as fh:
         lines = record_lines(fh.read())
@@ -277,8 +264,15 @@ def ingest_epochs(source):
     first = n if ok.all() else int(np.argmin(ok))
     if first < len(body):
         row_no = [no for no, line in enumerate(lines[1:], start=2) if line][first]
-        _parse_row(body[first].split(","), row_no, has_label)
-        raise IngestError(f"row {row_no}: {_step_error(int(ts[first]), int(ts[first - 1]))}")
+        if first == n or not np.isfinite(t[first]):
+            raise IngestError(f"row {row_no}: unparseable values: "
+                              f"{clipped_repr(body[first].split(','))}")
+        error = timestamp_error(int(t[first])) or vitals_error(
+            *(v[first].item() for v in (hr, br, hr_conf, movement)))
+        if error is None:
+            error = (f"label must be 0 or 1, got {clipped_repr(cols[5][first])}"
+                     if labels[first] == -2 else _step_error(int(ts[first]), int(ts[first - 1])))
+        raise IngestError(f"row {row_no}: {error}")
     return EpochSeries(timestamps=ts, hr=hr, br=br, hr_conf=hr_conf, movement=movement,
                        hr_diff=compute_hr_diff(hr), labels=labels)
 

@@ -108,19 +108,17 @@ class EventMatchResult:
 def match_events(pred, truth, tolerance_min=DEFAULT_TOLERANCE_MIN):
     """Greedy nearest-first matching of predicted events to truth, per kind.
 
-    pred: a SleepEvents or (kind, timestamp) pairs.
+    pred: a SleepEvents.
     truth: (kind, timestamp) pairs. A pair within the tolerance is a TP;
     unmatched predictions are FPs, unmatched truths FNs. A tolerance that is
     not a finite number of minutes >= 0 is a ValueError.
     """
     if not 0 <= tolerance_min < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0 minutes, got {tolerance_min}")
-    if hasattr(pred, "sleep_onset"):
-        pred = pred.pairs()
     result = EventMatchResult()
     tol_s = tolerance_min * 60.0
     for kind in EVENT_KINDS:
-        p_ts = [ts for k, ts in pred if k == kind]
+        p_ts = [ts for k, ts in pred.pairs() if k == kind]
         t_ts = [ts for k, ts in truth if k == kind]
         counts = ConfusionCounts()
         cand = sorted(

@@ -218,7 +218,6 @@ class _Head:
         self.fc1 = Dense(f"{name}.fc1", self.flat_size, cfg.fc_width, rng=rng, dtype=dtype)
         self.relu2 = ReLU(f"{name}.relu2")
         self.fc2 = Dense(f"{name}.fc2", cfg.fc_width, 1, rng=rng, dtype=dtype)
-        self._pre_flat_shape = None
 
     def param_layers(self):
         return [self.conv, self.bn, self.fc1, self.fc2]
@@ -234,7 +233,6 @@ class _Head:
         """The per-window layers: (N, F, pooled_len) C-contiguous pooled
         features -> dropout -> fc1 -> relu -> fc2 -> (N, 1) logit."""
         z = self.dropout.forward(z, train)
-        self._pre_flat_shape = z.shape
         h = self.fc1.forward(z.reshape(z.shape[0], -1), train)
         h = self.relu2.forward(h, train)
         return self.fc2.forward(h, train)
@@ -253,7 +251,7 @@ class _Head:
         dflat = self.fc1.backward(dh)
         if self.conv.frozen and self.bn.frozen:
             return
-        dz = dflat.reshape(self._pre_flat_shape)
+        dz = dflat.reshape(len(dflat), self.conv.out_channels, self.pooled_len)
         dz = self.dropout.backward(dz)
         dz = self.pool.backward(dz)
         dz = self.relu1.backward(dz)
@@ -393,26 +391,20 @@ class SleepNetModel:
     def backward(self, dLdp_final, dLdp_heads):
         """Backward from the losses' gradients wrt the last forward's p_final
         and p_heads, through the trunk and into each head as far down as it
-        has a trainable layer (`_Head.backward`). It stops after the trunk
-        when every head layer is frozen, as fine-tuning freezes them, or
-        when dLdp_heads is None: `_fit` passes None when it has found every
-        head layer frozen, once per fit, since the frozen set is fixed for
-        its Adam's life."""
+        has a trainable layer (`_Head.backward`; a head with every layer
+        frozen takes none). It stops after the trunk when dLdp_heads is
+        None, which `_fit` passes when no head layer trains, as fine-tuning
+        freezes them."""
         p_heads, p_final = self._cache
         dt = (dLdp_final * p_final * (1.0 - p_final))[:, None]
         for layer in reversed(self.trunk):
             dt = layer.backward(dt)
-        if dLdp_heads is None or not self._heads_trainable():
+        if dLdp_heads is None:
             return
         dp_heads = dt + dLdp_heads
         d_head_logits = dp_heads * p_heads * (1.0 - p_heads)
         for i, head in enumerate(self.heads):
             head.backward(d_head_logits[:, i:i + 1])
-
-    def _heads_trainable(self):
-        """Whether a head layer is trainable; all() returns at the first
-        trainable layer: in training, head 0's conv."""
-        return not all(layer.frozen for head in self.heads for layer in head.param_layers())
 
     def set_transfer_freeze(self, include_intermediate_fc=False):
         """Freeze all head parameters; leave the trunk trainable. With
@@ -439,7 +431,7 @@ def _prepare_xy(windows, model):
             raise ValueError("training windows must be normalized")
         if w.label is None:
             raise ValueError("training windows must be labeled")
-    x = np.stack([w.values for w in windows]).astype(model.heads[0].conv.dtype)
+    x = np.stack([w.values for w in windows]).astype(model.heads[0].conv.dtype, copy=False)
     # a NaN or inf would make every loss NaN: a validation set's would keep
     # the last epoch unannounced, a training set's fail Adam's gradient check
     finite = np.isfinite(x.reshape(len(x), -1)).all(axis=1)
@@ -484,9 +476,10 @@ def _epoch_loss(model, x, y, aux_weight):
             int(np.sum((p_final >= 0.5) == y)) / len(x))
 
 
-def _fit(model, forward, y, hyper, aux_weight):
-    """Mini-batch Adam on the objective over the len(y) examples, shuffled
-    each epoch by a generator seeded with hyper.seed: per mini-batch of
+def _fit(model, forward, y, hyper):
+    """Mini-batch Adam on the objective, with the config's aux_loss_weight,
+    over the len(y) examples, shuffled each epoch by a generator seeded
+    with hyper.seed: per mini-batch of
     indices idx, forward(idx) -> (p_final, p_heads), backward, one Adam
     step. Yields each epoch's number, from 1, after its steps."""
     adam = Adam(model.param_layers(), lr=hyper.lr)
@@ -494,7 +487,8 @@ def _fit(model, forward, y, hyper, aux_weight):
     # dtype, as bce_grad casts them, and, since the frozen set is fixed for
     # the Adam's life, whether backward goes past the trunk
     y = y.astype(model.heads[0].conv.dtype)
-    into_heads = model._heads_trainable()
+    into_heads = not all(layer.frozen for head in model.heads for layer in head.param_layers())
+    aux_weight = model.config.aux_loss_weight
     rng = np.random.default_rng(hyper.seed)
     for epoch in range(1, hyper.n_epochs + 1):
         perm = rng.permutation(len(y))
@@ -528,8 +522,7 @@ def train(model, train_windows, val_windows=None, hyper=None):
     t0 = time.perf_counter()
     aux_weight = model.config.aux_loss_weight
     best, best_loss, best_epoch, val_accuracy = None, np.inf, hyper.n_epochs, None
-    for epoch in _fit(model, lambda idx: model.forward_batch(x[idx], train=True), y, hyper,
-                      aux_weight):
+    for epoch in _fit(model, lambda idx: model.forward_batch(x[idx], train=True), y, hyper):
         if x_val is not None:
             v_loss, v_acc = _epoch_loss(model, x_val, y_val, aux_weight)
             if v_loss < best_loss:
@@ -553,9 +546,12 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
     gives the heads' probabilities, or with include_intermediate_fc each
     head's pooled features, and writes nothing to a layer. Each step then
     runs the trainable layers above them on its mini-batch, backward stops
-    at the lowest of them, and Adam updates only those layers. Raises
-    before changing the model on windows that are empty, unlabeled, not
-    normalized or not finite, or of the wrong shape.
+    at the lowest of them, and Adam updates only those layers. The
+    objective is training's, with the config's aux_loss_weight; with every
+    head layer frozen its head terms reach no trainable layer, so `_fit`
+    takes no gradient for them. Raises before changing the model on windows
+    that are empty, unlabeled, not normalized or not finite, or of the
+    wrong shape.
     """
     if not cohort_windows:
         raise ValueError("cohort set is empty")
@@ -566,18 +562,14 @@ def finetune_transfer(model, cohort_windows, hyper=None, include_intermediate_fc
     frozen = model.eval_heads(x, features=include_intermediate_fc)
     model.set_transfer_freeze(include_intermediate_fc)
     if include_intermediate_fc:
-        aux_weight = model.config.aux_loss_weight
-
         def forward(idx):
             return model.fuse([h.classify(z[idx], train=False)
                                for h, z in zip(model.heads, frozen)])
     else:
-        aux_weight = 0.0  # no head layer is trainable
-
         def forward(idx):
             p_heads = frozen[idx]
             return model.trunk_forward(p_heads), p_heads
-    for _ in _fit(model, forward, y, hyper, aux_weight):
+    for _ in _fit(model, forward, y, hyper):
         pass
     return model
 

@@ -20,8 +20,8 @@ from conftest import (HOSTILE_HEADERS, HUGE_FIELD, assert_clipped, corrupt_heade
 from test_datapipe import _fuzz_text
 import somnoflow
 from somnoflow import datapipe, evalkit, sleepnet, stream
-from somnoflow.cli import (_connection_lines, _merge, _rule_config, _serve_connection,
-                           _serve_lines, build_parser, run)
+from somnoflow.cli import (_connection_lines, _merge, _rule_config, _serve_lines,
+                           build_parser, run)
 from somnoflow.datapipe import (CSV_COLUMNS, IngestError, SynthConfig, build_training_set,
                                 ingest_epochs, record_lines)
 from somnoflow.events import EventRuleConfig
@@ -744,7 +744,8 @@ class TestServe:
 
         def serve():  # as _cmd_serve serves an accepted connection
             with server:
-                _serve_connection(model, EventRuleConfig(), server)
+                _serve_lines(model, EventRuleConfig(), _connection_lines(server.recv),
+                             lambda frames: server.sendall(frames.encode()))
 
         thread = threading.Thread(target=serve)
         thread.start()
@@ -815,7 +816,8 @@ class TestServe:
         def serve():
             with server:
                 try:
-                    _serve_connection(model, EventRuleConfig(), server)
+                    _serve_lines(model, EventRuleConfig(), _connection_lines(server.recv),
+                                 lambda frames: server.sendall(frames.encode()))
                 except Exception as exc:
                     raised.append(exc)
 

@@ -10,10 +10,11 @@ from conftest import HUGE_FIELD, assert_clipped
 from somnoflow import datapipe
 from somnoflow.datapipe import (CSV_COLUMNS, EPOCH_SECONDS,
                                 IngestError, SynthConfig, apply_normalizer,
-                                build_training_set, compute_hr_diff,
+                                build_training_set, clipped_repr, compute_hr_diff,
                                 fit_normalizer, ingest_epochs, make_windows,
-                                parse_record, read_transitions, synth_generate,
-                                vitals_error, write_epochs, write_transitions)
+                                parse_record, read_transitions, record_lines,
+                                synth_generate, timestamp_error, vitals_error,
+                                write_epochs, write_transitions)
 
 
 def make_csv(rows, header="timestamp,hr,br,hr_conf,movement"):
@@ -195,6 +196,119 @@ class TestIngestMatchesOracle:
         want = _outcome(oracle_ingest, text)
         assert not isinstance(want, str)
         assert _outcome(ingest_epochs, text) == want
+
+
+def old_parse_row(row, row_no, has_label):
+    """datapipe._parse_row as it was before ingest worded its errors from the
+    columns it had parsed: it re-split and re-parsed the first bad row's
+    text. Raises the IngestError for the first of one row's own faults."""
+    try:
+        ts, hr, br, hr_conf, movement = parse_record(row)
+    except ValueError as exc:
+        raise IngestError(f"row {row_no}: unparseable values: {clipped_repr(row)}") from exc
+    error = timestamp_error(ts) or vitals_error(hr, br, hr_conf, movement)
+    if error is not None:
+        raise IngestError(f"row {row_no}: {error}")
+    if has_label and len(row) > 5 and datapipe._label_value(row[5]) is None:
+        raise IngestError(f"row {row_no}: label must be 0 or 1, got {clipped_repr(row[5])}")
+
+
+def old_row_error(text):
+    """The message of the IngestError that ingest gave with old_parse_row
+    for an epoch CSV text with a good header: the first row in file order
+    that old_parse_row rejects, or whose step from the row before is not
+    30 s, worded by old_parse_row or `_step_error`. None for a text
+    whose rows all pass."""
+    lines = record_lines(text)
+    has_label = lines[0].split(",")[5:6] == ["label"]
+    prev_ts = None
+    for row_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        row = line.split(",")
+        try:
+            old_parse_row(row, row_no, has_label)
+        except IngestError as exc:
+            return str(exc)
+        ts = parse_record(row)[0]
+        if prev_ts is not None and ts - prev_ts != EPOCH_SECONDS:
+            return f"row {row_no}: {datapipe._step_error(ts, prev_ts)}"
+        prev_ts = ts
+    return None
+
+
+def _with_field(column, value, label=""):
+    """Rows 0 and 30 s, then a row at 60 s whose field `column` is value."""
+    fields = ["60", "60", "14", "0.9", "0.1"] + [label] * bool(label)
+    fields[column] = value
+    return ["0,60,14,0.9,0.1", "30,60,14,0.9,0.1", ",".join(fields)]
+
+
+_LABELED = "timestamp,hr,br,hr_conf,movement,label"
+_WORDING_CASES = {
+    "short row": (["0,60,14,0.9,0.1", "30,60,14"], None),
+    "quoted field": (["0,60,14,0.9,0.1", '30,"60",14,0.9,0.1'], None),
+    "unparseable row of 8 fields": (["0,60,14,0.9,0.1", "30,x,14,0.9,0.1,1,2,3"], None),
+    **{f"timestamp {v}": (_with_field(0, v), None)
+       for v in ["inf", "-inf", "nan", "1e999",
+                 "9223372036854775808", "-9223372036854775808", "9223372036854775807",
+                 "9223372036854779904", "1e19", "-1e19"]},
+    **{f"{name} {v}": (_with_field(column, v), None)
+       for column, name in enumerate(CSV_COLUMNS[1:], start=1)
+       for v in ["nan", "inf", "-inf", "-1"]},
+    "hr_conf 1.5": (_with_field(3, "1.5"), None),
+    "hr_conf one ulp above 1": (_with_field(3, "1.0000000000000002"), None),
+    "label 2": (_with_field(5, "2", label="1"), _LABELED),
+    "label x": (_with_field(5, "x", label="1"), _LABELED),
+    "label x on a row of 8 fields": (
+        ["0,60,14,0.9,0.1,1", "30,60,14,0.9,0.1,x,1,0"], _LABELED),
+    "a sixth field x on an unlabeled file, then a gap": (
+        ["0,60,14,0.9,0.1,x", "60,60,14,0.9,0.1"], None),
+    "gap": (["0,60,14,0.9,0.1", "30,60,14,0.9,0.1", "120,60,14,0.9,0.1"], None),
+    "non-monotonic": (["0,60,14,0.9,0.1", "30,60,14,0.9,0.1", "30,60,14,0.9,0.1"], None),
+    "off grid": (["0,60,14,0.9,0.1", "30,60,14,0.9,0.1", "75,60,14,0.9,0.1"], None),
+    "gap and bad hr_conf": (["0,60,14,0.9,0.1", "90,60,14,1.5,0.1"], None),
+    "bad hr and bad label": (["0,60,14,0.9,0.1,1", "30,-1,14,0.9,0.1,x"], _LABELED),
+    "out-of-range timestamp and nan br": (["0,60,14,0.9,0.1", "1e19,60,nan,0.9,0.1"], None),
+    "bad label and gap": (["0,60,14,0.9,0.1,1", "", "90,60,14,0.9,0.1,2"], _LABELED),
+    "fault on the first data row": (["0,-1,14,0.9,0.1", "30,60,14,0.9,0.1"], None),
+    "unparseable first data row": (["x,60,14,0.9,0.1"], None),
+}
+
+
+class TestIngestErrorWording:
+    """ingest_epochs words the first bad row's error from the columns it
+    parsed; the message must be the one old_row_error gives, whole."""
+
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("case", list(_WORDING_CASES))
+    def test_message_equals_old_message(self, case, crlf):
+        rows, header = _WORDING_CASES[case]
+        text = make_csv(rows, header=header or "timestamp,hr,br,hr_conf,movement").getvalue()
+        text = text.replace("\n", "\r\n" if crlf else "\n")
+        want = old_row_error(text)
+        assert want is not None
+        with pytest.raises(IngestError) as info:
+            ingest_epochs(io.StringIO(text))
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("rows, header, want", [
+        (_with_field(3, "1.0000000000000002"), None,
+         "row 4: hr_conf 1.0000000000000002 outside [0,1]"),
+        (_with_field(0, "nan"), None,
+         "row 4: unparseable values: ['nan', '60', '14', '0.9', '0.1']"),
+        (_with_field(0, "9223372036854775807"), None,
+         "row 4: timestamp 9223372036854775808 out of range"),
+        (["0,60,14,0.9,0.1,1", "30,60,14,0.9,0.1,x,1,0"], _LABELED,
+         "row 3: label must be 0 or 1, got 'x'"),
+        (["0,60,14,0.9,0.1,1", "30,-1,14,0.9,0.1,x"], _LABELED,
+         "row 3: hr and br must be non-negative"),
+    ])
+    def test_message_by_hand(self, rows, header, want):
+        src = make_csv(rows, header=header or "timestamp,hr,br,hr_conf,movement")
+        with pytest.raises(IngestError) as info:
+            ingest_epochs(src)
+        assert str(info.value) == want
 
 
 class TestIngest:

@@ -135,20 +135,25 @@ class TestMatchEvents:
         assert res.per_kind["wake_time"].tp == 0
 
     def test_swap_symmetry(self):
-        pred = [("sleep_onset", 0), ("sleep_onset", 100000)]
-        truth = [("sleep_onset", 120)]
-        fwd = match_events(pred, truth)
-        rev = match_events(truth, pred)
-        a, b = fwd.per_kind["sleep_onset"], rev.per_kind["sleep_onset"]
-        assert (a.tp, a.fp, a.fn) == (b.tp, b.fn, b.fp)
+        # swapping prediction and truth swaps FP and FN: the onsets match,
+        # the wake times are too far apart
+        pred = SleepEvents(sleep_onset=0, wake_time=100000)
+        truth = SleepEvents(sleep_onset=120, wake_time=30000)
+        fwd = match_events(pred, truth.pairs())
+        rev = match_events(truth, pred.pairs())
+        for kind in ("sleep_onset", "wake_time"):
+            a, b = fwd.per_kind[kind], rev.per_kind[kind]
+            assert (a.tp, a.fp, a.fn) == (b.tp, b.fn, b.fp)
+        assert [(c.tp, c.fp, c.fn) for c in fwd.per_kind.values()] == [(1, 0, 0), (0, 1, 1)]
 
     def test_greedy_nearest_first(self):
-        pred = [("sleep_onset", 300), ("sleep_onset", 500)]
-        truth = [("sleep_onset", 480), ("sleep_onset", 0)]
-        res = match_events(pred, truth)
-        # 500 pairs with 480 (delta 20 s), 300 with 0 (delta 300 s)
-        matched = {(p, t) for _, p, t, _ in res.matched}
-        assert matched == {(500, 480), (300, 0)}
+        # both truths are within the tolerance; 500 pairs with 480 (delta
+        # 20 s), the nearer, and 0 (delta 500 s) is left unmatched
+        res = match_events(SleepEvents(sleep_onset=500),
+                           [("sleep_onset", 0), ("sleep_onset", 480)])
+        assert res.matched == [("sleep_onset", 500, 480, 20 / 60.0)]
+        c = res.per_kind["sleep_onset"]
+        assert (c.tp, c.fp, c.fn) == (1, 0, 1)
 
 
 class TestAggregate:

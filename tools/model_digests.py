@@ -15,15 +15,23 @@ outputs.
 
 --write puts the lines in tests/golden/model_digests.txt instead, after
 `# ` lines naming the build that made them: numpy version, BLAS and CPU
-model. Bits are defined per build, so tests/test_golden.py compares the
-file with a fresh run on that build only. A change that moves the bits on
-purpose rewrites the file and lists each old and new line.
+model. It also writes two more golden files from the same runs:
+- train_transcript.txt, the stdout of the first run, which is the README's
+  `train` command, with its wall time and model path masked;
+- serve_frames.txt, the bytes that `somnoflow serve --model train.slpn`
+  writes for `serve_input` of the record `synth --seed 4 --hours 3
+  --single-sleep-period`.
+Bits are defined per build, so tests/test_golden.py compares the files with
+a fresh run only on the build that model_digests.txt names. A change that
+moves the bits on purpose rewrites the files and lists each old and new
+line.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -31,11 +39,15 @@ from pathlib import Path
 import numpy as np
 
 from somnoflow.cli import run
-from somnoflow.datapipe import ingest_epochs
+from somnoflow.datapipe import ingest_epochs, record_lines
 from somnoflow.sleepnet import infer_hypnogram, load_model
 
 NIGHT_SEEDS = (1, 2, 3)
-GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden" / "model_digests.txt"
+SERVE_ARGS = ("--seed", "4", "--hours", "3", "--single-sleep-period")
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
+GOLDEN = GOLDEN_DIR / "model_digests.txt"
+TRANSCRIPT = GOLDEN_DIR / "train_transcript.txt"
+SERVE_FRAMES = GOLDEN_DIR / "serve_frames.txt"
 
 
 def commands(d):
@@ -62,15 +74,50 @@ def commands(d):
     ]
 
 
-def _run(argv):
-    """cli.run(argv) with its report held back, since it holds wall times;
-    shown, and the script ended, if the run fails."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = run(argv)
+def _run(argv, stdin=b""):
+    """The stdout of cli.run(argv) with the bytes stdin on its stdin; shown,
+    and the script ended, if the run fails."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
     if code != 0:
         sys.stderr.write(out.getvalue())
         sys.exit(f"somnoflow {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def masked(transcript):
+    """The lines of a `train` report with the parts that vary from run to
+    run masked: the wall time as `in <t>s` and the model path as
+    `written to <model>`."""
+    text = re.sub(r" in [0-9.]+s ", " in <t>s ", transcript)
+    return re.sub(r" written to .*", " written to <model>", text).splitlines()
+
+
+def serve_input(csv_text):
+    """The bytes a client sends `serve` for a record's CSV text: every line,
+    the header first, which the stream answers as a malformed line. The
+    lines end with \\n, \\r and \\r\\n in turn, and after data rows 50, 100,
+    150, 200 and 250 comes one hostile line each: a truncated record, the
+    next record 30 s late (a gap of one epoch), the next record with a NaN
+    heart rate, a byte that is not UTF-8, and a blank line. Each hostile line
+    gets an `err,` frame, or none when blank, and the stream goes on."""
+    lines = [line.encode() for line in record_lines(csv_text)]
+    out = []
+    for i, line in enumerate(lines):
+        out.append(line + (b"\n", b"\r", b"\r\n")[i % 3])
+        if i + 1 < len(lines) and i in (50, 100, 150, 200, 250):
+            ts, hr, *rest = lines[i + 1].split(b",")
+            out.append({50: b",".join([ts, hr]),
+                        100: b",".join([str(int(ts) + 30).encode(), hr, *rest]),
+                        150: b",".join([ts, b"nan", *rest]),
+                        200: ts + b",\xff",
+                        250: b""}[i] + b"\n")
+    return b"".join(out)
 
 
 def build_lines():
@@ -88,34 +135,42 @@ def build_lines():
     return [f"# numpy {np.__version__}", f"# blas {blas}", f"# cpu {cpu}"]
 
 
-def digest_lines():
-    """The two lines of each run, in run order. The caller's SOMNOFLOW_SEED
-    must be unset: the seeds are the commands' own."""
-    out = []
+def golden_outputs():
+    """(digest lines, masked train transcript lines, serve frame bytes) of
+    the runs: the two digest lines of each run in run order, the first
+    run's stdout, and what `serve` writes with its model. The caller's
+    SOMNOFLOW_SEED must be unset: the seeds are the commands' own."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for seed in NIGHT_SEEDS:
             _run(["synth", "--seed", str(seed), "--out", str(d / f"night{seed}.csv")])
         nights = [ingest_epochs(str(d / f"night{seed}.csv")) for seed in NIGHT_SEEDS]
+        transcripts = []
         for name, argv in commands(d):
-            _run(argv)
-            out.append(f"{name} {hashlib.sha256((d / name).read_bytes()).hexdigest()}")
+            transcripts.append(_run(argv))
+            lines.append(f"{name} {hashlib.sha256((d / name).read_bytes()).hexdigest()}")
             model, scores = load_model(d / name), hashlib.sha256()
             for night in nights:
                 scores.update(infer_hypnogram(model, night).probs.astype("<f8").tobytes())
-            out.append(f"{name} scores {scores.hexdigest()}")
-    return out
+            lines.append(f"{name} scores {scores.hexdigest()}")
+        _run(["synth", *SERVE_ARGS, "--out", str(d / "serve.csv")])
+        frames = _run(["serve", "--model", str(d / "train.slpn")],
+                      serve_input((d / "serve.csv").read_text()))
+    return lines, masked(transcripts[0]), frames.encode()
 
 
 def main():
     os.environ.pop("SOMNOFLOW_SEED", None)
-    lines = digest_lines()
-    if sys.argv[1:] == ["--write"]:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text("\n".join(build_lines() + lines) + "\n")
-        print(f"wrote {GOLDEN}")
-    elif sys.argv[1:]:
+    if sys.argv[1:] not in ([], ["--write"]):
         sys.exit("usage: model_digests.py [--write]")
+    lines, transcript, frames = golden_outputs()
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        GOLDEN.write_text("\n".join(build_lines() + lines) + "\n")
+        TRANSCRIPT.write_text("\n".join(transcript) + "\n")
+        SERVE_FRAMES.write_bytes(frames)
+        print(f"wrote {GOLDEN}, {TRANSCRIPT.name} and {SERVE_FRAMES.name}")
     else:
         print("\n".join(lines))
 
