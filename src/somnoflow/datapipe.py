@@ -458,6 +458,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.hours < 1.0:
             raise ValueError(f"record length must be >= 1 h, got {self.hours}")
+        if not math.isfinite(self.hours * 3600 / EPOCH_SECONDS):
+            raise ValueError(f"hours gives an epoch count that is not finite, got {self.hours}")
         if self.mean_sleep_min <= 0 or self.mean_wake_min <= 0:
             raise ValueError("bout durations must be positive")
         if self.transition_blur_min < 0:
@@ -473,20 +475,25 @@ def synth_generate(config):
     config.validate()
     rng = np.random.default_rng(config.seed)
     n_epochs = int(round(config.hours * 3600 / EPOCH_SECONDS))
+    blur_epochs = int(round(min(config.transition_blur_min * EPOCHS_PER_MINUTE, n_epochs + 1)))
+    if blur_epochs > n_epochs:
+        raise ValueError(f"transition_blur_min {config.transition_blur_min} is wider "
+                         f"than the record of {n_epochs} epochs")
 
-    def draw_minutes(mean):
+    def draw_epochs(mean):
+        # a bout past the record's end ends there either way; clamped before it
+        # is rounded, an overflowing draw keeps the labels and the random stream
         mu = math.log(mean) - 0.5 * config.duration_sigma ** 2
-        return float(rng.lognormal(mu, config.duration_sigma))
+        minutes = float(rng.lognormal(mu, config.duration_sigma))
+        return max(2, int(round(min(minutes * EPOCHS_PER_MINUTE, n_epochs))))
 
     labels = np.empty(n_epochs, dtype=np.int64)
     transitions = []
     if config.single_sleep_period:
         # one main sleep period: wake, sleep, trailing wake (the event rules'
         # scope); the sleep bout is clamped to keep a wake tail on the record
-        wake_epochs = max(2, int(round(draw_minutes(config.mean_wake_min)
-                                       * EPOCHS_PER_MINUTE)))
-        sleep_epochs = max(2, int(round(draw_minutes(config.mean_sleep_min)
-                                        * EPOCHS_PER_MINUTE)))
+        wake_epochs = draw_epochs(config.mean_wake_min)
+        sleep_epochs = draw_epochs(config.mean_sleep_min)
         tail = int(round(MIN_TAIL_MIN * EPOCHS_PER_MINUTE))
         sleep_epochs = min(sleep_epochs, n_epochs - wake_epochs - tail)
         if sleep_epochs < 2:
@@ -503,7 +510,7 @@ def synth_generate(config):
         state = 0  # start awake
         while pos < n_epochs:
             mean = config.mean_sleep_min if state == 1 else config.mean_wake_min
-            dur = max(2, int(round(draw_minutes(mean) * EPOCHS_PER_MINUTE)))
+            dur = draw_epochs(mean)
             end = min(pos + dur, n_epochs)
             labels[pos:end] = state
             if pos > 0:
@@ -515,7 +522,6 @@ def synth_generate(config):
     # sleep-weight per epoch; a moving average of the label step turns each
     # transition into a linear ramp of transition_blur_min minutes
     w = labels.astype(np.float64)
-    blur_epochs = int(round(config.transition_blur_min * EPOCHS_PER_MINUTE))
     if blur_epochs > 1:
         kernel = np.ones(blur_epochs) / blur_epochs
         w = np.convolve(w, kernel, mode="same")

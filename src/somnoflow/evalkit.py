@@ -106,35 +106,28 @@ class EventMatchResult:
 
 
 def match_events(pred, truth, tolerance_min=DEFAULT_TOLERANCE_MIN):
-    """Greedy nearest-first matching of predicted events to truth, per kind.
+    """Match each predicted event to its nearest truth of the same kind.
 
-    pred: a SleepEvents.
-    truth: (kind, timestamp) pairs. A pair within the tolerance is a TP;
-    unmatched predictions are FPs, unmatched truths FNs. A tolerance that is
-    not a finite number of minutes >= 0 is a ValueError.
+    pred: a SleepEvents, at most one event per kind.
+    truth: (kind, timestamp) pairs. A prediction whose nearest truth (the
+    first listed of equally near ones) lies within the tolerance is a TP;
+    a prediction with no truth in range is an FP, and each unmatched truth
+    an FN. A tolerance that is not a finite number of minutes >= 0 is a
+    ValueError.
     """
     if not 0 <= tolerance_min < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0 minutes, got {tolerance_min}")
     result = EventMatchResult()
     tol_s = tolerance_min * 60.0
     for kind in EVENT_KINDS:
-        p_ts = [ts for k, ts in pred.pairs() if k == kind]
+        pt = getattr(pred, kind)
         t_ts = [ts for k, ts in truth if k == kind]
-        counts = ConfusionCounts()
-        cand = sorted(
-            ((abs(pt - tt), i, j) for i, pt in enumerate(p_ts) for j, tt in enumerate(t_ts)),
-            key=lambda c: (c[0], c[1], c[2]))
-        used_p, used_t = set(), set()
-        for delta, i, j in cand:
-            if delta > tol_s or i in used_p or j in used_t:
-                continue
-            used_p.add(i)
-            used_t.add(j)
-            counts.tp += 1
-            result.matched.append((kind, p_ts[i], t_ts[j], (p_ts[i] - t_ts[j]) / 60.0))
-        counts.fp = len(p_ts) - len(used_p)
-        counts.fn = len(t_ts) - len(used_t)
-        result.per_kind[kind] = counts
+        tt = None if pt is None else min(t_ts, key=lambda ts: abs(pt - ts), default=None)
+        tp = int(tt is not None and abs(pt - tt) <= tol_s)
+        if tp:
+            result.matched.append((kind, pt, tt, (pt - tt) / 60.0))
+        result.per_kind[kind] = ConfusionCounts(tp=tp, fp=int(pt is not None) - tp,
+                                                fn=len(t_ts) - tp)
     return result
 
 

@@ -326,7 +326,7 @@ class SleepNetModel:
     def forward_batch(self, x, train=False):
         """x: (N, 5, 30) normalized. Returns (p_final (N,), p_heads (N, H))."""
         x = self.check_input(x)
-        return self.fuse([h.forward(x, train) for h in self.heads], train)
+        return self.fuse([h.forward(x, train) for h in self.heads])
 
     def eval_heads(self, x, features=False):
         """The heads in eval mode over windows x (N, 5, 30), INFER_CHUNK at a
@@ -374,16 +374,16 @@ class SleepNetModel:
                              f"{self.config.window_epochs}) input, got {x.shape}")
         return x
 
-    def fuse(self, logits, train=False):
+    def fuse(self, logits):
         """The trunk over the heads' (N, 1) logits: (p_final (N,), p_heads (N, H))."""
         p_heads = sigmoid(np.concatenate(logits, axis=1))
-        return self.trunk_forward(p_heads, train), p_heads
+        return self.trunk_forward(p_heads), p_heads
 
-    def trunk_forward(self, p_heads, train=False):
+    def trunk_forward(self, p_heads):
         """The trunk over the heads' (N, H) probabilities: p_final (N,)."""
         t = p_heads
         for layer in self.trunk:
-            t = layer.forward(t, train)
+            t = layer.forward(t)
         p_final = sigmoid(t[:, 0])
         self._cache = (p_heads, p_final)
         return p_final

@@ -80,6 +80,43 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, error", [
+        # a huge --hours is rejected by SynthConfig.validate, before anything
+        # is allocated; the others come with a record of one hour
+        (["--hours", "1e308"], "hours gives an epoch count that is not finite, got 1e+308"),
+        (["--hours", "1", "--transition-blur-min", "61"],
+         "transition_blur_min 61.0 is wider than the record of 120 epochs"),
+        (["--hours", "1", "--transition-blur-min", "100000"],
+         "transition_blur_min 100000.0 is wider than the record of 120 epochs"),
+        (["--hours", "1", "--transition-blur-min", "1e308"],
+         "transition_blur_min 1e+308 is wider than the record of 120 epochs"),
+        (["--hours", "1", "--single-sleep-period", "--mean-wake-min", "1e308"],
+         "record too short for a single sleep period"),
+    ])
+    def test_synth_rejects_huge_finite_option(self, capsys, tmp_path, argv, error):
+        out = tmp_path / "x.csv"
+        assert run(["synth", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "4", "--mean-sleep-min"],
+        ["--mean-wake-min"],
+        ["--single-sleep-period", "--mean-wake-min", "5", "--mean-sleep-min"],
+    ])
+    def test_synth_bout_longer_than_record_ends_at_its_end(self, capsys, tmp_path, argv):
+        # a mean of 1e308 minutes draws a bout whose epoch count overflows
+        # to inf; it ends at the record's end, as the finite bout of a mean
+        # of 1e200 minutes does, so both write the same bytes
+        written = []
+        for mean in ("1e200", "1e308"):
+            out, truth = tmp_path / f"{mean}.csv", tmp_path / f"{mean}.truth.csv"
+            assert run(["synth", "--hours", "1", *argv, mean, "--out", str(out),
+                        "--truth-out", str(truth)]) == 0
+            written.append((out.read_bytes(), truth.read_bytes()))
+        assert written[0] == written[1]
+        assert capsys.readouterr().err == ""
+
     def test_memory_error_is_exit_1(self, capsys, tmp_path, monkeypatch):
         # what a size too large for the machine gets, e.g. synth --hours 1e7;
         # no test asks for a real huge allocation

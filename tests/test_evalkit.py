@@ -2,9 +2,10 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from somnoflow.evalkit import (ConfusionCounts, MetricReport,
+from somnoflow.datapipe import EVENT_KINDS
+from somnoflow.evalkit import (ConfusionCounts, EventMatchResult, MetricReport,
                                accuracy, aggregate_runs, confusion,
                                emit_plotdata, format_summary, match_events,
                                precision, sensitivity, specificity)
@@ -154,6 +155,55 @@ class TestMatchEvents:
         assert res.matched == [("sleep_onset", 500, 480, 20 / 60.0)]
         c = res.per_kind["sleep_onset"]
         assert (c.tp, c.fp, c.fn) == (1, 0, 1)
+
+
+def old_match_events(pred, truth, tolerance_min=15):
+    """evalkit.match_events as it was while predictions could hold several
+    events of a kind: every (prediction, truth) pair of a kind sorted by
+    distance, then by prediction and truth index, and matched greedily,
+    each prediction and truth at most once."""
+    result = EventMatchResult()
+    tol_s = tolerance_min * 60.0
+    for kind in EVENT_KINDS:
+        p_ts = [ts for k, ts in pred.pairs() if k == kind]
+        t_ts = [ts for k, ts in truth if k == kind]
+        counts = ConfusionCounts()
+        cand = sorted(
+            ((abs(pt - tt), i, j) for i, pt in enumerate(p_ts) for j, tt in enumerate(t_ts)),
+            key=lambda c: (c[0], c[1], c[2]))
+        used_p, used_t = set(), set()
+        for delta, i, j in cand:
+            if delta > tol_s or i in used_p or j in used_t:
+                continue
+            used_p.add(i)
+            used_t.add(j)
+            counts.tp += 1
+            result.matched.append((kind, p_ts[i], t_ts[j], (p_ts[i] - t_ts[j]) / 60.0))
+        counts.fp = len(p_ts) - len(used_p)
+        counts.fn = len(t_ts) - len(used_t)
+        result.per_kind[kind] = counts
+    return result
+
+
+# whole minutes on a short span, so that equal distances and exact matches
+# are common; "nap" is a kind no prediction holds
+_minute_ts = st.integers(0, 30).map(lambda m: 60 * m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(onset=st.none() | _minute_ts, wake=st.none() | _minute_ts,
+       truth=st.lists(st.tuples(st.sampled_from(EVENT_KINDS + ("nap",)), _minute_ts),
+                      max_size=6),
+       tolerance=st.integers(0, 40) | st.floats(0, 1e9))
+@example(onset=600, wake=None, truth=[("sleep_onset", 480), ("sleep_onset", 720)], tolerance=5)
+@example(onset=600, wake=None, truth=[("sleep_onset", 720), ("sleep_onset", 480)], tolerance=5)
+def test_nearest_truth_equals_greedy_matcher(onset, wake, truth, tolerance):
+    # one prediction per kind: its nearest truth, the first listed of
+    # equally near ones, is the pair the greedy all-pairs matcher takes
+    pred = SleepEvents(sleep_onset=onset, wake_time=wake)
+    new, old = match_events(pred, truth, tolerance), old_match_events(pred, truth, tolerance)
+    assert new.per_kind == old.per_kind
+    assert new.matched == old.matched
 
 
 class TestAggregate:

@@ -1,8 +1,9 @@
 """Golden outputs, byte for byte, from `tools/model_digests.py`'s runs: the
 model files and scores of its six CLI runs against
 tests/golden/model_digests.txt, the README's `train` transcript against
-train_transcript.txt, and the frames `serve` writes for a hostile record
-against serve_frames.txt.
+train_transcript.txt, the frames `serve` writes for a hostile record
+against serve_frames.txt, and what `eval` prints for the trained model on
+the nights and their truth events against eval_transcript.txt.
 
 Bits are defined per build (README "Determinism"), so the comparisons with
 a fresh run take place only on the build that model_digests.txt names and
@@ -56,6 +57,10 @@ def test_train_transcript_matches_golden_file(tool, fresh):
 
 def test_serve_frames_match_golden_file(tool, fresh):
     assert fresh[2] == tool.SERVE_FRAMES.read_bytes()
+
+
+def test_eval_transcript_matches_golden_file(tool, fresh):
+    assert fresh[3] == tool.EVAL_TRANSCRIPT.read_text()
 
 
 def test_serve_frames_hold_every_frame_kind(tool):

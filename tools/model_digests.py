@@ -15,12 +15,15 @@ outputs.
 
 --write puts the lines in tests/golden/model_digests.txt instead, after
 `# ` lines naming the build that made them: numpy version, BLAS and CPU
-model. It also writes two more golden files from the same runs:
+model. It also writes three more golden files from the same runs:
 - train_transcript.txt, the stdout of the first run, which is the README's
   `train` command, with its wall time and model path masked;
 - serve_frames.txt, the bytes that `somnoflow serve --model train.slpn`
   writes for `serve_input` of the record `synth --seed 4 --hours 3
-  --single-sleep-period`.
+  --single-sleep-period`;
+- eval_transcript.txt, the stdout of `somnoflow eval --model train.slpn`
+  on the three nights against their truth sidecars (`synth --truth-out`),
+  whose event counts check how predictions are matched to truths.
 Bits are defined per build, so tests/test_golden.py compares the files with
 a fresh run only on the build that model_digests.txt names. A change that
 moves the bits on purpose rewrites the files and lists each old and new
@@ -48,6 +51,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 GOLDEN = GOLDEN_DIR / "model_digests.txt"
 TRANSCRIPT = GOLDEN_DIR / "train_transcript.txt"
 SERVE_FRAMES = GOLDEN_DIR / "serve_frames.txt"
+EVAL_TRANSCRIPT = GOLDEN_DIR / "eval_transcript.txt"
 
 
 def commands(d):
@@ -136,15 +140,18 @@ def build_lines():
 
 
 def golden_outputs():
-    """(digest lines, masked train transcript lines, serve frame bytes) of
-    the runs: the two digest lines of each run in run order, the first
-    run's stdout, and what `serve` writes with its model. The caller's
-    SOMNOFLOW_SEED must be unset: the seeds are the commands' own."""
+    """(digest lines, masked train transcript lines, serve frame bytes, eval
+    transcript) of the runs: the two digest lines of each run in run order,
+    the first run's stdout, what `serve` writes with its model, and what
+    `eval` prints for it on the nights and their truth sidecars. The
+    caller's SOMNOFLOW_SEED must be unset: the seeds are the commands'
+    own."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for seed in NIGHT_SEEDS:
-            _run(["synth", "--seed", str(seed), "--out", str(d / f"night{seed}.csv")])
+            _run(["synth", "--seed", str(seed), "--out", str(d / f"night{seed}.csv"),
+                  "--truth-out", str(d / f"truth{seed}.csv")])
         nights = [ingest_epochs(str(d / f"night{seed}.csv")) for seed in NIGHT_SEEDS]
         transcripts = []
         for name, argv in commands(d):
@@ -157,20 +164,25 @@ def golden_outputs():
         _run(["synth", *SERVE_ARGS, "--out", str(d / "serve.csv")])
         frames = _run(["serve", "--model", str(d / "train.slpn")],
                       serve_input((d / "serve.csv").read_text()))
-    return lines, masked(transcripts[0]), frames.encode()
+        evals = _run(["eval", "--model", str(d / "train.slpn"),
+                      "--data", *[str(d / f"night{seed}.csv") for seed in NIGHT_SEEDS],
+                      "--truth-events", *[str(d / f"truth{seed}.csv") for seed in NIGHT_SEEDS]])
+    return lines, masked(transcripts[0]), frames.encode(), evals
 
 
 def main():
     os.environ.pop("SOMNOFLOW_SEED", None)
     if sys.argv[1:] not in ([], ["--write"]):
         sys.exit("usage: model_digests.py [--write]")
-    lines, transcript, frames = golden_outputs()
+    lines, transcript, frames, evals = golden_outputs()
     if sys.argv[1:] == ["--write"]:
         GOLDEN_DIR.mkdir(exist_ok=True)
         GOLDEN.write_text("\n".join(build_lines() + lines) + "\n")
         TRANSCRIPT.write_text("\n".join(transcript) + "\n")
         SERVE_FRAMES.write_bytes(frames)
-        print(f"wrote {GOLDEN}, {TRANSCRIPT.name} and {SERVE_FRAMES.name}")
+        EVAL_TRANSCRIPT.write_text(evals)
+        print(f"wrote {GOLDEN}, {TRANSCRIPT.name}, {SERVE_FRAMES.name} "
+              f"and {EVAL_TRANSCRIPT.name}")
     else:
         print("\n".join(lines))
 
