@@ -45,14 +45,23 @@ def _read_config_file(path):
     return values
 
 
+def _check_seed(seed, source):
+    """seed, unless it is negative, which numpy's generators reject: then a
+    ValueError that names where it came from."""
+    if seed < 0:
+        raise ValueError(f"{source} must be >= 0, got {seed}")
+    return seed
+
+
 def _env_seed():
     raw = os.environ.get("SOMNOFLOW_SEED")
     if raw is None:
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"SOMNOFLOW_SEED must be an integer, got {raw!r}")
+    return _check_seed(seed, "SOMNOFLOW_SEED")
 
 
 def _cast(action, raw):
@@ -75,7 +84,7 @@ def _merge(args, parser, argv):
     subcommand's defaults and parse argv again, so that argparse lets every
     flag in argv beat them. A key that names no option of any subcommand is
     an error; one of another subcommand is ignored, so one file can serve
-    several."""
+    several. A negative seed is an error naming its source."""
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     env_seed = _env_seed()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -95,8 +104,13 @@ def _merge(args, parser, argv):
             defaults[key] = _cast(actions[key], raw)
         except ValueError as exc:
             raise ValueError(f"config file {args.config}: {key} = {raw!r}: {exc}") from exc
+        if key == "seed":
+            _check_seed(defaults[key], f"config file {args.config}: seed")
     command.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    # the env and file seeds are checked, so a negative one came from argv
+    _check_seed(args.seed, "--seed")
+    return args
 
 
 def _add_common(p):
@@ -143,7 +157,8 @@ def build_parser():
     p.add_argument("--context-hours", type=float, default=datapipe.CONTEXT_HOURS,
                    help="keep windows within this many hours of a transition; 0 keeps all")
     p.add_argument("--single-head", action="store_true",
-                   help="kernel-3 single-head ablation architecture")
+                   help="single-head ablation: one kernel-3 head of 32 filters and fc "
+                        "width 32, the four-head default's parameter budget")
 
     p = sub.add_parser("infer", help="per-minute sleep probabilities for a series")
     _add_common(p)
@@ -225,8 +240,8 @@ def _cmd_train(args):
     tr = [normed[i] for i in perm[n_val:]]
 
     if args.single_head:
-        config = ModelConfig(heads=[sleepnet.HeadConfig(kernel_width=3)], seed=args.seed,
-                             aux_loss_weight=args.aux_weight)
+        head = sleepnet.HeadConfig(kernel_width=3, n_filters=32, fc_width=32)
+        config = ModelConfig(heads=[head], seed=args.seed, aux_loss_weight=args.aux_weight)
     else:
         config = ModelConfig(seed=args.seed, aux_loss_weight=args.aux_weight)
     model = build_model(config)
@@ -420,8 +435,12 @@ def _cmd_serve(args):
         while True:
             conn, _ = srv.accept()
             with conn:
-                _serve_lines(model, rules, _connection_lines(conn.recv),
-                             lambda frames: conn.sendall(frames.encode()))
+                try:
+                    _serve_lines(model, rules, _connection_lines(conn.recv),
+                                 lambda frames: conn.sendall(frames.encode()))
+                except ConnectionError as exc:
+                    # a client that hangs up or resets ends its own connection
+                    print(f"connection ended: {exc}", file=sys.stderr)
     except KeyboardInterrupt:
         return 0
     finally:

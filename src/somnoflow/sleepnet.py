@@ -48,24 +48,15 @@ from .neuralcore import (Adam, BatchNorm1d, ConfigError, Conv1d, Dense, Dropout,
 
 MODEL_MAGIC = b"SLPN"
 MODEL_FORMAT_VERSION = 2
-# windows per chunk in eval_heads. A chunk's temporaries stay small: the
-# largest, the width-11 head's im2col columns, are 280 KB; at 256 windows
-# they were mapped afresh on many calls, and a 2-epoch training run took
-# about 2,000 page faults scoring
-INFER_CHUNK = 64
 # conv positions per tile in RecordScorer; even, so that no pool pair
 # straddles two tiles
 TILE = 32
-# tiles per stacked pass in RecordScorer: a pass's activations, 8 tiles of
-# the default model's 64 channels, are 64 KB; with a whole night's 30 tiles
-# in one pass each batchnorm and relu temporary was 240 KB, and those ops
-# took more than twice as long per tile
-TILES_PER_PASS = 8
-# windows per fc pass in RecordScorer, a multiple of TILE: a pass's fc1
-# input, the windows' overlapping pooled slices, is about 14 times its part
-# of the pooled sequence (460 KB for 128 windows of the default model), and
-# a 24 h record in one pass raised the stream's peak RSS by 8%
-FC_CHUNK = 128
+# windows per eval-mode pass of the heads, a multiple of TILE: eval_heads'
+# chunk, and RecordScorer's fc pass, whose conv pass covers the epochs that
+# fc pass reads. A pass's temporaries stay small: 128 windows' fc1 input,
+# the windows' overlapping pooled slices, is about 460 KB for the default
+# model, and the width-11 head's im2col columns in eval_heads about 563 KB
+PASS_WINDOWS = 128
 FINETUNE_EPOCHS = 5  # finetune_transfer's epochs when it is given no TrainingHyper
 HEADER_KEYS = ("format_version", "config", "frozen", "norm_stats", "manifest", "digest")
 
@@ -329,8 +320,8 @@ class SleepNetModel:
         return self.fuse([h.forward(x, train) for h in self.heads])
 
     def eval_heads(self, x, features=False):
-        """The heads in eval mode over windows x (N, 5, 30), INFER_CHUNK at a
-        time: the (N, H) head probabilities, or with features each head's
+        """The heads in eval mode over windows x (N, 5, 30), PASS_WINDOWS at
+        a time: the (N, H) head probabilities, or with features each head's
         (N, F, pooled_len) pooled features. Bit for bit forward_batch's
         p_heads and `_Head.features` in eval mode, through the `neuralcore`
         functions that the layers call, as RecordScorer runs them, with
@@ -348,8 +339,8 @@ class SleepNetModel:
                 h.conv.params["b"], h.bn.running_mean, bn_inv_std(h.bn.running_var),
                 h.bn.params["gamma"], h.bn.params["beta"]))
             chunks = []
-            for s in range(0, len(x), INFER_CHUNK):
-                y = conv1d(im2col(x[s:s + INFER_CHUNK], h.conv.kernel_width),
+            for s in range(0, len(x), PASS_WINDOWS):
+                y = conv1d(im2col(x[s:s + PASS_WINDOWS], h.conv.kernel_width),
                            h.conv.params["w"], b)
                 # batchnorm's products and sum, in place: gamma * xhat is
                 # xhat * gamma, as IEEE multiplication commutes
@@ -764,15 +755,16 @@ class RecordScorer:
       kernel, so head h's position j is stacked position j with zero
       weights on epochs j + k_h .. j + K - 1. Tile t holds positions
       [t*TILE, (t+1)*TILE), read from epochs [t*TILE, t*TILE + TILE + K - 1);
-      TILES_PER_PASS tiles run per pass. batchnorm and relu act per channel
-      and position on the stack.
+      a pass runs the EPOCHS_PER_MINUTE * PASS_WINDOWS // TILE tiles whose
+      positions one fc pass reads. batchnorm and relu act per channel and
+      position on the stack.
     - maxpool: one call pools the stack's rows into the pooled sequence.
     - fc1 -> relu -> fc2: window w of a head reads pooled positions
       [w*shift, w*shift + pooled_len), shift being the pool strides per
       2-epoch window shift, flattened in (channel, tap) order: im2col order.
       So fc1 is a convolution of the head's pooled rows at stride shift with
       kernel fc1.w reshaped to (fc_width, n_filters, pooled_len), and fc2 a
-      1-tap one. They run in tiles of TILE windows, at most FC_CHUNK windows
+      1-tap one. They run in tiles of TILE windows, PASS_WINDOWS windows
       per pass: one (fc, n_filters * pooled_len) @ (n_filters * pooled_len,
       TILE) product per head and tile, and a (1, fc) @ (fc, TILE) one, all
       heads in one batched matmul. A head's zero-weight taps are trailing
@@ -839,7 +831,7 @@ class RecordScorer:
             return np.empty(0)
         self._pool_tiles()
         logits = np.empty((stop - first, len(self._w1)), self._w.dtype)
-        tiles_per_pass = FC_CHUNK // TILE
+        tiles_per_pass = PASS_WINDOWS // TILE
         for tile in range(first // TILE, -(-stop // TILE), tiles_per_pass):
             start, end = max(first, tile * TILE), min(stop, (tile + tiles_per_pass) * TILE)
             out = self._fc_tiles(tile, -(-(end - tile * TILE) // TILE))
@@ -858,12 +850,13 @@ class RecordScorer:
     def _pool_tiles(self):
         """Run conv -> bn -> relu -> maxpool on the tiles from the one that
         holds the first position not final for the widest kernel to the one
-        that holds the narrowest kernel's newest position, TILES_PER_PASS
-        tiles per pass, and write them to the pooled sequence."""
+        that holds the narrowest kernel's newest position, as many tiles per
+        pass as one fc pass reads, and write them to the pooled sequence."""
         start = self._done // TILE * TILE
         stop = self.n_epochs - self._k_min + 1
-        for first in range(start, stop, TILES_PER_PASS * TILE):
-            n_tiles = min(TILES_PER_PASS, -(-(stop - first) // TILE))
+        tiles_per_pass = EPOCHS_PER_MINUTE * PASS_WINDOWS // TILE
+        for first in range(start, stop, tiles_per_pass * TILE):
+            n_tiles = min(tiles_per_pass, -(-(stop - first) // TILE))
             data, offset = self._epochs.buffer(first, first + n_tiles * TILE + self._k_max - 1)
             rows, cols = data.strides
             # im2col, copied once: entry (tile, feature, tap, l) is epoch

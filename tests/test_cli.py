@@ -6,6 +6,7 @@ import os
 import re
 import select
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -138,6 +139,25 @@ class TestExitCodes:
         assert run(["train", "--help"]) == 0
         assert "--epochs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["synth", "train", "finetune"])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_negative_seed_exits_1_naming_its_source(self, tmp_path, capsys, monkeypatch,
+                                                     command, source):
+        # rejected before any file is read: the required paths do not exist
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *REQUIRED_FLAGS[command]]
+        cfg = tmp_path / "somnoflow.conf"
+        cfg.write_text("seed = -1\n")
+        source_argv, name = {"flag": (["--seed", "-3"], "--seed"),
+                             "config": (["--config", str(cfg)], f"config file {cfg}: seed"),
+                             "env": ([], "SOMNOFLOW_SEED")}[source]
+        if source == "env":
+            monkeypatch.setenv("SOMNOFLOW_SEED", "-1")
+        assert run(argv + source_argv) == 1
+        seed = -3 if source == "flag" else -1
+        assert capsys.readouterr().err == f"error: {name} must be >= 0, got {seed}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["somnoflow.conf"]
+
 
 class TestSynth:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -182,8 +202,9 @@ class TestSynth:
 
 class TestConfigFile:
     def test_config_value_used(self, tmp_path, capsys):
+        # comment and blank lines are skipped
         cfg = tmp_path / "somnoflow.conf"
-        cfg.write_text("seed = 9\nhours = 2\n")
+        cfg.write_text("# a night of two hours\n\nseed = 9\n  \n  # seed 9\nhours = 2\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["synth", "--config", str(cfg), "--out", str(a)]) == 0
         run(["synth", "--seed", "9", "--hours", "2", "--out", str(b)])
@@ -378,6 +399,17 @@ class TestPipelineChain:
                                    TrainingHyper(lr=0.03, n_epochs=kept, seed=1))
         assert report.digest == model.digest()
 
+    def test_single_head_matches_the_default_budget(self, workdir, tmp_path, capsys):
+        # the ablation's one head has about the four-head default's
+        # parameters, as acceptance criterion 4 trains it
+        path = tmp_path / "single.slpn"
+        assert run(["train", "--data", str(workdir / "night0.csv"), "--model", str(path),
+                    "--single-head", "--epochs", "1"]) == 0
+        model = sleepnet.load_model(path)
+        default = sleepnet.build_model(ModelConfig()).param_count()
+        assert len(model.heads) == 1
+        assert abs(model.param_count() - default) <= 0.1 * default
+
     def test_infer_writes_hypnogram(self, workdir, tmp_path, capsys):
         hyp = tmp_path / "hyp.csv"
         assert run(["infer", "--model", str(workdir / "model.slpn"),
@@ -424,7 +456,8 @@ class TestPipelineChain:
     @pytest.mark.parametrize("rows, message", [
         (["60,0.1", "120,nan", "180,0.2"], "row 3: probability nan outside [0,1]"),
         (["60,0.1", "180,0.2", "120,0.3"], "row 3: timestamp 180, expected 120"),
-    ], ids=["nan-probability", "rows-out-of-order"])
+        ([], "error: empty hypnogram file\n"),
+    ], ids=["nan-probability", "rows-out-of-order", "header-only"])
     def test_events_rejects_bad_hypnogram_row(self, tmp_path, capsys, rows, message):
         hyp = tmp_path / "hyp.csv"
         hyp.write_text("timestamp,probability\n" + "\n".join(rows) + "\n")
@@ -444,6 +477,20 @@ class TestPipelineChain:
                      "sleep_onset", "wake_time", "hit-rate"):
             assert word in out
         assert csv_out.read_text().startswith("run_id,accuracy")
+
+    def test_eval_rejects_fewer_truth_events_than_data(self, workdir, capsys):
+        assert run(["eval", "--model", str(workdir / "model.slpn"),
+                    "--data", str(workdir / "night1.csv"), str(workdir / "night2.csv"),
+                    "--truth-events", str(workdir / "truth1.csv")]) == 1
+        assert capsys.readouterr() == ("", "error: --truth-events must match --data in length\n")
+
+    def test_finetune_rejects_model_without_norm_stats(self, workdir, tmp_path, capsys):
+        base, out = tmp_path / "base.slpn", tmp_path / "tuned.slpn"
+        sleepnet.save_model(sleepnet.build_model(ModelConfig()), base)
+        assert run(["finetune", "--model", str(base), "--data", str(workdir / "night2.csv"),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: base model has no normalization statistics\n"
+        assert not out.exists()
 
     def test_finetune_writes_model(self, workdir, tmp_path, capsys):
         out = tmp_path / "tuned.slpn"
@@ -738,7 +785,9 @@ class TestServe:
         # `serve --port 0` names the port the system gave it, and the
         # accept loop serves one client after another, each on a fresh
         # stream: a client gets the bytes that _serve_lines writes for its
-        # lines in-process
+        # lines in-process. A client that closes with frames unread, and
+        # one that resets, end only their own connections, each with one
+        # stderr line
         model = sleepnet.load_model(workdir / "model.slpn")
         records = record_lines((workdir / "night2.csv").read_text())[1:]
         proc = subprocess.Popen(
@@ -752,13 +801,22 @@ class TestServe:
             line = proc.stderr.readline().decode()
             named = re.fullmatch(r"listening on 127\.0\.0\.1:(\d+)\n", line)
             assert named and int(named.group(1)) != 0, line
+            address = ("127.0.0.1", int(named.group(1)))
+            for linger in (False, True):
+                client = socket.create_connection(address, timeout=30)
+                client.sendall("".join(line + "\n" for line in records[:300]).encode())
+                # frames are on the way: close with them unread, or reset
+                assert select.select([client], [], [], 30)[0], "no frame within 30 s"
+                if linger:
+                    client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                      struct.pack("ii", 1, 0))
+                client.close()
             for lines in (records[:200], records[200:300] + ["x"]):
                 text = "".join(line + "\n" for line in lines)
                 want = []
                 _serve_lines(model, EventRuleConfig(), lines, want.append)
                 got = b""
-                with socket.create_connection(("127.0.0.1", int(named.group(1))),
-                                              timeout=30) as client:
+                with socket.create_connection(address, timeout=30) as client:
                     client.sendall(text.encode())
                     client.shutdown(socket.SHUT_WR)
                     while chunk := client.recv(1 << 16):
@@ -767,7 +825,9 @@ class TestServe:
         finally:
             proc.kill()
             proc.wait(timeout=30)
+            err = proc.stderr.read().decode().splitlines()
             proc.stderr.close()
+        assert len(err) == 2 and all(line.startswith("connection ended: ") for line in err), err
 
     def test_lone_cr_ends_a_line_on_the_wire(self, workdir):
         # a connection wrapped as serve --port wraps one; lines end with a

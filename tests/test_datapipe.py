@@ -494,6 +494,10 @@ class TestNormalizer:
         assert np.all(out.values[2] == 0.0)
         assert out.normalized
 
+    def test_empty_window_list_rejected(self):
+        with pytest.raises(ValueError, match="^cannot fit normalizer on an empty window list$"):
+            fit_normalizer([])
+
     def test_double_fit_gives_unit_stats(self):
         rng = np.random.default_rng(3)
         windows = [datapipe.FeatureWindow(rng.standard_normal((5, 30)) * 7 + 3, 0, 0, 1)
@@ -541,6 +545,15 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth_generate(SynthConfig(seed=0, hours=0.5))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("mean_sleep_min", 0.0, "bout durations must be positive"),
+        ("mean_wake_min", -5.0, "bout durations must be positive"),
+        ("transition_blur_min", -1.0, "transition blur must be non-negative"),
+    ])
+    def test_bad_bout_mean_or_blur_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth_generate(SynthConfig(seed=0, hours=2, **{field: value}))
+
     def test_single_sleep_period_structure(self):
         series = synth_generate(SynthConfig(seed=3, hours=8, mean_sleep_min=360,
                                             single_sleep_period=True))
@@ -561,6 +574,14 @@ class TestSynth:
         text = f"kind,timestamp\nwake_time,600\n\n{row}\n"
         with pytest.raises(IngestError, match="row 4: no finite timestamp"):
             read_transitions(io.StringIO(text))
+
+    @pytest.mark.parametrize("header, fields", [
+        ("timestamp,kind", "['timestamp', 'kind']"), ("kind", "['kind']"), ("", "['']"),
+        ("event,timestamp", "['event', 'timestamp']")])
+    def test_sidecar_with_bad_header(self, header, fields):
+        with pytest.raises(IngestError) as info:
+            read_transitions(io.StringIO(f"{header}\nsleep_onset,600\n"))
+        assert str(info.value) == f"bad sidecar header {fields}; expected kind,timestamp"
 
     @pytest.mark.parametrize("kind", ["sleep_onset ", "Sleep_onset", "wake", ""])
     def test_transition_row_with_unknown_kind(self, kind):
@@ -595,6 +616,36 @@ class TestBuildTrainingSet:
     def test_all_sleep_errors(self):
         with pytest.raises(ValueError, match="no transitions"):
             build_training_set([make_series(200, label=1)], seed=0)
+
+    def test_series_shorter_than_a_window_skipped(self):
+        series = make_series(480)
+        series.labels[240:] = 1
+        want = build_training_set([series], seed=0)
+        with pytest.warns(UserWarning, match="shorter than one 30-epoch window") as caught:
+            got = build_training_set([make_series(29), series, make_series(0)], seed=0)
+        assert len(caught) == 2
+        assert [(w.end_timestamp, w.label) for w in got] == \
+            [(w.end_timestamp, w.label) for w in want]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.values, b.values)
+
+    def test_no_labeled_window_in_context(self):
+        # the one transition is at epoch 101; every window's final minute is
+        # unlabeled or straddles it
+        series = make_series(200)
+        series.labels[:] = -1
+        series.labels[100:102] = [0, 1]
+        with pytest.raises(ValueError, match="^no labeled windows within the transition "
+                                             "context$"):
+            build_training_set([series], context_hours=0, seed=0)
+
+    def test_single_class_rejected(self):
+        # the transition at epoch 39 falls in the last window's final
+        # minute, which is unlabeled, so every kept window is awake
+        series = make_series(40)
+        series.labels[39] = 1
+        with pytest.raises(ValueError, match="^training set contains a single class only$"):
+            build_training_set([series], context_hours=0, seed=0)
 
     def test_balanced_classes(self):
         series_list = [synth_generate(SynthConfig(seed=s, hours=8)) for s in range(10)]

@@ -137,6 +137,11 @@ class TestSuppress:
         out = suppress_short_runs(bhyp([0] * 6), 3)
         np.testing.assert_array_equal(out.states, [0] * 6)
 
+    @pytest.mark.parametrize("min_run", [0, -1])
+    def test_min_run_below_one_rejected(self, min_run):
+        with pytest.raises(ValueError, match=f"^min_run must be >= 1, got {min_run}$"):
+            suppress_short_runs(bhyp([0, 1, 0]), min_run)
+
     def test_min_run_one_identity(self):
         s = [0, 1, 0, 1, 1, 0]
         np.testing.assert_array_equal(suppress_short_runs(bhyp(s), 1).states, s)

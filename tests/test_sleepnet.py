@@ -15,11 +15,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import somnoflow as sf
 from somnoflow import sleepnet
-from somnoflow.datapipe import FeatureWindow, SynthConfig, synth_generate, zscore
+from somnoflow.datapipe import (EPOCHS_PER_MINUTE, FeatureWindow, SynthConfig, synth_generate,
+                                zscore)
 from somnoflow.neuralcore import (BN_EPS, Adam, BatchNorm1d, ConfigError, Conv1d, Dense,
                                   Layer, MaxPool1d, ReLU, ShapeError, bce_grad, bce_loss,
                                   conv1d, sigmoid)
-from somnoflow.sleepnet import (HEADER_KEYS, INFER_CHUNK, MODEL_FORMAT_VERSION, TILE,
+from somnoflow.sleepnet import (HEADER_KEYS, MODEL_FORMAT_VERSION, PASS_WINDOWS, TILE,
                                 DigestMismatchError,
                                 HeadConfig, ModelConfig, ModelFormatError, RecordScorer,
                                 TrainingHyper, TruncatedFileError,
@@ -321,7 +322,7 @@ class TestTrain:
     @pytest.mark.parametrize("n_epochs", [1, 3])
     def test_training_set_scored_once(self, monkeypatch, n_val, n_epochs):
         # every eval-mode pass of head 0's conv: n_epochs validation passes,
-        # then one pass over the 130 training windows, INFER_CHUNK at a time.
+        # then one pass over the 130 training windows, PASS_WINDOWS at a time.
         # Eval passes call sleepnet's conv1d; training steps run
         # Conv1d.forward, which calls neuralcore's
         model = build_model(tiny_config())
@@ -335,7 +336,8 @@ class TestTrain:
         monkeypatch.setattr(sleepnet, "conv1d", counting)
         windows = cohort(130 + n_val)
         train(model, windows[:130], windows[130:], TrainingHyper(n_epochs=n_epochs))
-        assert sizes == [n_val] * (n_epochs if n_val else 0) + [INFER_CHUNK, INFER_CHUNK, 2]
+        chunks = [min(PASS_WINDOWS, 130 - s) for s in range(0, 130, PASS_WINDOWS)]
+        assert sizes == [n_val] * (n_epochs if n_val else 0) + chunks
 
     @pytest.mark.parametrize("n_windows", [1, 64, 130])
     def test_epoch_loss_equals_per_chunk_forward(self, n_windows):
@@ -350,14 +352,14 @@ class TestTrain:
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("aux_weight", [0.0, 0.25])
-    def test_epoch_loss_independent_of_infer_chunk(self, monkeypatch, aux_weight):
-        # INFER_CHUNK is eval_heads' compute chunk only: the validation
+    def test_epoch_loss_independent_of_pass_windows(self, monkeypatch, aux_weight):
+        # PASS_WINDOWS is eval_heads' compute chunk only: the validation
         # loss, which picks the kept epoch, does not depend on it
         model = fresh_finetune_base(0.25)
         x, y = _prepare_xy(cohort(130, seed=8), model)
         results = []
         for chunk in (1, 7, 64, 512):
-            monkeypatch.setattr(sleepnet, "INFER_CHUNK", chunk)
+            monkeypatch.setattr(sleepnet, "PASS_WINDOWS", chunk)
             results.append([v.hex() for v in _epoch_loss(model, x, y, aux_weight)])
         assert results == [results[0]] * 4
 
@@ -471,6 +473,19 @@ class TestTrain:
             train(model, windows, val, TrainingHyper(n_epochs=1, batch_size=8))
         assert model.digest() == before
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("normalized", False, "training windows must be normalized"),
+        ("label", None, "training windows must be labeled")])
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_unnormalized_or_unlabeled_window_rejected(self, which, field, value, message):
+        windows, val = cohort(40), cohort(10, seed=1)
+        setattr((windows if which == "training" else val)[7], field, value)
+        model = build_model(tiny_config())
+        before = model.digest()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(model, windows, val, TrainingHyper(n_epochs=1, batch_size=8))
+        assert model.digest() == before
+
 
 class TestFinetune:
     def make_trained(self):
@@ -566,7 +581,7 @@ class TestFinetune:
     @pytest.mark.parametrize("n_epochs", [0, 1, 3])
     @pytest.mark.parametrize("include_intermediate_fc", [False, True])
     def test_heads_run_once_per_call(self, monkeypatch, include_intermediate_fc, n_epochs):
-        # each head's conv runs once per INFER_CHUNK windows, through
+        # each head's conv runs once per PASS_WINDOWS windows, through
         # sleepnet's conv1d (eval_heads), never through Conv1d.forward
         model = fresh_finetune_base(0.25)
         names = {id(head.conv.params["w"]): head.conv.name for head in model.heads}
@@ -580,7 +595,7 @@ class TestFinetune:
         layer_calls = count_forward_calls(monkeypatch)
         finetune_transfer(model, cohort(130), TrainingHyper(n_epochs=n_epochs),
                           include_intermediate_fc)
-        chunks = -(-130 // INFER_CHUNK)
+        chunks = -(-130 // PASS_WINDOWS)
         assert calls == {head.conv.name: chunks for head in model.heads}
         assert not layer_calls["Conv1d"]
 
@@ -960,6 +975,31 @@ class TestRecordScorer:
         whole = replay(model, z, [200])
         assert_same_scores(whole, tiled_probs(model, z))
         assert_same_scores(replay(model, z, [1] * 200), whole)
+
+    @pytest.mark.parametrize("pass_windows", [TILE, 3 * TILE, PASS_WINDOWS, 16 * TILE])
+    def test_pass_size_moves_no_bit(self, small_trained, monkeypatch, pass_windows):
+        # PASS_WINDOWS sets how many tiles one conv pass and one fc pass
+        # stack, never what a tile computes. A night's 466 windows are 15 fc
+        # tiles, and its conv positions 30 conv tiles
+        model = small_trained[0]
+        z = day_z(model, 960)
+        want = replay(model, z, [960])
+        monkeypatch.setattr(sleepnet, "PASS_WINDOWS", pass_windows)
+        conv_tiles, fc_tiles = [], []
+
+        def counting_conv(cols, w, b):
+            conv_tiles.append(len(cols))
+            return conv1d(cols, w, b)
+
+        def counting_fc(self, tile, n_tiles, _fc_tiles=RecordScorer._fc_tiles):
+            fc_tiles.append(n_tiles)
+            return _fc_tiles(self, tile, n_tiles)
+
+        monkeypatch.setattr(sleepnet, "conv1d", counting_conv)
+        monkeypatch.setattr(RecordScorer, "_fc_tiles", counting_fc)
+        assert_same_scores(replay(model, z, [960]), want)
+        assert max(conv_tiles) == min(EPOCHS_PER_MINUTE * pass_windows // TILE, 30)
+        assert max(fc_tiles) == min(pass_windows // TILE, 15)
 
     def test_column_views_stay_in_bounds(self):
         # the scorer views its columns with np.ndarray, which raises where

@@ -38,9 +38,14 @@ def series():
 
 
 class TestWarmupAndCadence:
-    def test_no_emissions_before_thirty_epochs(self, small_trained, series):
+    @pytest.mark.parametrize("n", [0, 1, 29])
+    def test_no_emissions_before_thirty_epochs(self, small_trained, series, n):
+        # nor a hypnogram minute: it starts at the last epoch fed, or at 0
         stream = SleepStream(small_trained[0])
-        assert feed_series(stream, series, 29) == []
+        assert feed_series(stream, series, n) == []
+        hyp = stream.hypnogram()
+        assert len(hyp) == 0
+        assert hyp.start == (int(series.timestamps[n - 1]) if n else 0)
 
     def test_first_emission_on_thirtieth(self, small_trained, series):
         stream = SleepStream(small_trained[0])
